@@ -8,18 +8,31 @@ derivations:
 
 B is stored as its coordinate matrices F(B) = (B_1, ..., B_n) with
 (B_k)_ij = beta_k(e_i, e_j), the k-th coordinate of B(e_i, e_j).  The
-unknowns b_ij^k are flattened with k outermost: b_ij^k sits at position
+coefficients b_ij^k are flattened with k outermost: b_ij^k sits at position
 k*n^2 + i*n + j.
 
-Writing both defining conditions on all basis triples gives a homogeneous
-linear system of 2*n^4 rows in n^3 unknowns; its kernel is the space of
-all biderivations.  On complete algebras every biderivation factors as
+Condition (2) says that every left partial map B(e_i, -) is a derivation.
+The solver therefore computes a basis D_1, ..., D_d of Der(L) first and
+writes B(e_i, -) = sum_s x_is D_s, so condition (2) holds by construction
+and there are n*d unknowns x_is instead of n^3.  Condition (1) is
+antisymmetric in (i, j), so it is imposed on the pairs i < j only:
+n^3 (n - 1) / 2 rows.  The symmetric and skew subspaces need no condition
+(1) rows at all, only the symmetry rows b_ij^k -+ b_ji^k = 0 for i <= j:
+when B(x, y) = +-B(y, x), every right partial map B(-, z) = +-B(z, -) is a
+derivation too.  The kernel in the x_is is mapped back into Q^(n^3) and
+canonicalised, and every basis element is re-checked by
+`biderivation_violation`, which shares no assembly code with the solver.
+The direct system of 2*n^4 rows in the n^3 unknowns b_ij^k
+(`_constraint_rows`) is kept as the oracle the tests compare against.
+
+On complete algebras every biderivation factors as
 B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
 by adjoint preimages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Optional, Sequence
@@ -145,11 +158,13 @@ class BiderivationSpace:
 
 
 def _constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
-    """Sparse rows of the defining system, one per (condition, i, j, k, r).
+    """Sparse rows of the direct system, one per (condition, i, j, k, r).
 
-    Condition (1) rows come first, each block ordered lexicographically by
-    (i, j, k, r).  Zero rows and duplicates are kept so the row order is a
-    pure function of the structure constants.
+    Both conditions on all basis triples, 2*n^4 rows in the n^3 unknowns
+    b_ij^k.  The solvers do not use it; the tests compare them against its
+    kernel.  Condition (1) rows come first, each block ordered
+    lexicographically by (i, j, k, r).  Zero rows and duplicates are kept so
+    the row order is a pure function of the structure constants.
     """
     n = alg.dim
     nn = n * n
@@ -193,29 +208,114 @@ def _constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
                     yield {c: v for c, v in row.items() if v}
 
 
-def assemble_constraints(alg: LieAlgebra) -> Matrix:
-    """Dense 2*n^4 x n^3 coefficient matrix of the defining conditions."""
-    n = alg.dim
-    ncols = n * n * n
-    rows = []
-    for sparse in _constraint_rows(alg):
-        row = [ZERO] * ncols
-        for c, v in sparse.items():
-            row[c] = v
-        rows.append(tuple(row))
-    return Matrix(2 * n ** 4, ncols, tuple(rows))
+def _primitive_derivations(alg: LieAlgebra) -> list[list[int]]:
+    """Canonical basis D_1, ..., D_d of Der(L), each a primitive integer vector."""
+    out = []
+    for vec in derivation_space(alg).basis:
+        den = math.lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
+        g = math.gcd(*ints)
+        out.append([v // g for v in ints])
+    return out
 
 
-def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
-    """Kernel of the assembled system, re-checked element by element.
+def _entries_at(
+    ders: list[list[int]], nn: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """For each matrix position p = a*n + b, the nonzero pairs (s, D_s[p])."""
+    return [
+        tuple((s, der[p]) for s, der in enumerate(ders) if der[p])
+        for p in range(nn)
+    ]
 
-    Every canonical basis vector is re-verified against the defining
-    conditions directly; a failure means the assembly and the checker
-    disagree and raises InternalInconsistency.
+
+def _condition_one_rows(
+    alg: LieAlgebra, ders: list[list[int]]
+) -> Iterator[dict[int, int]]:
+    """Condition (1) on pairs i < j in the unknowns x_is (column i*d + s).
+
+    With b_ij^k = sum_s x_is D_s[k, j], the row of (i, j, k, r) reads
+    sum_t c_ij^t D[r, k] x_t - (ad_i D)[r, k] x_j + (ad_j D)[r, k] x_i = 0,
+    multiplied by the lcm of the structure-constant denominators so that
+    every coefficient is an integer.  Rows are ordered by (i, j, k, r);
+    zero rows are skipped.
     """
     n = alg.dim
-    space = kernel_of_rows(_constraint_rows(alg), n ** 3)
-    result = BiderivationSpace(n, space)
+    d = len(ders)
+    scale = math.lcm(*(c.denominator for _, c in alg.constants))
+
+    def scaled(c: Fraction) -> int:
+        return c.numerator * (scale // c.denominator)
+
+    at = _entries_at(ders, n * n)
+    # ad_at[i][r*n + k]: nonzero pairs (s, scale * (ad_i D_s)[r, k])
+    ad_at = []
+    for i in range(n):
+        cells: list[dict[int, int]] = [{} for _ in range(n * n)]
+        for r in range(n):
+            for t, c in alg._left_out.get((i, r), ()):
+                ci = scaled(c)
+                for k in range(n):
+                    cell = cells[r * n + k]
+                    for s, v in at[t * n + k]:
+                        cell[s] = cell.get(s, 0) + ci * v
+        ad_at.append(
+            [tuple((s, v) for s, v in cell.items() if v) for cell in cells]
+        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair_ij = [(t, scaled(c)) for t, c in alg.pair_terms(i, j)]
+            for k in range(n):
+                for r in range(n):
+                    p = r * n + k
+                    row: dict[int, int] = {}
+                    for t, c in pair_ij:
+                        for s, v in at[p]:
+                            col = t * d + s
+                            row[col] = row.get(col, 0) + c * v
+                    for s, v in ad_at[i][p]:
+                        col = j * d + s
+                        row[col] = row.get(col, 0) - v
+                    for s, v in ad_at[j][p]:
+                        col = i * d + s
+                        row[col] = row.get(col, 0) + v
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        yield row
+
+
+def _lift(kernel: Subspace, ders: list[list[int]], n: int) -> Subspace:
+    """Canonical span in Q^(n^3) of the kernel in the x_is.
+
+    Coordinates follow b_ij^k = sum_s x_is D_s[k, j].
+    """
+    nn = n * n
+    d = len(ders)
+    # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
+    spread = [
+        [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
+    ]
+    vectors = []
+    for x in kernel.basis:
+        flat = [ZERO] * (n * nn)
+        for col, coeff in enumerate(x):
+            if coeff:
+                i, s = divmod(col, d)
+                for pos, v in spread[s]:
+                    flat[pos + i * n] += coeff * v
+        vectors.append(flat)
+    return Subspace.span(vectors, n * nn)
+
+
+def _checked(
+    alg: LieAlgebra, space: Subspace, mode: Optional[BiderSymmetryMode]
+) -> BiderivationSpace:
+    """Re-verify every canonical basis element with the independent checker.
+
+    A failure means the solver and the checker disagree and raises
+    InternalInconsistency.
+    """
+    result = BiderivationSpace(alg.dim, space)
     for element in result.basis_elements():
         violation = biderivation_violation(alg, element)
         if violation is not None:
@@ -223,7 +323,28 @@ def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
                 f"kernel basis element fails condition ({violation.condition}) "
                 f"at triple {violation.triple}"
             )
+        if mode == "symmetric" and any(m != m.transpose() for m in element.mats):
+            raise InternalInconsistency("kernel basis element is not symmetric")
+        if mode == "skew" and any(m != -m.transpose() for m in element.mats):
+            raise InternalInconsistency("kernel basis element is not skew")
     return result
+
+
+def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
+    """All biderivations, solved over Der(L) and re-checked element by element.
+
+    Each left partial map is written B(e_i, -) = sum_s x_is D_s over the
+    canonical basis of Der(L), which satisfies condition (2); condition (1)
+    adds n^3 (n - 1) / 2 rows in the n * dim Der unknowns.  The kernel is
+    returned as the canonical subspace of Q^(n^3) it spans, which equals
+    the kernel of the direct 2*n^4 x n^3 system.  Every basis element is
+    then re-verified against both defining conditions; a failure raises
+    InternalInconsistency.
+    """
+    n = alg.dim
+    ders = _primitive_derivations(alg)
+    kernel = kernel_of_rows(_condition_one_rows(alg, ders), n * len(ders))
+    return _checked(alg, _lift(kernel, ders, n), None)
 
 
 # ---------------------------------------------------------------------------
@@ -435,35 +556,39 @@ def constrained_biderivation_space(
     """Biderivations that are symmetric (B(x,y) = B(y,x)) or skew
     (B(x,y) = -B(y,x)) as bilinear maps.
 
-    The defining system is augmented with b_ij^k - b_ji^k = 0 (symmetric)
-    or b_ij^k + b_ji^k = 0 (skew) for all k and i <= j; the skew diagonal
-    rows force b_ii^k = 0.
+    The unknowns are those of `biderivation_space`, B(e_i, -) =
+    sum_s x_is D_s over the canonical basis of Der(L), so condition (2)
+    holds by construction.  The only rows are b_ij^k - b_ji^k = 0
+    (symmetric, n^2 (n - 1) / 2 rows) or b_ij^k + b_ji^k = 0 (skew,
+    n^2 (n + 1) / 2 rows; the diagonal ones force b_ii^k = 0) for all k and
+    i <= j, less those that vanish in the x_is.  Condition (1) needs no
+    rows: a symmetric or skew map has right partial maps
+    B(-, z) = +-B(z, -), which are derivations.  Every basis element is
+    re-verified against both defining conditions and its symmetry; a
+    failure raises InternalInconsistency.
     """
     if mode not in ("symmetric", "skew"):
         raise ValueError(f"unknown symmetry mode: {mode!r}")
     n = alg.dim
-    nn = n * n
     sign = -1 if mode == "symmetric" else 1
+    ders = _primitive_derivations(alg)
+    d = len(ders)
+    at = _entries_at(ders, n * n)
 
-    def rows() -> Iterator[dict[int, Fraction]]:
-        yield from _constraint_rows(alg)
-        one = Fraction(1)
+    def rows() -> Iterator[dict[int, int]]:
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    if i == j:
-                        if sign == 1:
-                            yield {k * nn + i * n + i: Fraction(2)}
-                        else:
-                            yield {}
-                    else:
-                        yield {
-                            k * nn + i * n + j: one,
-                            k * nn + j * n + i: Fraction(sign),
-                        }
+                    row = {i * d + s: v for s, v in at[k * n + j]}
+                    for s, v in at[k * n + i]:
+                        col = j * d + s
+                        row[col] = row.get(col, 0) + sign * v
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        yield row
 
-    space = kernel_of_rows(rows(), n ** 3)
-    return BiderivationSpace(n, space)
+    kernel = kernel_of_rows(rows(), n * d)
+    return _checked(alg, _lift(kernel, ders, n), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,17 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 def parse_rational(text: Any, path: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(path, f"not a rational string: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+    try:
+        parts = [int(part) for part in text.split("/")]
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(
+            path, f"rational string of {len(text)} characters is too long"
+        ) from None
+    if len(parts) == 2:
+        if parts[1] == 0:
             raise ParseError(path, "zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(parts[0], parts[1])
+    return Fraction(parts[0])
 
 
 def rational_str(value: Fraction) -> str:
@@ -98,7 +103,7 @@ def load_algebra_document(text: str, skip_jacobi: bool = False) -> tuple[LieAlge
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number too long to convert
         raise ParseError("$", f"invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "$", "document must be an object")
     name = doc.get("name", "")
@@ -205,7 +210,7 @@ def parse_biderivation(text: str, alg: LieAlgebra) -> Biderivation:
     """Parse a BiderivationDocument as an unverified candidate for ``alg``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number too long to convert
         raise ParseError("$", f"invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "$", "document must be an object")
     dim = doc.get("dim")

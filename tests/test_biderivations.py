@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liebider.catalog import catalog
+import liebider.biderivations
 from liebider.biderivations import (
     Biderivation,
     FactorMismatch,
+    InternalInconsistency,
     NotBiderivation,
     NotComplete,
     NotTwoStep,
-    assemble_constraints,
+    _constraint_rows,
     bider_bracket_closure,
     biderivation_space,
     biderivation_violation,
@@ -26,8 +28,8 @@ from liebider.biderivations import (
     two_step_properties,
 )
 from liebider.derivations import commuting_map_space, skew_commuting_map_space
-from liebider.liealg import bracket, structure_matrices
-from liebider.linalg import Matrix, Subspace, kernel_basis
+from liebider.liealg import bracket, lie_algebra, structure_matrices
+from liebider.linalg import Matrix, Subspace, kernel_of_rows, solve_linear
 
 import oracles
 
@@ -47,13 +49,75 @@ FROZEN_BIDER_DIMS = {
 COMPLETE_NAMES = ["sl2", "sl3", "so3", "sl2_plus_sl2", "L22"]
 
 
-def test_assembly_shape_and_abelian_triviality():
-    alg = catalog("L22")
-    system = assemble_constraints(alg)
-    assert (system.nrows, system.ncols) == (2 * 2 ** 4, 2 ** 3)
-    assert assemble_constraints(catalog("abelian(2)")).is_zero()
-    # documented contract: the space is exactly the kernel of the assembled system
-    assert biderivation_space(alg).space == kernel_basis(system)
+def _dense_sl2_plus_sl2():
+    """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
+    alg = catalog("sl2_plus_sl2")
+    n = alg.dim
+    change = Matrix.from_rows([[F(1, a + b + 1) for b in range(n)] for a in range(n)])
+    basis = [change.column(a) for a in range(n)]
+    constants = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = solve_linear(change, bracket(alg, basis[a], basis[b]))
+            for c, value in enumerate(coords):
+                if value:
+                    constants[(a, b, c)] = value
+    return lie_algebra(n, constants)
+
+
+ORACLE_INPUTS = {
+    "sl2": lambda: catalog("sl2"),
+    "so3": lambda: catalog("so3"),
+    "sl3": lambda: catalog("sl3"),
+    "sl2_plus_sl2": lambda: catalog("sl2_plus_sl2"),
+    "heisenberg3": lambda: catalog("heisenberg3"),
+    "L22": lambda: catalog("L22"),
+    "abelian(3)": lambda: catalog("abelian(3)"),
+    "twostep(6,1)": lambda: catalog("twostep(6,1)", seed=3),
+    "sl2_plus_sl2_dense": _dense_sl2_plus_sl2,
+}
+
+
+def _symmetry_rows(n, mode):
+    """b_ij^k - b_ji^k (symmetric) or b_ij^k + b_ji^k (skew) for i <= j."""
+    nn = n * n
+    sign = -1 if mode == "symmetric" else 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    yield {k * nn + i * n + i: F(2)} if sign == 1 else {}
+                else:
+                    yield {k * nn + i * n + j: F(1), k * nn + j * n + i: F(sign)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_assembly_shape_and_abelian_triviality(name):
+    alg = ORACLE_INPUTS[name]()
+    n = alg.dim
+    rows = list(_constraint_rows(alg))
+    assert len(rows) == 2 * n ** 4
+    if not alg.constants:
+        assert not any(rows)
+    # documented contract: each solver's space is exactly the kernel of the
+    # direct n^3 system, with the symmetry rows added in the constrained modes
+    assert biderivation_space(alg).space == kernel_of_rows(rows, n ** 3)
+    for mode in ("symmetric", "skew"):
+        oracle = kernel_of_rows(rows + list(_symmetry_rows(n, mode)), n ** 3)
+        assert constrained_biderivation_space(alg, mode).space == oracle, mode
+
+
+def test_solvers_reject_a_wrong_derivation_basis(monkeypatch):
+    # With every map posing as a derivation, condition (2) is no longer
+    # built in, and the re-check must refuse the kernel in every mode.
+    alg = catalog("sl2")
+    full = Subspace.full(alg.dim * alg.dim)
+    monkeypatch.setattr(liebider.biderivations, "derivation_space", lambda _alg: full)
+    with pytest.raises(InternalInconsistency):
+        biderivation_space(alg)
+    for mode in ("symmetric", "skew"):
+        with pytest.raises(InternalInconsistency):
+            constrained_biderivation_space(alg, mode)
 
 
 def test_dimensions_match_frozen_oracle():

@@ -244,6 +244,17 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
     assert code == 2
     code, _, err = run("catalog", "not_a_name")
     assert code == 2
+    # numbers longer than the interpreter's int/str digit limit (4,300)
+    long_coeff = tmp_path / "long_coeff.json"
+    long_coeff.write_text(json.dumps({"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [{"index": 0, "coeff": "1" + "0" * 4399}]}
+    ]}))
+    code, _, err = run("info", str(long_coeff))
+    assert code == 2 and "error" in err
+    long_dim = tmp_path / "long_dim.json"
+    long_dim.write_text('{"dim": 1' + "0" * 4399 + "}")
+    code, _, err = run("info", str(long_dim))
+    assert code == 2 and "error" in err
     bad_pair = tmp_path / "pair.json"
     bad_pair.write_text(json.dumps({"dim": 2, "mats": [[["0"] * 2] * 2] * 2}))
     sl2 = tmp_path / "sl2.json"
