@@ -21,7 +21,7 @@ from liebider.biderivations import (
     constrained_biderivation_space,
 )
 from liebider.catalog import catalog
-from liebider.derivations import derivation_space, is_complete
+from liebider.derivations import derivation_space
 from liebider.liealg import center, killing_form, lower_central_series
 from liebider.vdecomp import verify_direct_sum
 
@@ -92,7 +92,7 @@ def survey_row(name, seed):
         "center": center(alg).dim,
         "class": series.nilpotency_class if series.nilpotent else "-",
         "killing": f"{killing.rank}{'*' if killing.semisimple else ''}",
-        "complete": yes_no(is_complete(alg).complete),
+        "complete": yes_no(report.complete),
         "der": derivation_space(alg).dim,
         "bider": bider.dim,
         "sym": constrained_biderivation_space(alg, "symmetric").dim,

@@ -356,8 +356,8 @@ def biderivation_violation(
 ) -> Optional[BiderViolation]:
     """First violated defining condition, or None when B is a biderivation.
 
-    All n^3 triples of both conditions are evaluated (condition outermost,
-    then (i, j, k) lexicographic) and the first failure is reported.
+    Triples are scanned condition outermost, then (i, j, k) lexicographic,
+    and the scan stops at the first failure, which is returned.
     """
     n = alg.dim
     if cand.dim != n:
@@ -386,7 +386,6 @@ def biderivation_violation(
 
     basis = [alg.basis_element(t) for t in range(n)]
     pair = [[brk(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    first: Optional[BiderViolation] = None
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -394,8 +393,8 @@ def biderivation_violation(
                 r1 = brk(basis[i], basis_values[j][k])
                 r2 = brk(basis_values[i][k], basis[j])
                 residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-                if any(residual) and first is None:
-                    first = BiderViolation(1, (i, j, k), residual)
+                if any(residual):
+                    return BiderViolation(1, (i, j, k), residual)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -403,9 +402,9 @@ def biderivation_violation(
                 r1 = brk(basis_values[i][j], basis[k])
                 r2 = brk(basis[j], basis_values[i][k])
                 residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-                if any(residual) and first is None:
-                    first = BiderViolation(2, (i, j, k), residual)
-    return first
+                if any(residual):
+                    return BiderViolation(2, (i, j, k), residual)
+    return None
 
 
 def is_biderivation(alg: LieAlgebra, cand: Biderivation) -> bool:
@@ -461,18 +460,22 @@ def row_column_derivations(
     n = alg.dim
     if not 0 <= index < n:
         raise ValueError(f"basis index {index} out of range for dim {n}")
-    row_map = Matrix(
-        n, n, tuple(cand.mats[k].data[index] for k in range(n))
-    )
-    column_map = Matrix(
-        n, n, tuple(cand.mats[k].column(index) for k in range(n))
-    )
+    row_map, column_map = _partial_maps(cand, index)
     der = derivation_space(alg)
     return RowColumnReport(
         row_map,
         column_map,
         der.contains(row_map.flatten()),
         der.contains(column_map.flatten()),
+    )
+
+
+def _partial_maps(cand: Biderivation, i: int) -> tuple[Matrix, Matrix]:
+    """Matrices of y -> B(e_i, y) and x -> B(x, e_i) (see RowColumnReport)."""
+    n = cand.dim
+    return (
+        Matrix(n, n, tuple(cand.mats[k].data[i] for k in range(n))),
+        Matrix(n, n, tuple(cand.mats[k].column(i) for k in range(n))),
     )
 
 
@@ -502,18 +505,18 @@ def extract_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
     violation = biderivation_violation(alg, cand)
     if violation is not None:
         raise NotBiderivation(violation)
+    return _factor_phi_psi(alg, cand)
+
+
+def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
+    """`extract_phi_psi` for a caller that has established its premises."""
     n = alg.dim
     phi_cols = []
     psi_cols = []
     try:
         for i in range(n):
-            row_map = Matrix(
-                n, n, tuple(cand.mats[k].data[i] for k in range(n))
-            )
+            row_map, column_map = _partial_maps(cand, i)
             phi_cols.append(ad_preimage(alg, row_map))
-            column_map = Matrix(
-                n, n, tuple(cand.mats[k].column(i) for k in range(n))
-            )
             psi_cols.append(tuple(-v for v in ad_preimage(alg, column_map)))
     except (NotInner, CenterNonzero) as exc:
         raise InternalInconsistency(

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .biderivations import (
     Biderivation,
+    BiderViolation,
     NotBiderivation,
     NotComplete,
     bider_bracket_closure,
@@ -31,7 +32,6 @@ from .catalog import CATALOG_NAMES, UnknownName, catalog
 from .derivations import derivation_space, inner_derivation_space, is_complete
 from .documents import (
     DimMismatch,
-    JacobiError,
     ParseError,
     algebra_to_document,
     biderivation_to_document,
@@ -44,13 +44,12 @@ from .documents import (
 from .liealg import (
     JacobiViolation,
     LieAlgebra,
-    center,
     killing_form,
     lower_central_series,
     validate,
 )
 from .linalg import Matrix
-from .vdecomp import bider_V_correspondence, verify_direct_sum
+from .vdecomp import verify_direct_sum
 
 
 class _InputError(Exception):
@@ -65,19 +64,22 @@ def _read_file(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_algebra(path: str, skip_jacobi: bool) -> tuple[LieAlgebra, dict]:
-    """Parse an algebra file; returns the algebra and its document echo."""
-    text = _read_file(path)
-    alg, name = load_algebra_document(text, skip_jacobi=True)
-    if not skip_jacobi:
-        violation = validate(alg)
-        if violation is not None:
-            raise JacobiError(violation)
+def _load_algebra(path: str) -> tuple[LieAlgebra, dict]:
+    """Parse an algebra file unvalidated; returns it and its document echo."""
+    alg, name = load_algebra_document(_read_file(path), skip_jacobi=True)
     return alg, algebra_to_document(alg, name)
 
 
 def _violation_fields(v: JacobiViolation) -> dict:
     return {"triple": [v.i, v.j, v.k], "residual": vector_strs(v.residual)}
+
+
+def _bider_violation_fields(v: BiderViolation) -> dict:
+    return {
+        "condition": v.condition,
+        "triple": list(v.triple),
+        "residual": vector_strs(v.residual),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def _cmd_info(alg: LieAlgebra) -> tuple[dict, int]:
     results = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
-        "center_dim": center(alg).dim,
+        "center_dim": comp.center_dim,
         "lower_central_dims": [t.dim for t in series.terms],
         "nilpotent": series.nilpotent,
         "nilpotency_class": series.nilpotency_class
@@ -233,14 +235,7 @@ def _cmd_check_bider(alg: LieAlgebra, cand: Biderivation) -> tuple[dict, int]:
     violation = biderivation_violation(alg, cand)
     if violation is None:
         return {"ok": True, "violation": None}, 0
-    return {
-        "ok": False,
-        "violation": {
-            "condition": violation.condition,
-            "triple": list(violation.triple),
-            "residual": vector_strs(violation.residual),
-        },
-    }, 1
+    return {"ok": False, "violation": _bider_violation_fields(violation)}, 1
 
 
 def _classify_symmetry(cand: Biderivation) -> str:
@@ -261,14 +256,9 @@ def _cmd_phi_psi(alg: LieAlgebra, cand: Biderivation) -> tuple[dict, int]:
     except NotComplete as exc:
         return {"error": str(exc)}, 1
     except NotBiderivation as exc:
-        v = exc.violation
         return {
             "error": "candidate is not a biderivation",
-            "violation": {
-                "condition": v.condition,
-                "triple": list(v.triple),
-                "residual": vector_strs(v.residual),
-            },
+            "violation": _bider_violation_fields(exc.violation),
         }, 1
     return {
         "phi": matrix_strs(pair.phi),
@@ -290,8 +280,8 @@ def _cmd_vdecomp(alg: LieAlgebra) -> tuple[dict, int]:
         "correspondence": None,
     }
     code = 0 if report.is_direct_sum else 1
-    if report.complete:
-        corr = bider_V_correspondence(alg)
+    corr = report.correspondence
+    if corr is not None:
         results["correspondence"] = {
             "bider_dim": corr.bider_dim,
             "v_dim": corr.v_dim,
@@ -433,7 +423,7 @@ def run_command(argv: Sequence[str]) -> int:
         # Parse leniently, then enforce the Jacobi identity ourselves: the
         # validate command reports the diagnostics, every other command
         # refuses invalid tables regardless of --skip-jacobi.
-        alg, echo = _load_algebra(args.file, skip_jacobi=True)
+        alg, echo = _load_algebra(args.file)
         inputs: dict = {"algebra": echo}
         if args.command != "validate":
             violation = validate(alg)

@@ -1,31 +1,31 @@
 """Derivations and related linear-map spaces of a Lie algebra.
 
-A linear map D is a derivation when D[x, y] = [Dx, y] + [x, Dy]; on a basis
-this is one linear condition per pair i < j and output coordinate r, with
-the n^2 matrix entries of D as unknowns.  Maps are flattened row-major:
-entry (a, b) of the matrix sits at position a*n + b.
+Derivations (D[x, y] = [Dx, y] + [x, Dy]), commuting maps
+([f(x), y] = [x, f(y)]) and skew-commuting maps ([f(x), y] = -[x, f(y)])
+are the kernels of one family of conditions
+a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
+(0, 1, -1) and (0, 1, 1).  The unknowns are the n^2 entries of f, flattened
+row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
+is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
+and output coordinate suffices; zero rows are dropped.
 
-Alongside the derivation space the module computes the inner derivations
-(spanned by the adjoint maps), a completeness report (trivial center and
-every derivation inner), and the solution spaces of the commuting-map
-condition [f(x), y] = [x, f(y)] and its skew variant
-[f(x), y] = -[x, f(y)].
+The module also computes the inner derivations (spanned by the adjoint
+maps), a completeness report (trivial center and every derivation inner),
+and adjoint preimages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator
 
 from .liealg import LieAlgebra, adjoint_matrix
 from .linalg import (
     Matrix,
-    Scalar,
     Subspace,
     SubspaceRelation,
     Vector,
-    as_vector,
     kernel_of_rows,
     solve_linear,
     subspace_compare,
@@ -41,31 +41,40 @@ class NotInner(ValueError):
     """The given matrix is not the adjoint of any element."""
 
 
-def _leibniz_rows(alg: LieAlgebra) -> list[dict[int, Fraction]]:
-    """Sparse rows of the derivation system, ordered by (i, j, r), i < j."""
+def _map_rows(
+    alg: LieAlgebra, a: int, b: int, c: int
+) -> Iterator[dict[int, Fraction]]:
+    """Rows of a f([e_i, e_j]) + b [f(e_i), e_j] + c [e_i, f(e_j)] = 0.
+
+    One row per pair i <= j and output coordinate r, ordered by (i, j, r);
+    zero rows are dropped.
+    """
     n = alg.dim
-    rows = []
     for i in range(n):
-        for j in range(i + 1, n):
-            pair = alg.pair_terms(i, j)
+        for j in range(i, n):
+            pair = alg.pair_terms(i, j) if a else ()
             for r in range(n):
                 row: dict[int, Fraction] = {}
-                for t, c in pair:
+                # f([e_i, e_j])_r = sum_t c_ij^t f[r, t]
+                for t, coeff in pair:
                     col = r * n + t
-                    row[col] = row.get(col, Fraction(0)) + c
-                for t, c in alg._right_out.get((j, r), ()):
+                    row[col] = row.get(col, 0) + a * coeff
+                # [f(e_i), e_j]_r = sum_t f[t, i] c_tj^r
+                for t, coeff in alg._right_out.get((j, r), ()):
                     col = t * n + i
-                    row[col] = row.get(col, Fraction(0)) - c
-                for t, c in alg._left_out.get((i, r), ()):
+                    row[col] = row.get(col, 0) + b * coeff
+                # [e_i, f(e_j)]_r = sum_t c_it^r f[t, j]
+                for t, coeff in alg._left_out.get((i, r), ()):
                     col = t * n + j
-                    row[col] = row.get(col, Fraction(0)) - c
-                rows.append({c: v for c, v in row.items() if v})
-    return rows
+                    row[col] = row.get(col, 0) + c * coeff
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    yield row
 
 
 def derivation_space(alg: LieAlgebra) -> Subspace:
     """Canonical subspace of Q^(n^2) of all derivations (row-major maps)."""
-    return kernel_of_rows(_leibniz_rows(alg), alg.dim * alg.dim)
+    return kernel_of_rows(_map_rows(alg, 1, -1, -1), alg.dim * alg.dim)
 
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:
@@ -99,47 +108,20 @@ def is_complete(alg: LieAlgebra) -> CompletenessReport:
 def commuting_map_space(alg: LieAlgebra) -> Subspace:
     """Maps f with [f(x), y] = [x, f(y)] for all x, y.
 
-    The defect g(x, y) = [f(x), y] - [x, f(y)] is symmetric in (x, y), so
-    the basis pairs i <= j carry all constraints: the diagonal conditions
-    [f(e_i), e_i] = 0 are genuine and are included.
+    The defect [f(x), y] - [x, f(y)] is symmetric in (x, y), so the pairs
+    i <= j carry all constraints; the diagonal conditions [f(e_i), e_i] = 0
+    are genuine.
     """
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for r in range(n):
-                row: dict[int, Fraction] = {}
-                for t, c in alg._right_out.get((j, r), ()):
-                    col = t * n + i
-                    row[col] = row.get(col, Fraction(0)) + c
-                for t, c in alg._left_out.get((i, r), ()):
-                    col = t * n + j
-                    row[col] = row.get(col, Fraction(0)) - c
-                rows.append({c: v for c, v in row.items() if v})
-    return kernel_of_rows(rows, n * n)
+    return kernel_of_rows(_map_rows(alg, 0, 1, -1), alg.dim * alg.dim)
 
 
 def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
     """Maps f with [f(x), y] = -[x, f(y)] for all x, y.
 
-    The defect here is antisymmetric, so diagonal pairs are vacuous; rows
-    are still emitted for every ordered pair (i, j), which only adds
-    harmless duplicates and zero rows.
+    The defect [f(x), y] + [x, f(y)] is antisymmetric in (x, y), so the
+    pairs i < j carry all constraints and the diagonal rows vanish.
     """
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for r in range(n):
-                row: dict[int, Fraction] = {}
-                for t, c in alg._right_out.get((j, r), ()):
-                    col = t * n + i
-                    row[col] = row.get(col, Fraction(0)) + c
-                for t, c in alg._left_out.get((i, r), ()):
-                    col = t * n + j
-                    row[col] = row.get(col, Fraction(0)) + c
-                rows.append({c: v for c, v in row.items() if v})
-    return kernel_of_rows(rows, n * n)
+    return kernel_of_rows(_map_rows(alg, 0, 1, 1), alg.dim * alg.dim)
 
 
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:

@@ -2,11 +2,13 @@
 
 V is the space of matrices M such that M A_i = A_i Q holds for a single
 matrix Q and every i; V+ and V- are the members for which every product
-M A_i is symmetric (respectively skew-symmetric).  Because each A_i is
-skew-symmetric, V+ and V- always sit inside V; on complete algebras
-V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
-the biderivation space: the coordinate matrices of a biderivation with
-factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
+M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
+basis matrix come from a single (M, Q) kernel; V+ and V- are the kernels of
+their symmetry conditions, which imply membership in V.  On complete
+algebras V = V+ (+) V- is a direct sum, and the correspondence M = phi^T
+links V to the biderivation space: the coordinate matrices of a
+biderivation with factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
+`verify_direct_sum` checks both with one V, V+, V- and completeness verdict.
 
 Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
 """
@@ -17,23 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .liealg import LieAlgebra, structure_matrices
-from .linalg import (
-    ZERO,
-    Matrix,
-    Subspace,
-    Vector,
-    kernel_of_rows,
-    solve_linear,
-    subspace_combine,
-)
+from .liealg import LieAlgebra, killing_form, structure_matrices
+from .linalg import ZERO, Matrix, Subspace, kernel_of_rows, subspace_combine
 from .derivations import is_complete
-from .biderivations import (
-    InternalInconsistency,
-    biderivation_space,
-    extract_phi_psi,
-)
-from .liealg import killing_form
+from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
 
 
 @dataclass(frozen=True)
@@ -101,56 +90,31 @@ class VSpace:
 def compute_V(alg: LieAlgebra) -> VSpace:
     """The space V = {M : exists Q with M A_i = A_i Q for all i}.
 
-    The joint (M, Q) kernel is projected to the M block and canonicalized;
-    each canonical basis matrix gets a witness Q solved with free variables
-    set to zero.
+    The canonical basis of the joint (M, Q) kernel is in reduced echelon
+    form with the M columns first, so its rows with a pivot in the M block
+    restrict to the canonical basis of the projection V, and every other
+    row is zero on M.  Each such row's Q part is the witness of its M part.
     """
     n = alg.dim
     nn = n * n
     joint = _joint_intertwiner_kernel(alg)
-    m_block = Subspace.span([v[:nn] for v in joint.basis], nn)
-    mats = structure_matrices(alg)
-    # Witness system: row (i, a, b) states (A_i Q)_ab = (M A_i)_ab.
-    coeff_rows = []
-    for i in range(n):
-        ai = mats[i]
-        for a in range(n):
-            for b in range(n):
-                row = [ZERO] * nn
-                for s in range(n):
-                    if ai[a][s]:
-                        row[s * n + b] = ai[a][s]
-                coeff_rows.append(row)
-    system = Matrix.from_rows(coeff_rows)
-    witnesses = []
-    for flat in m_block.basis:
-        m = Matrix.from_flat(flat, n, n)
-        rhs = []
-        for i in range(n):
-            prod = m * mats[i]
-            for a in range(n):
-                for b in range(n):
-                    rhs.append(prod[a][b])
-        q = solve_linear(system, rhs)
-        if q is None:
-            raise InternalInconsistency(
-                "projected V member has no intertwining witness"
-            )
-        witnesses.append(Matrix.from_flat(q, n, n))
-    return VSpace(MatrixSubspace(n, m_block), tuple(witnesses))
+    k = sum(1 for piv in joint.pivots if piv < nn)
+    rows = joint.basis[:k]
+    space = Subspace(nn, tuple(v[:nn] for v in rows), joint.pivots[:k])
+    witnesses = tuple(Matrix.from_flat(v[nn:], n, n) for v in rows)
+    return VSpace(MatrixSubspace(n, space), witnesses)
 
 
 def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     """(V+, V-): members of V with every M A_i symmetric resp. skew.
 
-    The symmetry conditions alone already force membership in V (each A_i
-    is skew-symmetric, so Q = -M^T resp. Q = M^T intertwines); the spaces
-    are nevertheless intersected with V explicitly.
+    Each is the kernel of its symmetry conditions alone: these force
+    membership in V, because each A_i is skew-symmetric and so
+    Q = -M^T resp. Q = M^T is a witness.
     """
     n = alg.dim
     nn = n * n
     mats = structure_matrices(alg)
-    v_space = compute_V(alg).matrices.space
 
     def condition_kernel(sign: int) -> Subspace:
         # (M A_i)_ba - sign * (M A_i)_ab = 0 for a <= b; sign +1 symmetric.
@@ -172,39 +136,9 @@ def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
                     rows.append({c: v for c, v in row.items() if v})
         return kernel_of_rows(rows, nn)
 
-    plus_pure = condition_kernel(1)
-    minus_pure = condition_kernel(-1)
-    _, plus = subspace_combine(plus_pure, v_space)
-    _, minus = subspace_combine(minus_pure, v_space)
-    return MatrixSubspace(n, plus), MatrixSubspace(n, minus)
-
-
-@dataclass(frozen=True)
-class DirectSumReport:
-    """Whether V+ (+) V- = V, with all dimensions and the completeness flag."""
-
-    v_dim: int
-    vplus_dim: int
-    vminus_dim: int
-    intersection_dim: int
-    sum_equals_v: bool
-    is_direct_sum: bool
-    complete: bool
-
-
-def verify_direct_sum(alg: LieAlgebra) -> DirectSumReport:
-    v = compute_V(alg)
-    vplus, vminus = compute_Vpm(alg)
-    total, inter = subspace_combine(vplus.space, vminus.space)
-    sum_equals_v = total == v.matrices.space
-    return DirectSumReport(
-        v.dim,
-        vplus.dim,
-        vminus.dim,
-        inter.dim,
-        sum_equals_v,
-        sum_equals_v and inter.dim == 0,
-        is_complete(alg).complete,
+    return (
+        MatrixSubspace(n, condition_kernel(1)),
+        MatrixSubspace(n, condition_kernel(-1)),
     )
 
 
@@ -230,28 +164,55 @@ class CorrespondenceReport:
     ok: bool
 
 
-def bider_V_correspondence(alg: LieAlgebra) -> CorrespondenceReport:
-    """Check dim BiDer = dim V and phi^T in V on a complete algebra.
+@dataclass(frozen=True)
+class DirectSumReport:
+    """Whether V+ (+) V- = V, with all dimensions and the completeness flag.
 
-    Raises NotComplete (via extract_phi_psi) when the algebra is not
-    complete.
+    ``correspondence`` is None unless the algebra is complete.
     """
-    from .biderivations import NotComplete
 
-    report = is_complete(alg)
-    if not report.complete:
-        raise NotComplete(
-            "the biderivation/V correspondence requires a complete algebra"
-        )
-    space = biderivation_space(alg)
+    v_dim: int
+    vplus_dim: int
+    vminus_dim: int
+    intersection_dim: int
+    sum_equals_v: bool
+    is_direct_sum: bool
+    complete: bool
+    correspondence: Optional[CorrespondenceReport]
+
+
+def verify_direct_sum(alg: LieAlgebra) -> DirectSumReport:
+    """Decide V = V+ (+) V-; on a complete algebra also the correspondence."""
     v = compute_V(alg)
     vplus, vminus = compute_Vpm(alg)
-    in_v = True
-    for element in space.basis_elements():
-        pair = extract_phi_psi(alg, element)
-        if not v.matrices.contains(pair.phi.transpose()):
-            in_v = False
-            break
+    total, inter = subspace_combine(vplus.space, vminus.space)
+    sum_equals_v = total == v.matrices.space
+    complete = is_complete(alg).complete
+    return DirectSumReport(
+        v.dim,
+        vplus.dim,
+        vminus.dim,
+        inter.dim,
+        sum_equals_v,
+        sum_equals_v and inter.dim == 0,
+        complete,
+        _correspondence(alg, v, vplus, vminus) if complete else None,
+    )
+
+
+def _correspondence(
+    alg: LieAlgebra, v: VSpace, vplus: MatrixSubspace, vminus: MatrixSubspace
+) -> CorrespondenceReport:
+    """dim BiDer = dim V and phi^T in V, for a complete algebra.
+
+    `biderivation_space` has re-checked its basis, so phi is factored
+    without the premise checks of `extract_phi_psi`.
+    """
+    space = biderivation_space(alg)
+    in_v = all(
+        v.matrices.contains(_factor_phi_psi(alg, element).phi.transpose())
+        for element in space.basis_elements()
+    )
     dims_equal = space.dim == v.dim
     kf = killing_form(alg)
     factors = alg.factors if alg.factors is not None else (alg.dim,)
@@ -271,3 +232,17 @@ def bider_V_correspondence(alg: LieAlgebra) -> CorrespondenceReport:
         shape_ok,
         ok,
     )
+
+
+def bider_V_correspondence(alg: LieAlgebra) -> CorrespondenceReport:
+    """Check dim BiDer = dim V and phi^T in V on a complete algebra.
+
+    Returns the ``correspondence`` of `verify_direct_sum`; raises
+    NotComplete when the algebra is not complete.
+    """
+    report = verify_direct_sum(alg).correspondence
+    if report is None:
+        raise NotComplete(
+            "the biderivation/V correspondence requires a complete algebra"
+        )
+    return report

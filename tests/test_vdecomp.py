@@ -37,6 +37,10 @@ FROZEN_V_DIMS = {
 
 COMPLETE_NAMES = ["sl2", "sl3", "so3", "sl2_plus_sl2", "L22"]
 
+# Algebras with a center, where the witness Q is not unique and V+, V- are
+# not intersected with V.
+TWOSTEP_NAMES = ["twostep(6,1)", "twostep(7,2)"]
+
 
 def test_dimensions_match_frozen_oracle():
     for name, (v, plus, minus) in FROZEN_V_DIMS.items():
@@ -56,7 +60,7 @@ def test_dimensions_match_live_sympy_oracle(name):
 
 
 def test_witnesses_intertwine():
-    for name in FROZEN_V_DIMS:
+    for name in [*FROZEN_V_DIMS, *TWOSTEP_NAMES]:
         alg = catalog(name)
         mats = structure_matrices(alg)
         vspace = compute_V(alg)
@@ -82,7 +86,7 @@ def test_vpm_products_have_declared_symmetry():
 
 
 def test_vpm_inside_v_unconditionally():
-    for name in FROZEN_V_DIMS:
+    for name in [*FROZEN_V_DIMS, *TWOSTEP_NAMES]:
         alg = catalog(name)
         v = compute_V(alg).matrices.space
         vplus, vminus = compute_Vpm(alg)
@@ -137,8 +141,41 @@ def test_correspondence_on_complete_algebras():
         if report.semisimple:
             assert report.vplus_dim == 0
             assert report.vminus_dim == report.factor_count
+        assert verify_direct_sum(alg).correspondence == report, name
     with pytest.raises(NotComplete):
         bider_V_correspondence(catalog("heisenberg3"))
+    assert verify_direct_sum(catalog("heisenberg3")).correspondence is None
+
+
+@pytest.mark.parametrize("name, code", [("sl2_plus_sl2", 0), ("heisenberg3", 1)])
+def test_vdecomp_command_computes_each_invariant_once(
+    name, code, tmp_path, monkeypatch, capsys
+):
+    from liebider import biderivations, cli, vdecomp
+    from liebider.documents import algebra_to_document, serialize_document
+
+    calls = {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr in [
+        (vdecomp, "compute_V"),
+        (vdecomp, "compute_Vpm"),
+        (vdecomp, "is_complete"),
+        (biderivations, "is_complete"),
+        (cli, "is_complete"),
+    ]:
+        monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
+    assert cli.run_command(["vdecomp", str(path)]) == code
+    capsys.readouterr()
+    assert calls == {"compute_V": 1, "compute_Vpm": 1, "is_complete": 1}
 
 
 def test_semisimple_v_basis_is_blockwise_scalar():
