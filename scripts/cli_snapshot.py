@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Write the output of every CLI command on a fixed set of algebras.
+
+Each command runs in-process through ``liebider.cli.run_command``; its
+stdout, followed by a line ``exit=N``, goes to one file in OUTDIR per
+command, flag and output format.  Snapshots of two versions of the package
+are byte-identical exactly when ``diff -r`` between their directories is
+empty.
+
+Usage:
+    python3 scripts/cli_snapshot.py OUTDIR
+"""
+
+import argparse
+import contextlib
+import io
+import pathlib
+import re
+import sys
+import tempfile
+
+from liebider.biderivations import inner_biderivation
+from liebider.catalog import catalog
+from liebider.cli import run_command
+from liebider.documents import (
+    algebra_to_document,
+    biderivation_to_document,
+    serialize_document,
+)
+
+ALGEBRAS = [
+    ("sl2", 0),
+    ("so3", 0),
+    ("L22", 0),
+    ("heisenberg3", 0),
+    ("sl2_plus_sl2", 0),
+    ("sl3", 0),
+    ("abelian(3)", 0),
+    ("twostep(6,1)", 0),
+    ("twostep(7,2)", 0),
+    ("twostep(6,1)", 3),
+]
+
+# The complete algebras above; phi-psi and check-bider run on lambda = 2.
+COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3"}
+
+ALGEBRA_COMMANDS = [
+    ["validate"],
+    ["info"],
+    ["derivations"],
+    ["biderivations"],
+    ["biderivations", "--symmetric"],
+    ["biderivations", "--skew"],
+    ["vdecomp"],
+    ["bracket-closure"],
+]
+
+BIDER_COMMANDS = [["phi-psi"], ["check-bider"]]
+
+
+def _stem(name: str, seed: int) -> str:
+    stem = re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_")
+    return f"{stem}_seed{seed}" if seed else stem
+
+
+def _run(argv: list[str]) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run_command(argv)
+    return f"{buffer.getvalue()}exit={code}\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory for the output files")
+    args = parser.parse_args(argv)
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seed in ALGEBRAS:
+            alg = catalog(name, seed=seed)
+            stem = _stem(name, seed)
+            alg_file = pathlib.Path(tmp, f"{stem}.json")
+            alg_file.write_text(serialize_document(algebra_to_document(alg, name)))
+            jobs = [(cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]
+            if name in COMPLETE:
+                factors = alg.factors if alg.factors is not None else (alg.dim,)
+                cand = inner_biderivation(alg, [2] * len(factors))
+                bider_file = pathlib.Path(tmp, f"{stem}.bider.json")
+                bider_file.write_text(
+                    serialize_document(biderivation_to_document(cand))
+                )
+                jobs += [
+                    (cmd, [str(alg_file), str(bider_file)]) for cmd in BIDER_COMMANDS
+                ]
+            for cmd, files in jobs:
+                for fmt in ("text", "json"):
+                    flags = [*cmd[1:], *(["--json"] if fmt == "json" else [])]
+                    label = ".".join([stem, *(c.lstrip("-") for c in cmd), fmt])
+                    out = _run([cmd[0], *files, *flags])
+                    (outdir / f"{label}.txt").write_text(out)
+                    count += 1
+    print(f"{count} outputs written to {outdir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

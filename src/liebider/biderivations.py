@@ -14,14 +14,15 @@ k*n^2 + i*n + j.
 Condition (2) says that every left partial map B(e_i, -) is a derivation.
 The solver therefore computes a basis D_1, ..., D_d of Der(L) first and
 writes B(e_i, -) = sum_s x_is D_s, so condition (2) holds by construction
-and there are n*d unknowns x_is instead of n^3.  Condition (1) is
-antisymmetric in (i, j), so it is imposed on the pairs i < j only:
-n^3 (n - 1) / 2 rows.  The symmetric and skew subspaces need no condition
-(1) rows at all, only the symmetry rows b_ij^k -+ b_ji^k = 0 for i <= j:
-when B(x, y) = +-B(y, x), every right partial map B(-, z) = +-B(z, -) is a
-derivation too.  The kernel in the x_is is mapped back into Q^(n^3) and
-canonicalised, and every basis element is re-checked by
-`biderivation_violation`, which shares no assembly code with the solver.
+and there are n*d unknowns x_is instead of n^3.  Condition (1) says that
+every right partial map B(-, e_k) is a derivation, so its rows are the rows
+of the derivation system of `derivations` (pairs i < j) applied to each
+B(-, e_k): n^3 (n - 1) / 2 rows.  The symmetric and skew subspaces need no
+condition (1) rows at all, only the symmetry rows b_ij^k -+ b_ji^k = 0 for
+i <= j: when B(x, y) = +-B(y, x), every right partial map
+B(-, z) = +-B(z, -) is a derivation too.  The kernel in the x_is is mapped
+back into Q^(n^3) and canonicalised, and every basis element is re-checked
+by `biderivation_violation`, which shares no assembly code with the solver.
 The direct system of 2*n^4 rows in the n^3 unknowns b_ij^k
 (`_constraint_rows`) is kept as the oracle the tests compare against.
 
@@ -53,6 +54,7 @@ from .linalg import (
 from .derivations import (
     CenterNonzero,
     NotInner,
+    _map_rows,
     ad_preimage,
     derivation_space,
     is_complete,
@@ -232,56 +234,33 @@ def _entries_at(
 def _condition_one_rows(
     alg: LieAlgebra, ders: list[list[int]]
 ) -> Iterator[dict[int, int]]:
-    """Condition (1) on pairs i < j in the unknowns x_is (column i*d + s).
+    """Condition (1) in the unknowns x_is (column i*d + s).
 
-    With b_ij^k = sum_s x_is D_s[k, j], the row of (i, j, k, r) reads
-    sum_t c_ij^t D[r, k] x_t - (ad_i D)[r, k] x_j + (ad_j D)[r, k] x_i = 0,
-    multiplied by the lcm of the structure-constant denominators so that
-    every coefficient is an integer.  Rows are ordered by (i, j, k, r);
-    zero rows are skipped.
+    Condition (1) says that every right partial map g_k = B(-, e_k) is a
+    derivation, with g_k[r, t] = b_tk^r = sum_s x_ts D_s[r, k].  Each row of
+    the derivation system (pairs i < j; the diagonal rows vanish) is applied
+    to every g_k, after multiplying it by the lcm of the structure-constant
+    denominators so that every coefficient is an integer.  Rows are ordered
+    by (k, i, j, r); zero rows are skipped.
     """
     n = alg.dim
     d = len(ders)
     scale = math.lcm(*(c.denominator for _, c in alg.constants))
-
-    def scaled(c: Fraction) -> int:
-        return c.numerator * (scale // c.denominator)
-
+    der_rows = [
+        [(*divmod(col, n), int(c * scale)) for col, c in row.items()]
+        for row in _map_rows(alg, 1, -1, -1)
+    ]
     at = _entries_at(ders, n * n)
-    # ad_at[i][r*n + k]: nonzero pairs (s, scale * (ad_i D_s)[r, k])
-    ad_at = []
-    for i in range(n):
-        cells: list[dict[int, int]] = [{} for _ in range(n * n)]
-        for r in range(n):
-            for t, c in alg._left_out.get((i, r), ()):
-                ci = scaled(c)
-                for k in range(n):
-                    cell = cells[r * n + k]
-                    for s, v in at[t * n + k]:
-                        cell[s] = cell.get(s, 0) + ci * v
-        ad_at.append(
-            [tuple((s, v) for s, v in cell.items() if v) for cell in cells]
-        )
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_ij = [(t, scaled(c)) for t, c in alg.pair_terms(i, j)]
-            for k in range(n):
-                for r in range(n):
-                    p = r * n + k
-                    row: dict[int, int] = {}
-                    for t, c in pair_ij:
-                        for s, v in at[p]:
-                            col = t * d + s
-                            row[col] = row.get(col, 0) + c * v
-                    for s, v in ad_at[i][p]:
-                        col = j * d + s
-                        row[col] = row.get(col, 0) - v
-                    for s, v in ad_at[j][p]:
-                        col = i * d + s
-                        row[col] = row.get(col, 0) + v
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        yield row
+    for k in range(n):
+        for der_row in der_rows:
+            row: dict[int, int] = {}
+            for r, t, c in der_row:
+                for s, v in at[r * n + k]:
+                    col = t * d + s
+                    row[col] = row.get(col, 0) + c * v
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                yield row
 
 
 def _lift(kernel: Subspace, ders: list[list[int]], n: int) -> Subspace:

@@ -370,11 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0, help="seed for parameterized catalog entries"
     )
-    common.add_argument(
-        "--skip-jacobi",
-        action="store_true",
-        help="parse without the Jacobi check (diagnostics only; solvers still refuse)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, needs_bfile, help_text in (
         ("validate", False, "check the Jacobi identity of an algebra file"),
@@ -422,7 +417,7 @@ def run_command(argv: Sequence[str]) -> int:
             return code
         # Parse leniently, then enforce the Jacobi identity ourselves: the
         # validate command reports the diagnostics, every other command
-        # refuses invalid tables regardless of --skip-jacobi.
+        # refuses invalid tables.
         alg, echo = _load_algebra(args.file)
         inputs: dict = {"algebra": echo}
         if args.command != "validate":

@@ -7,7 +7,8 @@ a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
 (0, 1, -1) and (0, 1, 1).  The unknowns are the n^2 entries of f, flattened
 row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
 is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
-and output coordinate suffices; zero rows are dropped.
+and output coordinate suffices; zero rows are dropped.  `biderivations`
+(condition (1)) and `vdecomp` (V+ and V-) reuse these spaces and rows.
 
 The module also computes the inner derivations (spanned by the adjoint
 maps), a completeness report (trivial center and every derivation inner),
@@ -27,7 +28,6 @@ from .linalg import (
     SubspaceRelation,
     Vector,
     kernel_of_rows,
-    solve_linear,
     subspace_compare,
 )
 from .liealg import center as center_space
@@ -127,23 +127,27 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
     """Unique u with ad_u = target, when the center is zero.
 
+    Solves sum_i u_i ad_{e_i} - lam * target = 0 in (u, lam).  The kernel
+    contains every central element with lam = 0, so it has one basis vector
+    with lam != 0 exactly when the center is zero and ``target`` is inner.
     Raises CenterNonzero when uniqueness fails a priori, and NotInner when
     ``target`` is not an adjoint matrix at all.
     """
     n = alg.dim
     if target.nrows != n or target.ncols != n:
         raise ValueError("target matrix shape does not match algebra dimension")
-    if center_space(alg).dim != 0:
-        raise CenterNonzero("adjoint preimage requires a trivial center")
     rows = []
-    rhs = []
     for r in range(n):
         for j in range(n):
-            rows.append(
-                [alg.constant(i, j, r) for i in range(n)]
-            )
-            rhs.append(target[r][j])
-    solution = solve_linear(Matrix.from_rows(rows), rhs)
-    if solution is None:
+            # (ad_u)[r, j] = sum_i c_ij^r u_i
+            row = dict(alg._right_out.get((j, r), ()))
+            if target[r][j]:
+                row[n] = -target[r][j]
+            rows.append(row)
+    kernel = kernel_of_rows(rows, n + 1)
+    if kernel.dim > 1 or (kernel.dim == 1 and not kernel.basis[0][n]):
+        raise CenterNonzero("adjoint preimage requires a trivial center")
+    if kernel.dim == 0:
         raise NotInner("matrix is not the adjoint of any element")
-    return solution
+    v = kernel.basis[0]
+    return tuple(x / v[n] for x in v[:n])

@@ -103,7 +103,7 @@ def load_algebra_document(text: str, skip_jacobi: bool = False) -> tuple[LieAlge
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge number, deep nesting
         raise ParseError("$", f"invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "$", "document must be an object")
     name = doc.get("name", "")
@@ -210,7 +210,7 @@ def parse_biderivation(text: str, alg: LieAlgebra) -> Biderivation:
     """Parse a BiderivationDocument as an unverified candidate for ``alg``."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge number, deep nesting
         raise ParseError("$", f"invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "$", "document must be an object")
     dim = doc.get("dim")

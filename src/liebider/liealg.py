@@ -27,7 +27,6 @@ from .linalg import (
     Vector,
     as_vector,
     kernel_of_rows,
-    rref,
     _frac,
 )
 
@@ -81,13 +80,6 @@ class LieAlgebra:
         if i == j:
             return ()
         return self._table.get((i, j), ())
-
-    def constant(self, i: int, j: int, k: int) -> Fraction:
-        """c_ij^k for any i, j (antisymmetric in i, j)."""
-        for kk, c in self.pair_terms(i, j):
-            if kk == k:
-                return c
-        return ZERO
 
     def basis_element(self, i: int) -> Vector:
         return tuple(ONE if t == i else ZERO for t in range(self.dim))
@@ -333,16 +325,21 @@ class KillingForm:
 
 def killing_form(alg: LieAlgebra) -> KillingForm:
     n = alg.dim
-    ads = [adjoint_matrix(alg, alg.basis_element(i)) for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append((ads[i] * ads[j]).trace())
-        rows.append(tuple(row))
-    k = Matrix(n, n, tuple(rows))
-    _, _, rank = rref(k)
-    return KillingForm(k, rank, rank == n)
+    # ads[i][(r, t)] = (ad_{e_i})_rt = c_it^r
+    ads = [
+        {(r, t): c for r in range(n) for t, c in alg._left_out.get((i, r), ())}
+        for i in range(n)
+    ]
+    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr
+    rows = tuple(
+        tuple(
+            sum((c * ads[j].get((t, r), ZERO) for (r, t), c in ads[i].items()), ZERO)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    rank = Subspace.span(rows, n).dim
+    return KillingForm(Matrix(n, n, rows), rank, rank == n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 V is the space of matrices M such that M A_i = A_i Q holds for a single
 matrix Q and every i; V+ and V- are the members for which every product
 M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
-basis matrix come from a single (M, Q) kernel; V+ and V- are the kernels of
-their symmetry conditions, which imply membership in V.  On complete
-algebras V = V+ (+) V- is a direct sum, and the correspondence M = phi^T
-links V to the biderivation space: the coordinate matrices of a
-biderivation with factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
+basis matrix come from a single (M, Q) kernel.  Writing phi = M^T, the
+(a, b) entry of M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and
+V- are the transposes of the skew-commuting and the commuting maps of
+`derivations`, and they lie in V.  On complete algebras
+V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
+the biderivation space: the coordinate matrices of a biderivation with
+factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
 `verify_direct_sum` checks both with one V, V+, V- and completeness verdict.
 
 Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
@@ -17,11 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .liealg import LieAlgebra, killing_form, structure_matrices
-from .linalg import ZERO, Matrix, Subspace, kernel_of_rows, subspace_combine
-from .derivations import is_complete
+from .liealg import LieAlgebra, killing_form
+from .linalg import Matrix, Subspace, kernel_of_rows, subspace_combine
+from .derivations import (
+    commuting_map_space,
+    is_complete,
+    skew_commuting_map_space,
+)
 from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
 
 
@@ -52,27 +58,20 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
     (i, a, b) for the (a, b) entry of the i-th matrix equation.
     """
     n = alg.dim
-    mats = structure_matrices(alg)
     nn = n * n
-    rows = []
-    for i in range(n):
-        ai = mats[i]
-        for a in range(n):
-            for b in range(n):
-                row: dict[int, Fraction] = {}
-                # (M A_i)_ab = sum_s M_as (A_i)_sb
-                for s in range(n):
-                    c = ai[s][b]
-                    if c:
-                        row[a * n + s] = row.get(a * n + s, ZERO) + c
-                # -(A_i Q)_ab = -sum_s (A_i)_as Q_sb
-                for s in range(n):
-                    c = ai[a][s]
-                    if c:
-                        col = nn + s * n + b
-                        row[col] = row.get(col, ZERO) - c
-                rows.append({c: v for c, v in row.items() if v})
-    return kernel_of_rows(rows, 2 * nn)
+
+    def rows() -> Iterator[dict[int, Fraction]]:
+        for i in range(n):
+            for a in range(n):
+                for b in range(n):
+                    # (M A_i)_ab = sum_t M_at c_tb^i
+                    row = {a * n + t: c for t, c in alg._right_out.get((b, i), ())}
+                    # -(A_i Q)_ab = -sum_t c_at^i Q_tb
+                    for t, c in alg._left_out.get((a, i), ()):
+                        row[nn + t * n + b] = -c
+                    yield row
+
+    return kernel_of_rows(rows(), 2 * nn)
 
 
 @dataclass(frozen=True)
@@ -108,37 +107,22 @@ def compute_V(alg: LieAlgebra) -> VSpace:
 def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     """(V+, V-): members of V with every M A_i symmetric resp. skew.
 
-    Each is the kernel of its symmetry conditions alone: these force
-    membership in V, because each A_i is skew-symmetric and so
+    With phi = M^T, (M A_i)_ab is the i-th coordinate of [phi(e_a), e_b], so
+    V+ and V- are the transposes of the skew-commuting and the commuting
+    maps.  Both lie in V, because each A_i is skew-symmetric and so
     Q = -M^T resp. Q = M^T is a witness.
     """
     n = alg.dim
-    nn = n * n
-    mats = structure_matrices(alg)
 
-    def condition_kernel(sign: int) -> Subspace:
-        # (M A_i)_ba - sign * (M A_i)_ab = 0 for a <= b; sign +1 symmetric.
-        rows = []
-        for i in range(n):
-            ai = mats[i]
-            for a in range(n):
-                for b in range(a, n):
-                    row: dict[int, Fraction] = {}
-                    for s in range(n):
-                        c = ai[s][a]
-                        if c:
-                            col = b * n + s
-                            row[col] = row.get(col, ZERO) + c
-                        d = ai[s][b]
-                        if d:
-                            col = a * n + s
-                            row[col] = row.get(col, ZERO) - sign * d
-                    rows.append({c: v for c, v in row.items() if v})
-        return kernel_of_rows(rows, nn)
+    def transposed(space: Subspace) -> MatrixSubspace:
+        vectors = [
+            [v[b * n + a] for a in range(n) for b in range(n)] for v in space.basis
+        ]
+        return MatrixSubspace(n, Subspace.span(vectors, n * n))
 
     return (
-        MatrixSubspace(n, condition_kernel(1)),
-        MatrixSubspace(n, condition_kernel(-1)),
+        transposed(skew_commuting_map_space(alg)),
+        transposed(commuting_map_space(alg)),
     )
 
 

@@ -222,11 +222,10 @@ def test_validate_and_jacobi_refusal(run, tmp_path):
     assert results["valid"] is False
     assert results["violation"]["triple"] == [0, 1, 2]
     assert results["violation"]["residual"] == ["0", "0", "-2"]
-    # solver commands refuse the same table, with or without --skip-jacobi
-    for extra in ([], ["--skip-jacobi"]):
-        code, out, _ = run("info", str(bad), "--json", *extra)
-        assert code == 1
-        assert json.loads(out)["results"]["valid"] is False
+    # solver commands refuse the same table
+    code, out, _ = run("info", str(bad), "--json")
+    assert code == 1
+    assert json.loads(out)["results"]["valid"] is False
 
 
 def test_validate_accepts_good_table(run, sl2_file):
@@ -262,6 +261,13 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
     sl2.write_text(out)
     code, _, err = run("check-bider", str(sl2), str(bad_pair))
     assert code == 2  # document dim 2 against a dim-3 algebra
+    # nesting deeper than the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, _, err = run("info", str(deep))
+    assert code == 2 and "error" in err
+    code, _, err = run("check-bider", str(sl2), str(deep))
+    assert code == 2 and "error" in err
     # usage errors from argparse are exit 2 as well
     code = main(["no-such-command"])
     capsys.readouterr()

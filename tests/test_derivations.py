@@ -148,6 +148,9 @@ def test_ad_preimage_roundtrip(name, coords):
 def test_ad_preimage_errors():
     with pytest.raises(CenterNonzero):
         ad_preimage(catalog("heisenberg3"), Matrix.zeros(3, 3))
+    # not inner either: the kernel is the center line with lambda = 0
+    with pytest.raises(CenterNonzero):
+        ad_preimage(catalog("heisenberg3"), Matrix.identity(3))
     # identity has nonzero trace, every ad matrix is traceless on sl2
     with pytest.raises(NotInner):
         ad_preimage(catalog("sl2"), Matrix.identity(3))

@@ -20,7 +20,7 @@ from liebider.liealg import (
     structure_matrices,
     validate,
 )
-from liebider.linalg import Matrix, Subspace
+from liebider.linalg import Matrix, Subspace, rref
 
 F = Fraction
 
@@ -165,6 +165,20 @@ def test_killing_form_examples():
         [[-2, 0, 0], [0, -2, 0], [0, 0, -2]]
     )
     assert killing_form(catalog("sl2_plus_sl2")).semisimple
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl2_plus_sl2", "L22", "twostep(6,1)"])
+def test_killing_form_matches_dense_traces(name):
+    alg = catalog(name)
+    n = alg.dim
+    ads = [adjoint_matrix(alg, alg.basis_element(i)) for i in range(n)]
+    dense = Matrix.from_rows(
+        [[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)]
+    )
+    kf = killing_form(alg)
+    assert kf.matrix == dense
+    assert kf.rank == rref(dense)[2]
+    assert kf.semisimple == (kf.rank == n)
 
 
 def test_direct_sum_structure():

@@ -11,7 +11,7 @@ from liebider.biderivations import (
     constrained_biderivation_space,
     extract_phi_psi,
 )
-from liebider.liealg import structure_matrices
+from liebider.liealg import center, structure_matrices
 from liebider.linalg import Matrix, subspace_combine
 from liebider.vdecomp import (
     bider_V_correspondence,
@@ -50,7 +50,10 @@ def test_dimensions_match_frozen_oracle():
         assert (vplus.dim, vminus.dim) == (plus, minus), name
 
 
-@pytest.mark.parametrize("name", ["heisenberg3", "sl2", "L22", "abelian(2)"])
+@pytest.mark.parametrize(
+    "name",
+    ["heisenberg3", "sl2", "L22", "abelian(2)", "so3", "twostep(5,2)", "twostep(6,1)"],
+)
 def test_dimensions_match_live_sympy_oracle(name):
     alg = catalog(name)
     v, plus, minus = oracles.v_dims(alg)
@@ -71,7 +74,7 @@ def test_witnesses_intertwine():
 
 
 def test_vpm_products_have_declared_symmetry():
-    for name in FROZEN_V_DIMS:
+    for name in [*FROZEN_V_DIMS, *TWOSTEP_NAMES]:
         alg = catalog(name)
         mats = structure_matrices(alg)
         vplus, vminus = compute_Vpm(alg)
@@ -116,6 +119,25 @@ def test_direct_sum_verdicts():
     assert not h3.complete
 
 
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        *((name, 0) for name in [*FROZEN_V_DIMS, "sl3", "abelian(1)"]),
+        *(
+            (name, seed)
+            for name in ["twostep(5,2)", "twostep(6,1)", "twostep(7,2)"]
+            for seed in (0, 3)
+        ),
+    ],
+)
+def test_vpm_intersection_is_the_maps_into_the_center(name, seed):
+    # M in V+ and V- means M A_i = 0 for every i, i.e. [phi(e_a), e_b] = 0
+    # for phi = M^T: the intersection is the transposed maps L -> Z(L).
+    alg = catalog(name, seed=seed)
+    report = verify_direct_sum(alg)
+    assert report.intersection_dim == alg.dim * center(alg).dim
+
+
 def test_decomposition_constructions():
     for name in COMPLETE_NAMES:
         alg = catalog(name)
@@ -154,7 +176,9 @@ def test_vdecomp_command_computes_each_invariant_once(
     from liebider import biderivations, cli, vdecomp
     from liebider.documents import algebra_to_document, serialize_document
 
-    calls = {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0}
+    from liebider import derivations
+
+    calls = {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0, "center": 0}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -169,13 +193,17 @@ def test_vdecomp_command_computes_each_invariant_once(
         (vdecomp, "is_complete"),
         (biderivations, "is_complete"),
         (cli, "is_complete"),
+        (derivations, "center_space"),
+        (biderivations, "center_space"),
     ]:
         monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
     path = tmp_path / "alg.json"
     path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
     assert cli.run_command(["vdecomp", str(path)]) == code
     capsys.readouterr()
-    assert calls == {"compute_V": 1, "compute_Vpm": 1, "is_complete": 1}
+    assert calls == {
+        "compute_V": 1, "compute_Vpm": 1, "is_complete": 1, "center": 1
+    }
 
 
 def test_semisimple_v_basis_is_blockwise_scalar():
