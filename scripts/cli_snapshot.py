@@ -39,6 +39,7 @@ ALGEBRAS = [
     ("twostep(6,1)", 0),
     ("twostep(7,2)", 0),
     ("twostep(6,1)", 3),
+    ("abelian(0)", 0),
 ]
 
 # The complete algebras above; phi-psi and check-bider run on lambda = 2.

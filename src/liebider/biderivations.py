@@ -23,8 +23,8 @@ i <= j: when B(x, y) = +-B(y, x), every right partial map
 B(-, z) = +-B(z, -) is a derivation too.  The kernel in the x_is is mapped
 back into Q^(n^3) and canonicalised, and every basis element is re-checked
 by `biderivation_violation`, which shares no assembly code with the solver.
-The direct system of 2*n^4 rows in the n^3 unknowns b_ij^k
-(`_constraint_rows`) is kept as the oracle the tests compare against.
+The tests compare every mode against the direct system of 2*n^4 rows in
+the n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``).
 
 On complete algebras every biderivation factors as
 B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
@@ -159,61 +159,10 @@ class BiderivationSpace:
 # Constraint assembly
 
 
-def _constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
-    """Sparse rows of the direct system, one per (condition, i, j, k, r).
-
-    Both conditions on all basis triples, 2*n^4 rows in the n^3 unknowns
-    b_ij^k.  The solvers do not use it; the tests compare them against its
-    kernel.  Condition (1) rows come first, each block ordered
-    lexicographically by (i, j, k, r).  Zero rows and duplicates are kept so
-    the row order is a pure function of the structure constants.
-    """
-    n = alg.dim
-    nn = n * n
-    for i in range(n):
-        for j in range(n):
-            pair_ij = alg.pair_terms(i, j)
-            for k in range(n):
-                for r in range(n):
-                    row: dict[int, Fraction] = {}
-                    # B([e_i, e_j], e_k)_r = sum_t c_ij^t b_tk^r
-                    for t, c in pair_ij:
-                        col = r * nn + t * n + k
-                        row[col] = row.get(col, ZERO) + c
-                    # -[e_i, B(e_j, e_k)]_r = -sum_t c_it^r b_jk^t
-                    for t, c in alg._left_out.get((i, r), ()):
-                        col = t * nn + j * n + k
-                        row[col] = row.get(col, ZERO) - c
-                    # -[B(e_i, e_k), e_j]_r = -sum_t c_tj^r b_ik^t
-                    for t, c in alg._right_out.get((j, r), ()):
-                        col = t * nn + i * n + k
-                        row[col] = row.get(col, ZERO) - c
-                    yield {c: v for c, v in row.items() if v}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                pair_jk = alg.pair_terms(j, k)
-                for r in range(n):
-                    row = {}
-                    # B(e_i, [e_j, e_k])_r = sum_t c_jk^t b_it^r
-                    for t, c in pair_jk:
-                        col = r * nn + i * n + t
-                        row[col] = row.get(col, ZERO) + c
-                    # -[B(e_i, e_j), e_k]_r = -sum_t c_tk^r b_ij^t
-                    for t, c in alg._right_out.get((k, r), ()):
-                        col = t * nn + i * n + j
-                        row[col] = row.get(col, ZERO) - c
-                    # -[e_j, B(e_i, e_k)]_r = -sum_t c_jt^r b_ik^t
-                    for t, c in alg._left_out.get((j, r), ()):
-                        col = t * nn + i * n + k
-                        row[col] = row.get(col, ZERO) - c
-                    yield {c: v for c, v in row.items() if v}
-
-
-def _primitive_derivations(alg: LieAlgebra) -> list[list[int]]:
+def _primitive_derivations(der: Subspace) -> list[list[int]]:
     """Canonical basis D_1, ..., D_d of Der(L), each a primitive integer vector."""
     out = []
-    for vec in derivation_space(alg).basis:
+    for vec in der.basis:
         den = math.lcm(*(v.denominator for v in vec))
         ints = [v.numerator * (den // v.denominator) for v in vec]
         g = math.gcd(*ints)
@@ -320,8 +269,13 @@ def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
     then re-verified against both defining conditions; a failure raises
     InternalInconsistency.
     """
+    return _biderivations_over(alg, derivation_space(alg))
+
+
+def _biderivations_over(alg: LieAlgebra, der: Subspace) -> BiderivationSpace:
+    """`biderivation_space` for a caller that already holds Der(L)."""
     n = alg.dim
-    ders = _primitive_derivations(alg)
+    ders = _primitive_derivations(der)
     kernel = kernel_of_rows(_condition_one_rows(alg, ders), n * len(ders))
     return _checked(alg, _lift(kernel, ders, n), None)
 
@@ -553,7 +507,7 @@ def constrained_biderivation_space(
         raise ValueError(f"unknown symmetry mode: {mode!r}")
     n = alg.dim
     sign = -1 if mode == "symmetric" else 1
-    ders = _primitive_derivations(alg)
+    ders = _primitive_derivations(derivation_space(alg))
     d = len(ders)
     at = _entries_at(ders, n * n)
 

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
-from typing import Optional
 
 from .liealg import ConstantKey, LieAlgebra, direct_sum, lie_algebra, validate
-from .linalg import Matrix, solve_linear
 
 
 class UnknownName(ValueError):
@@ -56,42 +53,34 @@ def so3() -> LieAlgebra:
     )
 
 
-def _gl3_commutator_constants() -> dict[ConstantKey, Fraction]:
+def _sl3_constants() -> dict[ConstantKey, int]:
     """Structure constants of sl(3) from its defining 3x3 matrices.
 
     Basis order: x1=E12, x2=E23, x3=E13, y1=E21, y2=E32, y3=E31,
-    h1=E11-E22, h2=E22-E33.
+    h1=E11-E22, h2=E22-E33.  Matrices are sparse {(a, b): c} and
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb.  An off-diagonal entry is
+    the coordinate of its basis matrix, and a traceless diag(d) equals
+    d_1 h1 + (d_1 + d_2) h2.
     """
-
-    def unit(a: int, b: int) -> Matrix:
-        return Matrix.from_rows(
-            [[1 if (r, c) == (a, b) else 0 for c in range(3)] for r in range(3)]
-        )
-
-    basis = [
-        unit(0, 1),
-        unit(1, 2),
-        unit(0, 2),
-        unit(1, 0),
-        unit(2, 1),
-        unit(2, 0),
-        unit(0, 0) - unit(1, 1),
-        unit(1, 1) - unit(2, 2),
-    ]
-    # Columns of the coordinate system: basis matrices flattened.
-    coord = Matrix.from_rows(
-        [[m.flatten()[pos] for m in basis] for pos in range(9)]
-    )
-    constants: dict[ConstantKey, Fraction] = {}
+    off_diagonal = ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0))
+    index = {pos: k for k, pos in enumerate(off_diagonal)}
+    basis = [{pos: 1} for pos in off_diagonal]
+    basis += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+    constants: dict[ConstantKey, int] = {}
     for i in range(8):
         for j in range(i + 1, 8):
-            comm = basis[i] * basis[j] - basis[j] * basis[i]
-            coords = solve_linear(coord, comm.flatten())
-            if coords is None:
-                raise RuntimeError("sl(3) commutator left the spanned space")
-            for k, c in enumerate(coords):
-                if c:
-                    constants[(i, j, k)] = c
+            comm: dict[tuple[int, int], int] = {}
+            for (a, b), u in basis[i].items():
+                for (c, d), v in basis[j].items():
+                    if b == c:
+                        comm[(a, d)] = comm.get((a, d), 0) + u * v
+                    if d == a:
+                        comm[(c, b)] = comm.get((c, b), 0) - u * v
+            d1, d2 = comm.pop((0, 0), 0), comm.pop((1, 1), 0)
+            comm.pop((2, 2), None)
+            coords = {index[pos]: c for pos, c in comm.items()}
+            coords[6], coords[7] = d1, d1 + d2
+            constants.update(((i, j, k), c) for k, c in coords.items() if c)
     return constants
 
 
@@ -100,7 +89,7 @@ def sl3() -> LieAlgebra:
     diagonal trace-zero matrices; brackets are genuine 3x3 commutators."""
     return lie_algebra(
         8,
-        _gl3_commutator_constants(),
+        _sl3_constants(),
         ("x1", "x2", "x3", "y1", "y2", "y3", "h1", "h2"),
     )
 

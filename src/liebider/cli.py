@@ -62,6 +62,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_algebra(path: str) -> tuple[LieAlgebra, dict]:

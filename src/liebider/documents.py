@@ -111,7 +111,7 @@ def load_algebra_document(text: str, skip_jacobi: bool = False) -> tuple[LieAlge
     dim = doc.get("dim")
     _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
             "dim", "must be a nonnegative integer")
-    basis = doc.get("basis", [f"e{t + 1}" for t in range(dim)])
+    basis = doc["basis"] if "basis" in doc else [f"e{t + 1}" for t in range(dim)]
     _expect(
         isinstance(basis, list) and all(isinstance(b, str) for b in basis),
         "basis", "must be a list of strings",

@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with `fractions.Fraction` entries, unique reduced row-echelon
-forms, kernels, linear solves, and a small subspace lattice (membership, sum,
-intersection) in which every subspace is stored by its canonical
-reduced-echelon basis.  Equal inputs always produce bit-identical results,
-so subspaces can be compared with plain ``==``.
+Dense matrices with `fractions.Fraction` entries, canonical subspaces and
+sparse kernels.  Every subspace is stored by its unique reduced-echelon
+basis, so equal inputs produce bit-identical results and subspaces can be
+compared with plain ``==``; the subspace lattice offers membership, sum
+and intersection.  `Subspace.span` and `kernel_of_rows` are the only entry
+points to elimination.
 
 Elimination runs on sparse integer rows: denominators are cleared on entry,
 rows are kept primitive (content 1), and pivots are rescaled to 1 only when
-results are extracted.  The dense :class:`Matrix` type is the public
-contract; sparsity is purely an internal optimisation that lets large,
-mostly-zero constraint systems reduce quickly.
+results are extracted.
 """
 
 from __future__ import annotations
@@ -239,10 +238,6 @@ class _Reducer:
                 self.rows[pc] = self._combine(work[piv], stored, coeff, work)
         self.rows[piv] = work
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
 
@@ -254,32 +249,6 @@ class _Reducer:
             lead = row[piv]
             out.append((piv, {c: Fraction(v, lead) for c, v in row.items()}))
         return out
-
-
-def _sparse_rows_of(m: Matrix) -> Iterator[dict[int, Fraction]]:
-    for row in m.data:
-        yield {c: v for c, v in enumerate(row) if v}
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Unique reduced row-echelon form.
-
-    Returns ``(R, pivot_columns, rank)`` where ``R`` has the shape of ``m``
-    with the reduced nonzero rows on top and zero rows below.
-    """
-    red = _Reducer(m.ncols)
-    for row in _sparse_rows_of(m):
-        red.add(row)
-    dense = []
-    for _piv, row in red.reduced_rows():
-        out = [ZERO] * m.ncols
-        for c, v in row.items():
-            out[c] = v
-        dense.append(tuple(out))
-    zero_row = (ZERO,) * m.ncols
-    while len(dense) < m.nrows:
-        dense.append(zero_row)
-    return Matrix(m.nrows, m.ncols, tuple(dense)), red.pivots(), red.rank
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +353,9 @@ def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspac
     """Return ``(sum, intersection)`` of two subspaces.
 
     The intersection comes from the kernel of the stacked-basis system: a
-    combination sum(a_i * left_i) = sum(b_j * right_j) corresponds to a kernel
-    vector of the matrix whose columns are the left basis followed by the
-    negated right basis.
+    combination sum(a_i * left_i) = sum(b_j * right_j) is a kernel vector
+    (a, b) of the rows, one per ambient coordinate, whose entries are the
+    left basis followed by the negated right basis at that coordinate.
     """
     if left.ambient_dim != right.ambient_dim:
         raise AmbientMismatch(
@@ -397,14 +366,12 @@ def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspac
     p, q = left.dim, right.dim
     if p == 0 or q == 0:
         return total, Subspace.zero(ambient)
-    stacked = Matrix.from_rows(
-        [
-            [left.basis[j][a] for j in range(p)]
-            + [-right.basis[j][a] for j in range(q)]
-            for a in range(ambient)
-        ]
+    rows = (
+        {j: v[a] for j, v in enumerate(left.basis) if v[a]}
+        | {p + j: -v[a] for j, v in enumerate(right.basis) if v[a]}
+        for a in range(ambient)
     )
-    coeff_space = kernel_basis(stacked)
+    coeff_space = kernel_of_rows(rows, p + q)
     vectors = []
     for coeffs in coeff_space.basis:
         vec = [ZERO] * ambient
@@ -422,11 +389,11 @@ def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspac
 def kernel_of_rows(
     rows: Iterable[dict[int, Scalar]], ncols: int
 ) -> Subspace:
-    """Canonical kernel of a system given as sparse coefficient rows.
+    """Canonical basis of ``{x : row . x = 0 for every row}``.
 
-    Equivalent to :func:`kernel_basis` on the dense matrix with the same
-    rows; accepting sparse rows lets callers skip the dense detour for
-    large, mostly-zero systems.
+    Each row maps a column index to its nonzero coefficient.  The
+    free-variable parameterisation of the reduced rows is re-canonicalised,
+    so the result is the unique reduced-echelon basis of the kernel.
     """
     red = _Reducer(ncols)
     for row in rows:
@@ -447,35 +414,3 @@ def kernel_of_rows(
     for vec in vectors:
         out.add(vec)
     return Subspace._from_reducer(out, ncols)
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of ``{x : m x = 0}``.
-
-    The standard free-variable parameterization of the RREF is computed and
-    then re-canonicalized so the result is the unique RREF basis of the
-    kernel.
-    """
-    return kernel_of_rows(_sparse_rows_of(m), m.ncols)
-
-
-def solve_linear(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
-    """One exact solution of ``m x = rhs`` with free variables set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    red = _Reducer(m.ncols + 1)
-    rhs_vec = as_vector(rhs)
-    for i, row in enumerate(m.data):
-        sparse: dict[int, Fraction] = {c: v for c, v in enumerate(row) if v}
-        if rhs_vec[i]:
-            sparse[m.ncols] = rhs_vec[i]
-        red.add(sparse)
-    if m.ncols in red.rows:
-        return None
-    solution = [ZERO] * m.ncols
-    for piv, row in red.reduced_rows():
-        solution[piv] = row.get(m.ncols, ZERO)
-    return tuple(solution)

@@ -25,10 +25,11 @@ from .liealg import LieAlgebra, killing_form
 from .linalg import Matrix, Subspace, kernel_of_rows, subspace_combine
 from .derivations import (
     commuting_map_space,
+    inner_derivation_space,
     is_complete,
     skew_commuting_map_space,
 )
-from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
+from .biderivations import NotComplete, _biderivations_over, _factor_phi_psi
 
 
 @dataclass(frozen=True)
@@ -189,20 +190,23 @@ def _correspondence(
 ) -> CorrespondenceReport:
     """dim BiDer = dim V and phi^T in V, for a complete algebra.
 
-    `biderivation_space` has re-checked its basis, so phi is factored
-    without the premise checks of `extract_phi_psi`.
+    Completeness means Der(L) = ad(L) as canonical subspaces, so BiDer is
+    solved over the inner derivations without solving Der(L) again.  Its
+    basis is re-checked, so phi is factored without the premise checks of
+    `extract_phi_psi`.
     """
-    space = biderivation_space(alg)
+    space = _biderivations_over(alg, inner_derivation_space(alg))
     in_v = all(
         v.matrices.contains(_factor_phi_psi(alg, element).phi.transpose())
         for element in space.basis_elements()
     )
     dims_equal = space.dim == v.dim
     kf = killing_form(alg)
-    factors = alg.factors if alg.factors is not None else (alg.dim,)
+    # An atomic algebra is one factor, unless it is 0-dimensional.
+    factor_count = len(alg.factors) if alg.factors is not None else min(alg.dim, 1)
     shape_ok: Optional[bool] = None
     if kf.semisimple:
-        shape_ok = vplus.dim == 0 and vminus.dim == len(factors)
+        shape_ok = vplus.dim == 0 and vminus.dim == factor_count
     ok = dims_equal and in_v and (shape_ok is not False)
     return CorrespondenceReport(
         space.dim,
@@ -210,7 +214,7 @@ def _correspondence(
         dims_equal,
         in_v,
         kf.semisimple,
-        len(factors),
+        factor_count,
         vplus.dim,
         vminus.dim,
         shape_ok,

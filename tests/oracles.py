@@ -1,15 +1,20 @@
-"""Independent sympy oracles for the exact solvers.
+"""Oracles for the exact solvers.
 
-Everything here is built straight from the textbook definitions with sympy
-symbols and nullspace computations — no code paths are shared with the
-package beyond reading structure-constant data — so agreement between the
-two is genuine cross-validation.  The oracles are slow; tests run them live
+The sympy oracles are built straight from the textbook definitions with
+sympy symbols and nullspace computations — no code paths are shared with
+the package beyond reading structure-constant data — so agreement between
+the two is genuine cross-validation.  They are slow; tests run them live
 only on small algebras and rely on frozen values elsewhere.
+
+`constraint_rows` is the direct n^4 biderivation system in sparse rows.
+The tests feed it to the package's `kernel_of_rows`, so it checks the
+derivation-first reduction of the solvers, not the elimination itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import sympy as sp
 
@@ -203,3 +208,54 @@ def v_dims(alg: LieAlgebra) -> tuple[int, int, int]:
         _nullspace_dim(plus_eqs, m_unknowns),
         _nullspace_dim(minus_eqs, m_unknowns),
     )
+
+
+def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
+    """Sparse rows of the direct system, one per (condition, i, j, k, r).
+
+    Both conditions on all basis triples, 2*n^4 rows in the n^3 unknowns
+    b_ij^k.  The solvers do not use it; the tests compare them against its
+    kernel.  Condition (1) rows come first, each block ordered
+    lexicographically by (i, j, k, r).  Zero rows and duplicates are kept so
+    the row order is a pure function of the structure constants.
+    """
+    n = alg.dim
+    nn = n * n
+    for i in range(n):
+        for j in range(n):
+            pair_ij = alg.pair_terms(i, j)
+            for k in range(n):
+                for r in range(n):
+                    row: dict[int, Fraction] = {}
+                    # B([e_i, e_j], e_k)_r = sum_t c_ij^t b_tk^r
+                    for t, c in pair_ij:
+                        col = r * nn + t * n + k
+                        row[col] = row.get(col, 0) + c
+                    # -[e_i, B(e_j, e_k)]_r = -sum_t c_it^r b_jk^t
+                    for t, c in alg._left_out.get((i, r), ()):
+                        col = t * nn + j * n + k
+                        row[col] = row.get(col, 0) - c
+                    # -[B(e_i, e_k), e_j]_r = -sum_t c_tj^r b_ik^t
+                    for t, c in alg._right_out.get((j, r), ()):
+                        col = t * nn + i * n + k
+                        row[col] = row.get(col, 0) - c
+                    yield {c: v for c, v in row.items() if v}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                pair_jk = alg.pair_terms(j, k)
+                for r in range(n):
+                    row = {}
+                    # B(e_i, [e_j, e_k])_r = sum_t c_jk^t b_it^r
+                    for t, c in pair_jk:
+                        col = r * nn + i * n + t
+                        row[col] = row.get(col, 0) + c
+                    # -[B(e_i, e_j), e_k]_r = -sum_t c_tk^r b_ij^t
+                    for t, c in alg._right_out.get((k, r), ()):
+                        col = t * nn + i * n + j
+                        row[col] = row.get(col, 0) - c
+                    # -[e_j, B(e_i, e_k)]_r = -sum_t c_jt^r b_ik^t
+                    for t, c in alg._left_out.get((j, r), ()):
+                        col = t * nn + i * n + k
+                        row[col] = row.get(col, 0) - c
+                    yield {c: v for c, v in row.items() if v}

@@ -1,8 +1,13 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liebider import __version__
 from liebider.cli import main, run_command
@@ -268,6 +273,13 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
     assert code == 2 and "error" in err
     code, _, err = run("check-bider", str(sl2), str(deep))
     assert code == 2 and "error" in err
+    # bytes that are not UTF-8
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    code, _, err = run("info", str(latin))
+    assert code == 2 and "error" in err
+    code, _, err = run("check-bider", str(sl2), str(latin))
+    assert code == 2 and "error" in err
     # usage errors from argparse are exit 2 as well
     code = main(["no-such-command"])
     capsys.readouterr()
@@ -307,3 +319,61 @@ def test_text_reports_render_matrices(run, sl2_file):
     assert "[" in out and "]" in out
     code, out, _ = run("biderivations", sl2_file)
     assert "element 0" in out and "B1" in out
+
+
+SMALL = st.integers(min_value=-3, max_value=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), SMALL,
+    st.sampled_from(["0", "1", "-2", "1/2", "3/0", "x", ""]),
+)
+ALGEBRA_DOCS = st.fixed_dictionaries(
+    {"dim": SMALL},
+    optional={
+        "name": st.text(max_size=3),
+        "basis": st.lists(st.text(max_size=2), max_size=4),
+        "brackets": st.lists(
+            st.fixed_dictionaries({
+                "left": SMALL,
+                "right": SMALL,
+                "result": st.lists(
+                    st.fixed_dictionaries({"index": SMALL, "coeff": SCALARS}),
+                    max_size=3,
+                ),
+            }),
+            max_size=4,
+        ),
+        "factors": st.lists(SMALL, max_size=3),
+    },
+)
+BIDER_DOCS = st.integers(min_value=0, max_value=3).flatmap(
+    lambda n: st.fixed_dictionaries({
+        "dim": st.one_of(st.just(n), SMALL),
+        "mats": st.lists(
+            st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ),
+    })
+)
+
+
+def _files(docs):
+    """Arbitrary bytes, or a JSON document drawn from ``docs``."""
+    return st.one_of(st.binary(max_size=40), docs.map(lambda d: json.dumps(d).encode()))
+
+
+@given(_files(ALGEBRA_DOCS), _files(BIDER_DOCS))
+def test_any_input_exits_zero_one_or_two(alg_bytes, bider_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        alg = pathlib.Path(tmp, "alg.json")
+        alg.write_bytes(alg_bytes)
+        bider = pathlib.Path(tmp, "bider.json")
+        bider.write_bytes(bider_bytes)
+        for argv in (
+            ["validate", str(alg)],
+            ["info", str(alg)],
+            ["check-bider", str(alg), str(bider)],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+            assert code in (0, 1, 2), argv

@@ -1,6 +1,7 @@
 """Document parsing, serialization, and round trips."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,19 @@ def test_parse_defaults_and_empty_brackets():
     assert alg == catalog("abelian(3)")
     alg = parse_algebra(json.dumps({"dim": 0}))
     assert alg.dim == 0
+
+
+def test_given_basis_is_checked_before_dim_allocates():
+    # The default names are built only when "basis" is absent, so a large
+    # "dim" next to a short basis is refused without a dim-sized list.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            load_algebra_document(json.dumps({"dim": 1000000, "basis": []}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_parse_index_errors():

@@ -10,9 +10,7 @@ from liebider.linalg import (
     Matrix,
     Subspace,
     SubspaceRelation,
-    kernel_basis,
-    rref,
-    solve_linear,
+    kernel_of_rows,
     subspace_combine,
     subspace_compare,
 )
@@ -76,39 +74,32 @@ def test_matrix_arithmetic_and_shapes():
         a * Matrix.zeros(3, 3)
 
 
+def _sparse_rows(m):
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
 def test_rref_examples():
-    r, pivots, rank = rref(Matrix.zeros(2, 2))
-    assert rank == 0 and pivots == () and r.is_zero()
-    r, pivots, rank = rref(Matrix.from_rows([[0, 1], [1, 0]]))
-    assert r == Matrix.identity(2) and rank == 2
-    r, pivots, rank = rref(Matrix.from_rows([[2, 4], [1, 2]]))
-    assert r == Matrix.from_rows([[1, 2], [0, 0]])
-    assert pivots == (0,) and rank == 1
+    # Subspace.span keeps the nonzero rows of the reduced row-echelon form
+    s = Subspace.span(Matrix.zeros(2, 2), 2)
+    assert s.dim == 0 and s.pivots == () and s.basis == ()
+    s = Subspace.span(Matrix.from_rows([[0, 1], [1, 0]]), 2)
+    assert s.basis == Matrix.identity(2).data and s.dim == 2
+    s = Subspace.span(Matrix.from_rows([[2, 4], [1, 2]]), 2)
+    assert s.basis == ((F(1), F(2)),)
+    assert s.pivots == (0,) and s.dim == 1
     # fractional pivots normalize exactly
-    r, _, _ = rref(Matrix.from_rows([[F(1, 2), F(1, 3)]]))
-    assert r == Matrix.from_rows([[1, F(2, 3)]])
+    s = Subspace.span(Matrix.from_rows([[F(1, 2), F(1, 3)]]), 2)
+    assert s.basis == ((F(1), F(2, 3)),)
 
 
 def test_kernel_examples():
-    k = kernel_basis(Matrix.from_rows([[1, 1]]))
+    k = kernel_of_rows([{0: 1, 1: 1}], 2)
     assert k.dim == 1
     assert k.basis == ((F(1), F(-1)),)
-    assert kernel_basis(Matrix.identity(3)).dim == 0
-    full = kernel_basis(Matrix.zeros(2, 3))
+    assert kernel_of_rows(_sparse_rows(Matrix.identity(3)), 3).dim == 0
+    full = kernel_of_rows(_sparse_rows(Matrix.zeros(2, 3)), 3)
     assert full.dim == 3
     assert full == Subspace.full(3)
-
-
-def test_solve_examples():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    x = solve_linear(m, (5, 11))
-    assert x is not None and m.apply(x) == (F(5), F(11))
-    assert solve_linear(Matrix.from_rows([[1, 1], [1, 1]]), (0, 1)) is None
-    # underdetermined: free variables are zero
-    x = solve_linear(Matrix.from_rows([[1, 1]]), (7,))
-    assert x == (F(7), F(0))
-    with pytest.raises(ValueError):
-        solve_linear(m, (1,))
 
 
 def test_subspace_membership_and_coefficients():
@@ -155,32 +146,21 @@ def test_subspace_combine_examples():
 
 @given(matrices())
 def test_rref_is_idempotent(m):
-    r, pivots, rank = rref(m)
-    r2, pivots2, rank2 = rref(r)
-    assert (r2, pivots2, rank2) == (r, pivots, rank)
+    s = Subspace.span(m, m.ncols)
+    again = Subspace.span(s.basis, m.ncols)
+    assert (again.basis, again.pivots, again.dim) == (s.basis, s.pivots, s.dim)
 
 
 @given(matrices())
 def test_rank_nullity(m):
-    _, _, rank = rref(m)
-    assert rank + kernel_basis(m).dim == m.ncols
+    rank = Subspace.span(m, m.ncols).dim
+    assert rank + kernel_of_rows(_sparse_rows(m), m.ncols).dim == m.ncols
 
 
 @given(matrices())
 def test_kernel_vectors_are_annihilated(m):
-    for v in kernel_basis(m).basis:
+    for v in kernel_of_rows(_sparse_rows(m), m.ncols).basis:
         assert all(x == 0 for x in m.apply(v))
-
-
-@given(matrices(), st.data())
-def test_solve_reproduces_constructed_rhs(m, data):
-    x = data.draw(
-        st.lists(entries, min_size=m.ncols, max_size=m.ncols), label="x"
-    )
-    rhs = m.apply(x)
-    solution = solve_linear(m, rhs)
-    assert solution is not None
-    assert m.apply(solution) == rhs
 
 
 @given(vector_lists(), vector_lists())

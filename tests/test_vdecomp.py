@@ -153,7 +153,8 @@ def test_decomposition_constructions():
 
 
 def test_correspondence_on_complete_algebras():
-    for name in COMPLETE_NAMES:
+    # abelian(0) is complete and semisimple with no simple factors
+    for name in COMPLETE_NAMES + ["abelian(0)"]:
         alg = catalog(name)
         report = bider_V_correspondence(alg)
         assert report.ok, name
@@ -178,7 +179,10 @@ def test_vdecomp_command_computes_each_invariant_once(
 
     from liebider import derivations
 
-    calls = {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0, "center": 0}
+    calls = {
+        "compute_V": 0, "compute_Vpm": 0, "is_complete": 0, "center": 0,
+        "derivation_space": 0,
+    }
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -195,6 +199,10 @@ def test_vdecomp_command_computes_each_invariant_once(
         (cli, "is_complete"),
         (derivations, "center_space"),
         (biderivations, "center_space"),
+        # vdecomp binds no derivation_space of its own
+        (derivations, "derivation_space"),
+        (biderivations, "derivation_space"),
+        (cli, "derivation_space"),
     ]:
         monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
     path = tmp_path / "alg.json"
@@ -202,7 +210,8 @@ def test_vdecomp_command_computes_each_invariant_once(
     assert cli.run_command(["vdecomp", str(path)]) == code
     capsys.readouterr()
     assert calls == {
-        "compute_V": 1, "compute_Vpm": 1, "is_complete": 1, "center": 1
+        "compute_V": 1, "compute_Vpm": 1, "is_complete": 1, "center": 1,
+        "derivation_space": 1,
     }
 
 
