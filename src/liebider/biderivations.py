@@ -22,9 +22,13 @@ condition (1) rows at all, only the symmetry rows b_ij^k -+ b_ji^k = 0 for
 i <= j: when B(x, y) = +-B(y, x), every right partial map
 B(-, z) = +-B(z, -) is a derivation too.  The kernel in the x_is is mapped
 back into Q^(n^3) and canonicalised, and every basis element is re-checked
-by `biderivation_violation`, which shares no assembly code with the solver.
-The tests compare every mode against the direct system of 2*n^4 rows in
-the n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``).
+by `biderivation_violation`, which shares no assembly code with the solver:
+it scans both conditions on all 2*n^3 basis triples in integers, over the
+bracket table scaled by the lcm S of its denominators and the nonzero
+values of B scaled by the lcm D of theirs.  The tests compare every mode
+against the direct system of 2*n^4 rows in the n^3 unknowns b_ij^k
+(`constraint_rows` in ``tests/oracles.py``), and the checker against the
+dense `Fraction` scan it replaced (`dense_biderivation_violation`).
 
 On complete algebras every biderivation factors as
 B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
@@ -115,11 +119,13 @@ class Biderivation:
         return tuple(v for mat in self.mats for v in mat.flatten())
 
     def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        """B(x, y); coordinate k equals x^T B_k y."""
-        xv = as_vector(x)
-        yv = as_vector(y)
+        """B(x, y); coordinate k equals x^T B_k y, summed over nonzero x_i, y_j."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("element length does not match the map dimension")
+        xs = [(i, xi) for i, xi in enumerate(as_vector(x)) if xi]
+        ys = [(j, yj) for j, yj in enumerate(as_vector(y)) if yj]
         return tuple(
-            sum((xi * v for xi, v in zip(xv, mat.apply(yv))), ZERO)
+            sum((xi * yj * mat.data[i][j] for i, xi in xs for j, yj in ys), ZERO)
             for mat in self.mats
         )
 
@@ -291,52 +297,72 @@ def biderivation_violation(
 
     Triples are scanned condition outermost, then (i, j, k) lexicographic,
     and the scan stops at the first failure, which is returned.
+
+    The scan runs in integers: the bracket table is read as S * c_ij^k (see
+    `LieAlgebra._int_table`) and the nonzero values b_ij^k of B as D * b_ij^k
+    with D the lcm of their denominators.  Each residual is then a sum of
+    products scaled by S * D, accumulated in a sparse dict; only the failing
+    triple's residual is divided back into Fractions.
     """
     n = alg.dim
     if cand.dim != n:
         raise ValueError("biderivation dimension does not match the algebra")
-    basis_values = [
-        [
-            tuple(cand.mats[k][i][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
+    scale, table = alg._int_table
+    nonzero = [
+        (i, j, k, v)
+        for k, mat in enumerate(cand.mats)
+        for i, row in enumerate(mat.data)
+        for j, v in enumerate(row)
+        if v
     ]
+    den = math.lcm(*(v.denominator for _, _, _, v in nonzero))
+    # values[(i, j)]: [(k, D * b_ij^k), ...], the nonzero coordinates of B(e_i, e_j)
+    values: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, k, v in nonzero:
+        values.setdefault((i, j), []).append((k, v.numerator * (den // v.denominator)))
+    empty = ()
 
-    def b_of(u: Vector, side_left: bool, idx: int) -> Vector:
-        # B(u, e_idx) when side_left else B(e_idx, u), for sparse-ish u.
-        out = [ZERO] * n
-        for t, ut in enumerate(u):
-            if ut:
-                vec = basis_values[t][idx] if side_left else basis_values[idx][t]
-                for k in range(n):
-                    if vec[k]:
-                        out[k] += ut * vec[k]
-        return tuple(out)
+    def failure(condition: int, triple: tuple[int, int, int], acc: dict[int, int]):
+        residual = tuple(Fraction(acc.get(r, 0), scale * den) for r in range(n))
+        return BiderViolation(condition, triple, residual)
 
-    def brk(x: Vector, y: Vector) -> Vector:
-        return bracket(alg, x, y)
-
-    basis = [alg.basis_element(t) for t in range(n)]
-    pair = [[brk(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            pair_ij = table.get((i, j), empty)
+            for k in range(n):
+                acc: dict[int, int] = {}
+                # B([e_i, e_j], e_k) = sum_t c_ij^t B(e_t, e_k)
+                for t, c in pair_ij:
+                    for r, v in values.get((t, k), empty):
+                        acc[r] = acc.get(r, 0) + c * v
+                # - [e_i, B(e_j, e_k)] = - sum_t b_jk^t [e_i, e_t]
+                for t, v in values.get((j, k), empty):
+                    for r, c in table.get((i, t), empty):
+                        acc[r] = acc.get(r, 0) - v * c
+                # - [B(e_i, e_k), e_j] = - sum_t b_ik^t [e_t, e_j]
+                for t, v in values.get((i, k), empty):
+                    for r, c in table.get((t, j), empty):
+                        acc[r] = acc.get(r, 0) - v * c
+                if any(acc.values()):
+                    return failure(1, (i, j, k), acc)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = b_of(pair[i][j], True, k)
-                r1 = brk(basis[i], basis_values[j][k])
-                r2 = brk(basis_values[i][k], basis[j])
-                residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-                if any(residual):
-                    return BiderViolation(1, (i, j, k), residual)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = b_of(pair[j][k], False, i)
-                r1 = brk(basis_values[i][j], basis[k])
-                r2 = brk(basis[j], basis_values[i][k])
-                residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
-                if any(residual):
-                    return BiderViolation(2, (i, j, k), residual)
+                acc = {}
+                # B(e_i, [e_j, e_k]) = sum_t c_jk^t B(e_i, e_t)
+                for t, c in table.get((j, k), empty):
+                    for r, v in values.get((i, t), empty):
+                        acc[r] = acc.get(r, 0) + c * v
+                # - [B(e_i, e_j), e_k] = - sum_t b_ij^t [e_t, e_k]
+                for t, v in values.get((i, j), empty):
+                    for r, c in table.get((t, k), empty):
+                        acc[r] = acc.get(r, 0) - v * c
+                # - [e_j, B(e_i, e_k)] = - sum_t b_ik^t [e_j, e_t]
+                for t, v in values.get((i, k), empty):
+                    for r, c in table.get((j, t), empty):
+                        acc[r] = acc.get(r, 0) - v * c
+                if any(acc.values()):
+                    return failure(2, (i, j, k), acc)
     return None
 
 

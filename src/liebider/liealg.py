@@ -9,10 +9,14 @@ and direct sums.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
+It scans an integer copy of the bracket table (every constant times the lcm
+S of the constant denominators) and sums each triple's residual, scaled by
+S^2, in a sparse dict; only a failing triple is turned back into Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,6 +60,18 @@ class LieAlgebra:
             raw.setdefault((i, j), []).append((k, c))
             raw.setdefault((j, i), []).append((k, -c))
         return {pair: tuple(terms) for pair, terms in raw.items()}
+
+    @cached_property
+    def _int_table(
+        self,
+    ) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """(S, (i, j) -> ((k, S * c_ij^k), ...)) with S the lcm of the
+        constant denominators, so every entry is an integer."""
+        scale = math.lcm(*(c.denominator for _, c in self.constants))
+        return scale, {
+            pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+            for pair, terms in self._table.items()
+        }
 
     @cached_property
     def _left_out(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
@@ -226,21 +242,25 @@ def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
     Returns None when the table is a Lie algebra, otherwise the
     lexicographically first violating triple with its residual vector.
     Antisymmetry holds by construction, so triples with repeats are exact.
+    Each residual sum_t c_ab^t c_tc^r over the three cyclic pairs is
+    accumulated in integers scaled by S^2 (see `LieAlgebra._int_table`).
     """
     n = alg.dim
-    basis = [alg.basis_element(t) for t in range(n)]
+    scale, table = alg._int_table
+    empty = ()
     for i in range(n):
         for j in range(i + 1, n):
-            eij = bracket(alg, basis[i], basis[j])
             for k in range(j + 1, n):
-                term1 = bracket(alg, eij, basis[k])
-                term2 = bracket(alg, bracket(alg, basis[j], basis[k]), basis[i])
-                term3 = bracket(alg, bracket(alg, basis[k], basis[i]), basis[j])
-                residual = tuple(
-                    a + b + c for a, b, c in zip(term1, term2, term3)
-                )
-                if any(residual):
-                    return JacobiViolation(i, j, k, residual)
+                acc: dict[int, int] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, u in table.get((a, b), empty):
+                        for r, v in table.get((t, c), empty):
+                            acc[r] = acc.get(r, 0) + u * v
+                if any(acc.values()):
+                    den = scale * scale
+                    return JacobiViolation(
+                        i, j, k, tuple(Fraction(acc.get(r, 0), den) for r in range(n))
+                    )
     return None
 
 

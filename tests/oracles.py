@@ -9,16 +9,28 @@ only on small algebras and rely on frozen values elsewhere.
 `constraint_rows` is the direct n^4 biderivation system in sparse rows.
 The tests feed it to the package's `kernel_of_rows`, so it checks the
 derivation-first reduction of the solvers, not the elimination itself.
+
+`dense_biderivation_violation` and `dense_jacobi_violation` are the dense
+`Fraction` scans that the package's integer scans replaced: the same triples
+in the same order, with brackets taken by `liebider.liealg.bracket`.  The
+tests require `==` between each scan and its dense oracle.
+
+`sl_n` builds sl(n) from elementary matrices, and `ORACLE_TABLES` names the
+bracket tables the oracle comparisons run on, including ones whose
+constants are not integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import sympy as sp
 
-from liebider.liealg import LieAlgebra
+from liebider.biderivations import Biderivation, BiderViolation
+from liebider.catalog import catalog
+from liebider.liealg import JacobiViolation, LieAlgebra, bracket, lie_algebra
+from liebider.linalg import ZERO, Matrix, Vector
 
 
 def _constant_fn(alg: LieAlgebra):
@@ -259,3 +271,161 @@ def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
                         col = t * nn + i * n + k
                         row[col] = row.get(col, 0) - c
                     yield {c: v for c, v in row.items() if v}
+
+
+def dense_biderivation_violation(
+    alg: LieAlgebra, cand: Biderivation
+) -> Optional[BiderViolation]:
+    """First violated defining condition by dense brackets on all 2n^3
+    basis triples, condition outermost, then (i, j, k) lexicographic."""
+    n = alg.dim
+    if cand.dim != n:
+        raise ValueError("biderivation dimension does not match the algebra")
+    basis_values = [
+        [
+            tuple(cand.mats[k][i][j] for k in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+    def b_of(u: Vector, side_left: bool, idx: int) -> Vector:
+        # B(u, e_idx) when side_left else B(e_idx, u), for sparse-ish u.
+        out = [ZERO] * n
+        for t, ut in enumerate(u):
+            if ut:
+                vec = basis_values[t][idx] if side_left else basis_values[idx][t]
+                for k in range(n):
+                    if vec[k]:
+                        out[k] += ut * vec[k]
+        return tuple(out)
+
+    def brk(x: Vector, y: Vector) -> Vector:
+        return bracket(alg, x, y)
+
+    basis = [alg.basis_element(t) for t in range(n)]
+    pair = [[brk(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = b_of(pair[i][j], True, k)
+                r1 = brk(basis[i], basis_values[j][k])
+                r2 = brk(basis_values[i][k], basis[j])
+                residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
+                if any(residual):
+                    return BiderViolation(1, (i, j, k), residual)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = b_of(pair[j][k], False, i)
+                r1 = brk(basis_values[i][j], basis[k])
+                r2 = brk(basis[j], basis_values[i][k])
+                residual = tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
+                if any(residual):
+                    return BiderViolation(2, (i, j, k), residual)
+    return None
+
+
+def dense_jacobi_violation(alg: LieAlgebra) -> Optional[JacobiViolation]:
+    """First basis triple i < j < k (lexicographic) where the Jacobi
+    identity fails, by dense brackets."""
+    n = alg.dim
+    basis = [alg.basis_element(t) for t in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            eij = bracket(alg, basis[i], basis[j])
+            for k in range(j + 1, n):
+                term1 = bracket(alg, eij, basis[k])
+                term2 = bracket(alg, bracket(alg, basis[j], basis[k]), basis[i])
+                term3 = bracket(alg, bracket(alg, basis[k], basis[i]), basis[j])
+                residual = tuple(
+                    a + b + c for a, b, c in zip(term1, term2, term3)
+                )
+                if any(residual):
+                    return JacobiViolation(i, j, k, residual)
+    return None
+
+
+def sl_n(n: int) -> LieAlgebra:
+    """sl(n) on the elementary matrices E_ab (a != b, lexicographic) followed
+    by H_a = E_aa - E_(a+1)(a+1); brackets are sparse matrix commutators.
+
+    An off-diagonal entry is the coordinate of its E_ab, and a traceless
+    diag(d) equals sum_a (d_1 + ... + d_a) H_a.
+    """
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    index = {pos: t for t, pos in enumerate(off)}
+    basis = [{pos: 1} for pos in off]
+    basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
+    dim = len(basis)
+    names = [f"E{a + 1}{b + 1}" for a, b in off]
+    names += [f"H{a + 1}" for a in range(n - 1)]
+
+    def product(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for (a, b), u in x.items():
+            for (c, d), v in y.items():
+                if b == c:
+                    out[(a, d)] = out.get((a, d), 0) + u * v
+        return out
+
+    constants = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comm = product(basis[i], basis[j])
+            for pos, v in product(basis[j], basis[i]).items():
+                comm[pos] = comm.get(pos, 0) - v
+            coords = {index[pos]: v for pos, v in comm.items() if pos[0] != pos[1]}
+            running = 0
+            for a in range(n - 1):
+                running += comm.get((a, a), 0)
+                coords[len(off) + a] = running
+            constants.update(((i, j, k), v) for k, v in coords.items() if v)
+    return lie_algebra(dim, constants, names)
+
+
+def dense_basis_sl2_plus_sl2() -> LieAlgebra:
+    """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
+    alg = catalog("sl2_plus_sl2")
+    n = alg.dim
+    change = Matrix.from_rows(
+        [[Fraction(1, a + b + 1) for b in range(n)] for a in range(n)]
+    )
+    basis = [change.column(a) for a in range(n)]
+    hilbert = sp.Matrix(n, n, lambda a, b: sp.Rational(1, a + b + 1))
+    constants = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            rhs = [sp.Rational(v.numerator, v.denominator)
+                   for v in bracket(alg, basis[a], basis[b])]
+            coords = hilbert.LUsolve(sp.Matrix(rhs))
+            for c, value in enumerate(coords):
+                if value:
+                    constants[(a, b, c)] = Fraction(int(value.p), int(value.q))
+    return lie_algebra(n, constants)
+
+
+def scaled_sl2() -> LieAlgebra:
+    """sl2 on the basis (e/2, f/3, h/5): every constant is a proper fraction."""
+    return lie_algebra(
+        3,
+        {
+            (0, 1, 2): Fraction(5, 6),
+            (0, 2, 0): Fraction(-2, 5),
+            (1, 2, 1): Fraction(2, 5),
+        },
+    )
+
+
+ORACLE_TABLES = {
+    "sl2": lambda: catalog("sl2"),
+    "so3": lambda: catalog("so3"),
+    "sl3": lambda: catalog("sl3"),
+    "sl2_plus_sl2": lambda: catalog("sl2_plus_sl2"),
+    "heisenberg3": lambda: catalog("heisenberg3"),
+    "L22": lambda: catalog("L22"),
+    "abelian(3)": lambda: catalog("abelian(3)"),
+    "twostep(6,1)": lambda: catalog("twostep(6,1)", seed=3),
+    "sl2_plus_sl2_dense": dense_basis_sl2_plus_sl2,
+    "sl2_scaled": scaled_sl2,
+}

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
 from hypothesis import given, strategies as st
 
 from liebider.catalog import catalog
@@ -28,7 +27,7 @@ from liebider.biderivations import (
     two_step_properties,
 )
 from liebider.derivations import commuting_map_space, skew_commuting_map_space
-from liebider.liealg import bracket, lie_algebra, structure_matrices
+from liebider.liealg import bracket, lie_algebra, structure_matrices, validate
 from liebider.linalg import Matrix, Subspace, kernel_of_rows
 
 import oracles
@@ -49,38 +48,6 @@ FROZEN_BIDER_DIMS = {
 COMPLETE_NAMES = ["sl2", "sl3", "so3", "sl2_plus_sl2", "L22"]
 
 
-def _dense_sl2_plus_sl2():
-    """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
-    alg = catalog("sl2_plus_sl2")
-    n = alg.dim
-    change = Matrix.from_rows([[F(1, a + b + 1) for b in range(n)] for a in range(n)])
-    basis = [change.column(a) for a in range(n)]
-    hilbert = sp.Matrix(n, n, lambda a, b: sp.Rational(1, a + b + 1))
-    constants = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            rhs = [sp.Rational(v.numerator, v.denominator)
-                   for v in bracket(alg, basis[a], basis[b])]
-            coords = hilbert.LUsolve(sp.Matrix(rhs))
-            for c, value in enumerate(coords):
-                if value:
-                    constants[(a, b, c)] = F(int(value.p), int(value.q))
-    return lie_algebra(n, constants)
-
-
-ORACLE_INPUTS = {
-    "sl2": lambda: catalog("sl2"),
-    "so3": lambda: catalog("so3"),
-    "sl3": lambda: catalog("sl3"),
-    "sl2_plus_sl2": lambda: catalog("sl2_plus_sl2"),
-    "heisenberg3": lambda: catalog("heisenberg3"),
-    "L22": lambda: catalog("L22"),
-    "abelian(3)": lambda: catalog("abelian(3)"),
-    "twostep(6,1)": lambda: catalog("twostep(6,1)", seed=3),
-    "sl2_plus_sl2_dense": _dense_sl2_plus_sl2,
-}
-
-
 def _symmetry_rows(n, mode):
     """b_ij^k - b_ji^k (symmetric) or b_ij^k + b_ji^k (skew) for i <= j."""
     nn = n * n
@@ -94,9 +61,9 @@ def _symmetry_rows(n, mode):
                     yield {k * nn + i * n + j: F(1), k * nn + j * n + i: F(sign)}
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
 def test_assembly_shape_and_abelian_triviality(name):
-    alg = ORACLE_INPUTS[name]()
+    alg = oracles.ORACLE_TABLES[name]()
     n = alg.dim
     rows = list(oracles.constraint_rows(alg))
     assert len(rows) == 2 * n ** 4
@@ -217,6 +184,13 @@ def test_evaluate_is_bilinear_table():
     x = (F(1), F(2), F(-1))
     y = (F(0), F(1), F(4))
     assert inner.evaluate(x, y) == tuple(3 * v for v in bracket(alg, x, y))
+    cand = Biderivation.from_flat([F(t % 7 - 3, t % 4 + 1) for t in range(27)], 3)
+    for x, y in [((F(0), F(1, 2), F(0)), (F(3), F(0), F(-1, 3))), ((F(0),) * 3, y)]:
+        assert cand.evaluate(x, y) == tuple(
+            sum(xi * v for xi, v in zip(x, m.apply(y))) for m in cand.mats
+        )
+    with pytest.raises(ValueError):
+        cand.evaluate((F(1),) * 4, y)
 
 
 def test_row_column_derivations_on_inner():
@@ -421,3 +395,131 @@ def test_random_outsiders_fail_membership(name, seed):
             assert not is_biderivation(alg, Biderivation.from_flat(flat, n))
             return
     pytest.skip("all sampled tuples were biderivations (space too large)")
+
+
+# ---------------------------------------------------------------------------
+# Integer scans against the dense oracles
+
+
+def _perturbed(cand, rng):
+    """``cand`` with one random entry changed by a nonzero fraction."""
+    n = cand.dim
+    flat = list(cand.flatten())
+    flat[rng.randrange(n ** 3)] += F(rng.choice([1, -2, 3]), rng.choice([1, 3, 4]))
+    return Biderivation.from_flat(flat, n)
+
+
+def _random_map(n, rng):
+    return Biderivation.from_flat(
+        [F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0)
+         for _ in range(n ** 3)],
+        n,
+    )
+
+
+def _assert_scans_agree(alg, cand):
+    violation = biderivation_violation(alg, cand)
+    assert violation == oracles.dense_biderivation_violation(alg, cand)
+    return violation
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_checker_matches_dense_oracle(name):
+    alg = oracles.ORACLE_TABLES[name]()
+    n = alg.dim
+    rng = random.Random(name)
+    space = biderivation_space(alg)
+    elements = space.basis_elements()
+    for element in elements:
+        assert _assert_scans_agree(alg, element) is None
+    for element in elements[:6] + (Biderivation.zero(n),):
+        changed = _perturbed(element, rng)
+        violation = _assert_scans_agree(alg, changed)
+        assert (violation is None) == space.space.contains(changed.flatten())
+    for _ in range(4):
+        _assert_scans_agree(alg, _random_map(n, rng))
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_scans_match_dense_oracles_on_perturbed_tables(name):
+    alg = oracles.ORACLE_TABLES[name]()
+    n = alg.dim
+    assert validate(alg) is None and oracles.dense_jacobi_violation(alg) is None
+    inner = Biderivation(structure_matrices(alg))
+    rng = random.Random(name)
+    broken = 0
+    for _ in range(6):
+        constants = dict(alg.constants)
+        i, j = sorted(rng.sample(range(n), 2))
+        key = (i, j, rng.randrange(n))
+        step = F(rng.choice([1, -1, 2]), rng.choice([1, 3]))
+        constants[key] = constants.get(key, 0) + step
+        table = lie_algebra(n, constants)
+        violation = validate(table)
+        assert violation == oracles.dense_jacobi_violation(table)
+        broken += violation is not None
+        _assert_scans_agree(table, inner)
+        _assert_scans_agree(table, _random_map(n, rng))
+    if n >= 3 and name != "abelian(3)":
+        assert broken
+
+
+_FRACTIONS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _table_and_candidate(draw):
+    n = draw(st.integers(1, 4))
+    keys = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    alg = lie_algebra(n, {key: draw(_FRACTIONS) for key in keys if draw(st.booleans())})
+    if draw(st.booleans()):
+        cand = inner_biderivation(alg, [draw(_FRACTIONS)])
+    else:
+        entries = st.one_of(st.just(F(0)), _FRACTIONS)
+        cand = Biderivation.from_flat(
+            draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3)), n
+        )
+    return alg, cand
+
+
+@given(_table_and_candidate())
+def test_scans_match_dense_oracles_on_random_tables(table_and_candidate):
+    alg, cand = table_and_candidate
+    assert validate(alg) == oracles.dense_jacobi_violation(alg)
+    _assert_scans_agree(alg, cand)
+
+
+def test_checkers_share_no_solver_code():
+    def names(code):
+        found = set(code.co_names)
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                found |= names(const)
+        return found
+
+    solver_names = {
+        "bracket", "_map_rows", "_condition_one_rows", "kernel_of_rows", "_Reducer"
+    }
+    for checker in (biderivation_violation, validate):
+        assert not names(checker.__code__) & solver_names, checker.__name__
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_tang_gate_on_sl_n(n):
+    # Tang (2018): every biderivation of a simple algebra is inner, so
+    # BiDer(sl(n)) = span{(x, y) -> [x, y]}, which is skew.
+    alg = oracles.sl_n(n)
+    assert biderivation_space(alg).dim == 1
+    assert constrained_biderivation_space(alg, "symmetric").dim == 0
+    assert constrained_biderivation_space(alg, "skew").dim == 1
+    inner = inner_biderivation(alg, [1])
+    assert biderivation_violation(alg, inner) is None
+    if n == 5:
+        mats = list(inner.mats)
+        mats[3] = mats[3] + Matrix.from_rows(
+            [[F(1, 2) if (i, j) == (2, 7) else 0 for j in range(alg.dim)]
+             for i in range(alg.dim)]
+        )
+        changed = Biderivation(tuple(mats))
+        violation = _assert_scans_agree(alg, changed)
+        assert violation is not None
