@@ -18,6 +18,7 @@ import pathlib
 import re
 import sys
 import tempfile
+from fractions import Fraction
 
 from liebider.biderivations import inner_biderivation
 from liebider.catalog import catalog
@@ -27,6 +28,7 @@ from liebider.documents import (
     biderivation_to_document,
     serialize_document,
 )
+from liebider.liealg import lie_algebra
 
 ALGEBRAS = [
     ("sl2", 0),
@@ -42,8 +44,19 @@ ALGEBRAS = [
     ("abelian(0)", 0),
 ]
 
+# sl2 on the basis (e/2, f/3, h/5): every constant is a proper fraction, so
+# the solvers' integer scaling of Der(L) and of the bracket table is covered.
+SCALED_SL2 = lie_algebra(
+    3,
+    {
+        (0, 1, 2): Fraction(5, 6),
+        (0, 2, 0): Fraction(-2, 5),
+        (1, 2, 1): Fraction(2, 5),
+    },
+)
+
 # The complete algebras above; phi-psi and check-bider run on lambda = 2.
-COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3"}
+COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3", "sl2_scaled"}
 
 ALGEBRA_COMMANDS = [
     ["validate"],
@@ -79,9 +92,12 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seed in ALGEBRAS:
-            alg = catalog(name, seed=seed)
-            stem = _stem(name, seed)
+        tables = [
+            (name, _stem(name, seed), catalog(name, seed=seed))
+            for name, seed in ALGEBRAS
+        ]
+        tables.append(("sl2_scaled", "sl2_scaled", SCALED_SL2))
+        for name, stem, alg in tables:
             alg_file = pathlib.Path(tmp, f"{stem}.json")
             alg_file.write_text(serialize_document(algebra_to_document(alg, name)))
             jobs = [(cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]

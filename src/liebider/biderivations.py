@@ -14,21 +14,23 @@ k*n^2 + i*n + j.
 Condition (2) says that every left partial map B(e_i, -) is a derivation.
 The solver therefore computes a basis D_1, ..., D_d of Der(L) first and
 writes B(e_i, -) = sum_s x_is D_s, so condition (2) holds by construction
-and there are n*d unknowns x_is instead of n^3.  Condition (1) says that
-every right partial map B(-, e_k) is a derivation, so its rows are the rows
-of the derivation system of `derivations` (pairs i < j) applied to each
-B(-, e_k): n^3 (n - 1) / 2 rows.  The symmetric and skew subspaces need no
-condition (1) rows at all, only the symmetry rows b_ij^k -+ b_ji^k = 0 for
-i <= j: when B(x, y) = +-B(y, x), every right partial map
-B(-, z) = +-B(z, -) is a derivation too.  The kernel in the x_is is mapped
-back into Q^(n^3) and canonicalised, and every basis element is re-checked
-by `biderivation_violation`, which shares no assembly code with the solver:
-it scans both conditions on all 2*n^3 basis triples in integers, over the
-bracket table scaled by the lcm S of its denominators and the nonzero
-values of B scaled by the lcm D of theirs.  The tests compare every mode
-against the direct system of 2*n^4 rows in the n^3 unknowns b_ij^k
-(`constraint_rows` in ``tests/oracles.py``), and the checker against the
-dense `Fraction` scan it replaced (`dense_biderivation_violation`).
+and there are n*d unknowns x_is instead of n^3.  Condition (1) needs no rows
+of its own.  The swap B^t(x, y) = B(y, x) turns condition (1) for B^t into
+condition (2) for B and back, so it maps biderivations to biderivations,
+and B = (B + B^t)/2 + (B - B^t)/2 gives BiDer = Sym (+) Skew.  A symmetric
+or skew B whose left partial maps are derivations has right partial maps
+B(-, z) = +-B(z, -), which are derivations too.  So the symmetric and the
+skew biderivations are the kernels of the symmetry rows
+b_ij^k -+ b_ji^k = 0 (i <= j) alone, and the full space is spanned by both.
+The kernels in the x_is are mapped back into Q^(n^3) and canonicalised, and
+every basis element is re-checked by `biderivation_violation`, which shares
+no assembly code with the solver: it scans both conditions on all 2*n^3
+basis triples in integers, over the bracket table scaled by the lcm S of
+its denominators and the nonzero values of B scaled by the lcm D of theirs.
+The tests compare every mode against the direct system of 2*n^4 rows in the
+n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
+checker against the dense `Fraction` scan it replaced
+(`dense_biderivation_violation`).
 
 On complete algebras every biderivation factors as
 B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
@@ -58,7 +60,6 @@ from .linalg import (
 from .derivations import (
     CenterNonzero,
     NotInner,
-    _map_rows,
     ad_preimage,
     derivation_space,
     is_complete,
@@ -186,40 +187,30 @@ def _entries_at(
     ]
 
 
-def _condition_one_rows(
-    alg: LieAlgebra, ders: list[list[int]]
+def _symmetry_rows(
+    at: list[tuple[tuple[int, int], ...]], n: int, d: int, sign: int
 ) -> Iterator[dict[int, int]]:
-    """Condition (1) in the unknowns x_is (column i*d + s).
+    """b_ij^k + sign * b_ji^k = 0 for all k and i <= j, in the x_is.
 
-    Condition (1) says that every right partial map g_k = B(-, e_k) is a
-    derivation, with g_k[r, t] = b_tk^r = sum_s x_ts D_s[r, k].  Each row of
-    the derivation system (pairs i < j; the diagonal rows vanish) is applied
-    to every g_k, after multiplying it by the lcm of the structure-constant
-    denominators so that every coefficient is an integer.  Rows are ordered
-    by (k, i, j, r); zero rows are skipped.
+    ``at`` comes from `_entries_at`; column i*d + s holds x_is, and
+    b_ij^k = sum_s x_is D_s[k, j].  Sign -1 gives the symmetric rows, whose
+    diagonal ones vanish; sign +1 gives the skew rows, whose diagonal ones
+    force b_ii^k = 0.  Rows are ordered by (k, i, j); zero rows are skipped.
     """
-    n = alg.dim
-    d = len(ders)
-    scale = math.lcm(*(c.denominator for _, c in alg.constants))
-    der_rows = [
-        [(*divmod(col, n), int(c * scale)) for col, c in row.items()]
-        for row in _map_rows(alg, 1, -1, -1)
-    ]
-    at = _entries_at(ders, n * n)
     for k in range(n):
-        for der_row in der_rows:
-            row: dict[int, int] = {}
-            for r, t, c in der_row:
-                for s, v in at[r * n + k]:
-                    col = t * d + s
-                    row[col] = row.get(col, 0) + c * v
-            row = {col: v for col, v in row.items() if v}
-            if row:
-                yield row
+        for i in range(n):
+            for j in range(i, n):
+                row = {i * d + s: v for s, v in at[k * n + j]}
+                for s, v in at[k * n + i]:
+                    col = j * d + s
+                    row[col] = row.get(col, 0) + sign * v
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
 
 
-def _lift(kernel: Subspace, ders: list[list[int]], n: int) -> Subspace:
-    """Canonical span in Q^(n^3) of the kernel in the x_is.
+def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
+    """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is.
 
     Coordinates follow b_ij^k = sum_s x_is D_s[k, j].
     """
@@ -230,7 +221,7 @@ def _lift(kernel: Subspace, ders: list[list[int]], n: int) -> Subspace:
         [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
     ]
     vectors = []
-    for x in kernel.basis:
+    for x in xs:
         flat = [ZERO] * (n * nn)
         for col, coeff in enumerate(x):
             if coeff:
@@ -267,23 +258,38 @@ def _checked(
 def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
     """All biderivations, solved over Der(L) and re-checked element by element.
 
-    Each left partial map is written B(e_i, -) = sum_s x_is D_s over the
-    canonical basis of Der(L), which satisfies condition (2); condition (1)
-    adds n^3 (n - 1) / 2 rows in the n * dim Der unknowns.  The kernel is
-    returned as the canonical subspace of Q^(n^3) it spans, which equals
-    the kernel of the direct 2*n^4 x n^3 system.  Every basis element is
-    then re-verified against both defining conditions; a failure raises
-    InternalInconsistency.
+    The swap B(x, y) -> B(y, x) maps biderivations to biderivations, so
+    BiDer = Sym (+) Skew.  The space is therefore the canonical span in
+    Q^(n^3) of the symmetric and the skew kernels of
+    `constrained_biderivation_space`, which equals the kernel of the direct
+    2*n^4 x n^3 system.  Every basis element is re-verified against both
+    defining conditions; a failure raises InternalInconsistency.
     """
     return _biderivations_over(alg, derivation_space(alg))
 
 
-def _biderivations_over(alg: LieAlgebra, der: Subspace) -> BiderivationSpace:
-    """`biderivation_space` for a caller that already holds Der(L)."""
+# Signs of the symmetry rows each mode solves (see `_symmetry_rows`).
+_SIGNS = {None: (-1, 1), "symmetric": (-1,), "skew": (1,)}
+
+
+def _biderivations_over(
+    alg: LieAlgebra, der: Subspace, mode: Optional[BiderSymmetryMode] = None
+) -> BiderivationSpace:
+    """Biderivations in ``mode`` (None: all) for a caller that holds Der(L).
+
+    One kernel of the symmetry rows per sign the mode needs, lifted to
+    Q^(n^3) together and re-checked by `_checked`.
+    """
     n = alg.dim
     ders = _primitive_derivations(der)
-    kernel = kernel_of_rows(_condition_one_rows(alg, ders), n * len(ders))
-    return _checked(alg, _lift(kernel, ders, n), None)
+    d = len(ders)
+    at = _entries_at(ders, n * n)
+    xs = [
+        x
+        for sign in _SIGNS[mode]
+        for x in kernel_of_rows(_symmetry_rows(at, n, d, sign), n * d).basis
+    ]
+    return _checked(alg, _lift(xs, ders, n), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -518,39 +524,18 @@ def constrained_biderivation_space(
     """Biderivations that are symmetric (B(x,y) = B(y,x)) or skew
     (B(x,y) = -B(y,x)) as bilinear maps.
 
-    The unknowns are those of `biderivation_space`, B(e_i, -) =
-    sum_s x_is D_s over the canonical basis of Der(L), so condition (2)
-    holds by construction.  The only rows are b_ij^k - b_ji^k = 0
-    (symmetric, n^2 (n - 1) / 2 rows) or b_ij^k + b_ji^k = 0 (skew,
-    n^2 (n + 1) / 2 rows; the diagonal ones force b_ii^k = 0) for all k and
-    i <= j, less those that vanish in the x_is.  Condition (1) needs no
-    rows: a symmetric or skew map has right partial maps
-    B(-, z) = +-B(z, -), which are derivations.  Every basis element is
-    re-verified against both defining conditions and its symmetry; a
-    failure raises InternalInconsistency.
+    The unknowns are the x_is of B(e_i, -) = sum_s x_is D_s over the
+    canonical basis of Der(L), so condition (2) holds by construction.  The
+    only rows are b_ij^k - b_ji^k = 0 (symmetric, n^2 (n - 1) / 2 rows) or
+    b_ij^k + b_ji^k = 0 (skew, n^2 (n + 1) / 2 rows; the diagonal ones force
+    b_ii^k = 0) for all k and i <= j, less those that vanish in the x_is.
+    Condition (1) follows: B(-, z) = +-B(z, -) is a derivation.  Every basis
+    element is re-verified against both defining conditions and its
+    symmetry; a failure raises InternalInconsistency.
     """
     if mode not in ("symmetric", "skew"):
         raise ValueError(f"unknown symmetry mode: {mode!r}")
-    n = alg.dim
-    sign = -1 if mode == "symmetric" else 1
-    ders = _primitive_derivations(derivation_space(alg))
-    d = len(ders)
-    at = _entries_at(ders, n * n)
-
-    def rows() -> Iterator[dict[int, int]]:
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    row = {i * d + s: v for s, v in at[k * n + j]}
-                    for s, v in at[k * n + i]:
-                        col = j * d + s
-                        row[col] = row.get(col, 0) + sign * v
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        yield row
-
-    kernel = kernel_of_rows(rows(), n * d)
-    return _checked(alg, _lift(kernel, ders, n), mode)
+    return _biderivations_over(alg, derivation_space(alg), mode)
 
 
 # ---------------------------------------------------------------------------

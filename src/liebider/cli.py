@@ -302,27 +302,15 @@ def _cmd_vdecomp(alg: LieAlgebra) -> tuple[dict, int]:
 def _cmd_bracket_closure(alg: LieAlgebra) -> tuple[dict, int]:
     report = bider_bracket_closure(alg)
     if report.closed:
-        constants = [
-            {
-                "left": a,
-                "right": b,
-                "result": [{"coeff": str(c), "index": k}],
-            }
-            for (a, b, k), c in sorted(report.constants.items())
-        ]
-        merged: list[dict] = []
-        for entry in constants:
-            if merged and (merged[-1]["left"], merged[-1]["right"]) == (
-                entry["left"],
-                entry["right"],
-            ):
-                merged[-1]["result"].extend(entry["result"])
-            else:
-                merged.append(entry)
+        brackets: list[dict] = []
+        for (a, b, k), c in sorted(report.constants.items()):
+            if not brackets or (brackets[-1]["left"], brackets[-1]["right"]) != (a, b):
+                brackets.append({"left": a, "right": b, "result": []})
+            brackets[-1]["result"].append({"coeff": str(c), "index": k})
         return {
             "closed": True,
             "bider_dim": report.bider_dim,
-            "induced_brackets": merged,
+            "induced_brackets": brackets,
             "witness_pair": None,
         }, 0
     a, b, _comm = report.witness

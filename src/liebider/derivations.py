@@ -8,7 +8,8 @@ a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
 row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
 is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
 and output coordinate suffices; zero rows are dropped.  `biderivations`
-(condition (1)) and `vdecomp` (V+ and V-) reuse these spaces and rows.
+solves over the derivation space, and `vdecomp` reads V+ and V- off the
+commuting and skew-commuting spaces.
 
 The module also computes the inner derivations (spanned by the adjoint
 maps), a completeness report (trivial center and every derivation inner),
@@ -22,14 +23,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .liealg import LieAlgebra, adjoint_matrix
-from .linalg import (
-    Matrix,
-    Subspace,
-    SubspaceRelation,
-    Vector,
-    kernel_of_rows,
-    subspace_compare,
-)
+from .linalg import Matrix, Subspace, Vector, kernel_of_rows
 from .liealg import center as center_space
 
 
@@ -100,9 +94,8 @@ def is_complete(alg: LieAlgebra) -> CompletenessReport:
     c_dim = center_space(alg).dim
     der = derivation_space(alg)
     inner = inner_derivation_space(alg)
-    relation = subspace_compare(der, inner)
-    complete = c_dim == 0 and relation is SubspaceRelation.EQUAL
-    return CompletenessReport(complete, c_dim, der.dim, inner.dim)
+    # both are canonical (RREF) subspaces, so equality is Der(L) = ad(L)
+    return CompletenessReport(c_dim == 0 and der == inner, c_dim, der.dim, inner.dim)
 
 
 def commuting_map_space(alg: LieAlgebra) -> Subspace:

@@ -6,9 +6,12 @@ the package beyond reading structure-constant data — so agreement between
 the two is genuine cross-validation.  They are slow; tests run them live
 only on small algebras and rely on frozen values elsewhere.
 
-`constraint_rows` is the direct n^4 biderivation system in sparse rows.
-The tests feed it to the package's `kernel_of_rows`, so it checks the
-derivation-first reduction of the solvers, not the elimination itself.
+`constraint_rows` is the direct n^4 biderivation system in sparse rows:
+both defining conditions on every basis triple, with no use of Der(L) or
+of the swap B(x, y) -> B(y, x).  The tests feed it to the package's
+`kernel_of_rows`, so it checks the solvers' reduction (unknowns over
+Der(L), and BiDer = Sym (+) Skew solved from the symmetry rows alone), not
+the elimination itself.
 
 `dense_biderivation_violation` and `dense_jacobi_violation` are the dense
 `Fraction` scans that the package's integer scans replaced: the same triples

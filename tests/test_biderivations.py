@@ -498,10 +498,34 @@ def test_checkers_share_no_solver_code():
         return found
 
     solver_names = {
-        "bracket", "_map_rows", "_condition_one_rows", "kernel_of_rows", "_Reducer"
+        "bracket", "_map_rows", "_condition_one_rows", "_symmetry_rows",
+        "kernel_of_rows", "_Reducer",
     }
     for checker in (biderivation_violation, validate):
         assert not names(checker.__code__) & solver_names, checker.__name__
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: oracles.sl_n(4),
+        lambda: catalog("twostep(7,2)", seed=0),
+        lambda: catalog("twostep(7,2)", seed=3),
+        oracles.dense_basis_sl2_plus_sl2,
+    ],
+    ids=["sl4", "twostep(7,2)-seed0", "twostep(7,2)-seed3", "sl2_plus_sl2_dense"],
+)
+def test_swap_keeps_biderivations(make):
+    # The solver's premise, checked where the n^4 oracle is too slow: the
+    # swap B(x, y) -> B(y, x) maps BiDer to itself, so BiDer = Sym (+) Skew.
+    alg = make()
+    space = biderivation_space(alg)
+    for element in space.basis_elements():
+        swapped = Biderivation(tuple(m.transpose() for m in element.mats))
+        assert biderivation_violation(alg, swapped) is None
+    sym = constrained_biderivation_space(alg, "symmetric")
+    skew = constrained_biderivation_space(alg, "skew")
+    assert sym.dim + skew.dim == space.dim
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liebider import __version__
+from liebider.biderivations import bider_bracket_closure
+from liebider.catalog import catalog
 from liebider.cli import main, run_command
 
 
@@ -191,7 +193,7 @@ def test_vdecomp_command(run, tmp_path):
     assert results["intersection_dim"] == 4
 
 
-def test_bracket_closure_command(run, tmp_path):
+def test_bracket_closure_command(run, tmp_path, l22_file):
     _, out, _ = run("catalog", "heisenberg3")
     path = tmp_path / "h3.json"
     path.write_text(out)
@@ -205,6 +207,20 @@ def test_bracket_closure_command(run, tmp_path):
     code, out, _ = run("bracket-closure", str(path), "--json")
     assert code == 0
     assert json.loads(out)["results"]["closed"] is True
+    # L22: BiDer has dim 4 and six constants; the pair (1, 2) has two terms
+    code, out, _ = run("bracket-closure", l22_file, "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["closed"] is True and results["bider_dim"] == 4
+    constants = bider_bracket_closure(catalog("L22")).constants
+    grouped = {}
+    for (a, b, k), c in sorted(constants.items()):
+        grouped.setdefault((a, b), []).append({"coeff": str(c), "index": k})
+    assert sum(map(len, grouped.values())) == 6
+    assert any(len(terms) == 2 for terms in grouped.values())
+    assert results["induced_brackets"] == [
+        {"left": a, "right": b, "result": terms} for (a, b), terms in grouped.items()
+    ]
 
 
 def test_validate_and_jacobi_refusal(run, tmp_path):
