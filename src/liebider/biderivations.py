@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Optional, Sequence
 
-from .liealg import LieAlgebra, bracket, structure_matrices
+from .liealg import LieAlgebra, structure_matrices
 from .linalg import (
     ZERO,
     Matrix,
@@ -489,13 +489,24 @@ def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
         ) from exc
     phi = Matrix(n, n, tuple(tuple(phi_cols[i][r] for i in range(n)) for r in range(n)))
     psi = Matrix(n, n, tuple(tuple(psi_cols[i][r] for i in range(n)) for r in range(n)))
-    basis = [alg.basis_element(t) for t in range(n)]
+    # S B(e_i, e_j) = S [phi(e_i), e_j] = S [e_i, psi(e_j)] on every basis
+    # pair, summed over the integer table
+    scale, table = alg._int_table
+
+    def scaled_bracket(terms: Iterator[tuple[tuple[int, int], Fraction]]):
+        acc: dict[int, Fraction] = {}
+        for pair, u in terms:
+            for r, c in table.get(pair, ()):
+                acc[r] = acc.get(r, 0) + u * c
+        return {r: v for r, v in acc.items() if v}
+
     for i in range(n):
-        phi_ei = phi.apply(basis[i])
         for j in range(n):
-            expected = tuple(cand.mats[k][i][j] for k in range(n))
-            left = bracket(alg, phi_ei, basis[j])
-            right = bracket(alg, basis[i], psi.apply(basis[j]))
+            expected = {
+                r: scale * m.data[i][j] for r, m in enumerate(cand.mats) if m.data[i][j]
+            }
+            left = scaled_bracket(((t, j), u) for t, u in enumerate(phi_cols[i]) if u)
+            right = scaled_bracket(((i, t), u) for t, u in enumerate(psi_cols[j]) if u)
             if left != expected or right != expected:
                 raise InternalInconsistency(
                     f"phi/psi factorization fails on basis pair ({i}, {j})"

@@ -7,22 +7,24 @@ a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
 (0, 1, -1) and (0, 1, 1).  The unknowns are the n^2 entries of f, flattened
 row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
 is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
-and output coordinate suffices; zero rows are dropped.  `biderivations`
+and output coordinate suffices; zero rows are dropped.  Every row here, and
+in `ad_preimage`, is built in integers from the scaled bracket table of
+`liealg` (`LieAlgebra._int_table` and `_int_ad`), so it is S times (up to
+sign) the Fraction row and has the same kernel.  `biderivations`
 solves over the derivation space, and `vdecomp` reads V+ and V- off the
 commuting and skew-commuting spaces.
 
 The module also computes the inner derivations (spanned by the adjoint
-maps), a completeness report (trivial center and every derivation inner),
-and adjoint preimages.
+maps, read off the same table), a completeness report (trivial center and
+every derivation inner), and adjoint preimages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
-from .liealg import LieAlgebra, adjoint_matrix
+from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace, Vector, kernel_of_rows
 from .liealg import center as center_space
 
@@ -37,28 +39,32 @@ class NotInner(ValueError):
 
 def _map_rows(
     alg: LieAlgebra, a: int, b: int, c: int
-) -> Iterator[dict[int, Fraction]]:
-    """Rows of a f([e_i, e_j]) + b [f(e_i), e_j] + c [e_i, f(e_j)] = 0.
+) -> Iterator[dict[int, int]]:
+    """Rows of a f([e_i, e_j]) + b [f(e_i), e_j] + c [e_i, f(e_j)] = 0, times S.
 
     One row per pair i <= j and output coordinate r, ordered by (i, j, r);
-    zero rows are dropped.
+    zero rows are dropped.  Entries are integers read off
+    `LieAlgebra._int_table`.
     """
     n = alg.dim
+    _, table = alg._int_table
+    ad = alg._int_ad
+    empty = ()
     for i in range(n):
         for j in range(i, n):
-            pair = alg.pair_terms(i, j) if a else ()
+            pair = table.get((i, j), empty) if a else empty
             for r in range(n):
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 # f([e_i, e_j])_r = sum_t c_ij^t f[r, t]
                 for t, coeff in pair:
                     col = r * n + t
                     row[col] = row.get(col, 0) + a * coeff
-                # [f(e_i), e_j]_r = sum_t f[t, i] c_tj^r
-                for t, coeff in alg._right_out.get((j, r), ()):
+                # [f(e_i), e_j]_r = -sum_t c_jt^r f[t, i]
+                for t, coeff in ad.get((j, r), empty):
                     col = t * n + i
-                    row[col] = row.get(col, 0) + b * coeff
+                    row[col] = row.get(col, 0) - b * coeff
                 # [e_i, f(e_j)]_r = sum_t c_it^r f[t, j]
-                for t, coeff in alg._left_out.get((i, r), ()):
+                for t, coeff in ad.get((i, r), empty):
                     col = t * n + j
                     row[col] = row.get(col, 0) + c * coeff
                 row = {k: v for k, v in row.items() if v}
@@ -74,9 +80,15 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:
     """Span of the adjoint matrices ad_{e_i}, flattened row-major."""
     n = alg.dim
-    vectors = [
-        adjoint_matrix(alg, alg.basis_element(i)).flatten() for i in range(n)
-    ]
+    ad = alg._int_ad
+    vectors = []
+    for i in range(n):
+        # S ad_{e_i}; entry (r, t) is S c_it^r
+        flat = [0] * (n * n)
+        for r in range(n):
+            for t, c in ad.get((i, r), ()):
+                flat[r * n + t] = c
+        vectors.append(flat)
     return Subspace.span(vectors, n * n)
 
 
@@ -120,7 +132,8 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
     """Unique u with ad_u = target, when the center is zero.
 
-    Solves sum_i u_i ad_{e_i} - lam * target = 0 in (u, lam).  The kernel
+    Solves sum_i u_i ad_{e_i} - lam * target = 0 in (u, lam), with every
+    row scaled by -S and read off `LieAlgebra._int_ad`.  The kernel
     contains every central element with lam = 0, so it has one basis vector
     with lam != 0 exactly when the center is zero and ``target`` is inner.
     Raises CenterNonzero when uniqueness fails a priori, and NotInner when
@@ -129,13 +142,15 @@ def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
     n = alg.dim
     if target.nrows != n or target.ncols != n:
         raise ValueError("target matrix shape does not match algebra dimension")
+    scale, _ = alg._int_table
+    ad = alg._int_ad
     rows = []
     for r in range(n):
         for j in range(n):
-            # (ad_u)[r, j] = sum_i c_ij^r u_i
-            row = dict(alg._right_out.get((j, r), ()))
+            # -S (ad_u)[r, j] = S [e_j, u]_r = sum_i (S c_ji^r) u_i
+            row = dict(ad.get((j, r), ()))
             if target[r][j]:
-                row[n] = -target[r][j]
+                row[n] = scale * target[r][j]
             rows.append(row)
     kernel = kernel_of_rows(rows, n + 1)
     if kernel.dim > 1 or (kernel.dim == 1 and not kernel.basis[0][n]):

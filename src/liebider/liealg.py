@@ -7,11 +7,21 @@ provides the bracket, adjoint matrices, the structure-matrix tuple
 A_k = (c_ij^k)_ij, the center, the lower central series, the Killing form,
 and direct sums.
 
+One integer table feeds every linear system and every checker in the
+package.  `LieAlgebra._int_table` holds S * c_ij^k for every ordered pair,
+with S the lcm of the constant denominators, and `LieAlgebra._int_ad`
+indexes the same integers as the rows of S * ad_{e_i}.  The center, the
+Killing form, the systems of `derivations` and `vdecomp`, the Jacobi scan
+and the biderivation and phi/psi checks all read them.  A row scaled by +-S
+has the same kernel as its Fraction row, so every result is exact and
+unchanged.  The Fraction table serves `bracket` and `pair_terms` at the API
+edge.
+
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
-It scans an integer copy of the bracket table (every constant times the lcm
-S of the constant denominators) and sums each triple's residual, scaled by
-S^2, in a sparse dict; only a failing triple is turned back into Fractions.
+It visits only triples with a nonzero bracket among their pairs (on the
+others every term vanishes) and sums each triple's residual, scaled by S^2,
+in a sparse dict; only a failing triple is turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .linalg import (
     ZERO,
@@ -74,21 +84,13 @@ class LieAlgebra:
         }
 
     @cached_property
-    def _left_out(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """(i, r) -> ((t, c_it^r), ...) over all t."""
-        raw: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j), terms in self._table.items():
+    def _int_ad(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """(i, r) -> ((t, S * c_it^r), ...): the nonzero entries of row r of
+        S * ad_{e_i}, read off `_int_table`."""
+        raw: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j), terms in self._int_table[1].items():
             for k, c in terms:
                 raw.setdefault((i, k), []).append((j, c))
-        return {key: tuple(terms) for key, terms in raw.items()}
-
-    @cached_property
-    def _right_out(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """(j, r) -> ((t, c_tj^r), ...) over all t."""
-        raw: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j), terms in self._table.items():
-            for k, c in terms:
-                raw.setdefault((j, k), []).append((i, c))
         return {key: tuple(terms) for key, terms in raw.items()}
 
     def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
@@ -236,31 +238,58 @@ class JacobiViolation:
     residual: Vector  # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
 
 
+def _jacobi_triples(
+    n: int, table: Mapping[tuple[int, int], object]
+) -> Iterator[tuple[int, int, int]]:
+    """Triples i < j < k, in lexicographic order, with a nonzero bracket
+    among [e_i, e_j], [e_j, e_k] and [e_i, e_k].
+
+    On every other triple all three terms of the Jacobi sum vanish, so an
+    algebra with P nonzero brackets costs O(P * n) triples, not C(n, 3).
+    """
+    edges = sorted(pair for pair in table if pair[0] < pair[1])
+    above: dict[int, list[int]] = {}
+    for a, b in edges:
+        above.setdefault(a, []).append(b)
+    last = edges[-1][0] if edges else -1
+    for i in range(last + 1):
+        row = above.get(i, [])
+        linked = set(row)
+        # past max(row) and last, [e_i, e_j], [e_i, e_k] and [e_j, e_k] all vanish
+        for j in range(i + 1, max(row[-1] if row else -1, last) + 1):
+            if j in linked:
+                ks: Sequence[int] = range(j + 1, n)
+            else:
+                ks = sorted({k for k in row if k > j}.union(above.get(j, ())))
+            for k in ks:
+                yield i, j, k
+
+
 def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
     """Check the Jacobi identity on all basis triples i < j < k.
 
     Returns None when the table is a Lie algebra, otherwise the
     lexicographically first violating triple with its residual vector.
-    Antisymmetry holds by construction, so triples with repeats are exact.
-    Each residual sum_t c_ab^t c_tc^r over the three cyclic pairs is
-    accumulated in integers scaled by S^2 (see `LieAlgebra._int_table`).
+    Antisymmetry holds by construction, so triples with repeats are exact,
+    and only triples with a nonzero bracket among their pairs are scanned
+    (`_jacobi_triples`).  Each residual sum_t c_ab^t c_tc^r over the three
+    cyclic pairs is accumulated in integers scaled by S^2 (see
+    `LieAlgebra._int_table`).
     """
     n = alg.dim
     scale, table = alg._int_table
     empty = ()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc: dict[int, int] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, u in table.get((a, b), empty):
-                        for r, v in table.get((t, c), empty):
-                            acc[r] = acc.get(r, 0) + u * v
-                if any(acc.values()):
-                    den = scale * scale
-                    return JacobiViolation(
-                        i, j, k, tuple(Fraction(acc.get(r, 0), den) for r in range(n))
-                    )
+    for i, j, k in _jacobi_triples(n, table):
+        acc: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, u in table.get((a, b), empty):
+                for r, v in table.get((t, c), empty):
+                    acc[r] = acc.get(r, 0) + u * v
+        if any(acc.values()):
+            den = scale * scale
+            return JacobiViolation(
+                i, j, k, tuple(Fraction(acc.get(r, 0), den) for r in range(n))
+            )
     return None
 
 
@@ -269,15 +298,11 @@ def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j} as a canonical subspace of Q^n."""
+    """{x : [e_j, x] = 0 for all j} as a canonical subspace of Q^n."""
     n = alg.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row: dict[int, Fraction] = {}
-            for t, c in alg._right_out.get((j, k), ()):
-                row[t] = c
-            rows.append(row)
+    ad = alg._int_ad
+    # S [e_j, x]_k = sum_t (S c_jt^k) x_t
+    rows = (dict(ad.get((j, k), ())) for j in range(n) for k in range(n))
     return kernel_of_rows(rows, n)
 
 
@@ -345,15 +370,18 @@ class KillingForm:
 
 def killing_form(alg: LieAlgebra) -> KillingForm:
     n = alg.dim
-    # ads[i][(r, t)] = (ad_{e_i})_rt = c_it^r
+    scale, _ = alg._int_table
+    ad = alg._int_ad
+    # ads[i][(r, t)] = S (ad_{e_i})_rt = S c_it^r
     ads = [
-        {(r, t): c for r in range(n) for t, c in alg._left_out.get((i, r), ())}
+        {(r, t): c for r in range(n) for t, c in ad.get((i, r), ())}
         for i in range(n)
     ]
-    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr
+    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr, summed in integers scaled by S^2
+    den = scale * scale
     rows = tuple(
         tuple(
-            sum((c * ads[j].get((t, r), ZERO) for (r, t), c in ads[i].items()), ZERO)
+            Fraction(sum(c * ads[j].get((t, r), 0) for (r, t), c in ads[i].items()), den)
             for j in range(n)
         )
         for i in range(n)

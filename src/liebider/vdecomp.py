@@ -3,7 +3,9 @@
 V is the space of matrices M such that M A_i = A_i Q holds for a single
 matrix Q and every i; V+ and V- are the members for which every product
 M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
-basis matrix come from a single (M, Q) kernel.  Writing phi = M^T, the
+basis matrix come from a single (M, Q) kernel, whose rows are read in
+integers off the scaled bracket table of `liealg` (`LieAlgebra._int_ad`),
+the table every other system and checker reads too.  Writing phi = M^T, the
 (a, b) entry of M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and
 V- are the transposes of the skew-commuting and the commuting maps of
 `derivations`, and they lie in V.  On complete algebras
@@ -18,7 +20,6 @@ Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .liealg import LieAlgebra, killing_form
@@ -56,20 +57,23 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
     """Kernel of M A_i - A_i Q = 0 over the stacked unknowns (M, Q).
 
     Unknowns: M_ab at a*n + b, Q_ab at n^2 + a*n + b.  Rows are ordered by
-    (i, a, b) for the (a, b) entry of the i-th matrix equation.
+    (i, a, b) for the (a, b) entry of the i-th matrix equation, scaled by
+    -S and read off `LieAlgebra._int_ad`.
     """
     n = alg.dim
     nn = n * n
+    ad = alg._int_ad
+    empty = ()
 
-    def rows() -> Iterator[dict[int, Fraction]]:
+    def rows() -> Iterator[dict[int, int]]:
         for i in range(n):
             for a in range(n):
                 for b in range(n):
-                    # (M A_i)_ab = sum_t M_at c_tb^i
-                    row = {a * n + t: c for t, c in alg._right_out.get((b, i), ())}
-                    # -(A_i Q)_ab = -sum_t c_at^i Q_tb
-                    for t, c in alg._left_out.get((a, i), ()):
-                        row[nn + t * n + b] = -c
+                    # -S (M A_i)_ab = sum_t M_at (S c_bt^i)
+                    row = {a * n + t: c for t, c in ad.get((b, i), empty)}
+                    # S (A_i Q)_ab = sum_t (S c_at^i) Q_tb
+                    for t, c in ad.get((a, i), empty):
+                        row[nn + t * n + b] = c
                     yield row
 
     return kernel_of_rows(rows(), 2 * nn)

@@ -18,9 +18,17 @@ the elimination itself.
 in the same order, with brackets taken by `liebider.liealg.bracket`.  The
 tests require `==` between each scan and its dense oracle.
 
-`sl_n` builds sl(n) from elementary matrices, and `ORACLE_TABLES` names the
-bracket tables the oracle comparisons run on, including ones whose
-constants are not integers.
+The `fraction_*` builders are the `Fraction` constraint rows that the
+package's integer rows replaced (the package reads every row off
+`LieAlgebra._int_table`, scaled by the lcm S of the constant
+denominators); `dense_inner_derivation_space` and `dense_phi_psi_failure`
+are the dense `adjoint_matrix`, `Matrix.apply` and `bracket` versions of
+the inner derivations and of the phi/psi factorization check.  The tests
+require `==` between each package result and its `Fraction` oracle.
+
+`sl_n` builds sl(n) from elementary matrices, `change_basis` rewrites a
+table on a new basis, and `ORACLE_TABLES` names the bracket tables the
+oracle comparisons run on, including ones whose constants are not integers.
 """
 
 from __future__ import annotations
@@ -30,10 +38,17 @@ from typing import Iterator, Optional
 
 import sympy as sp
 
-from liebider.biderivations import Biderivation, BiderViolation
+from liebider.biderivations import Biderivation, BiderViolation, PhiPsiPair
 from liebider.catalog import catalog
-from liebider.liealg import JacobiViolation, LieAlgebra, bracket, lie_algebra
-from liebider.linalg import ZERO, Matrix, Vector
+from liebider.derivations import CenterNonzero, NotInner
+from liebider.liealg import (
+    JacobiViolation,
+    LieAlgebra,
+    adjoint_matrix,
+    bracket,
+    lie_algebra,
+)
+from liebider.linalg import ZERO, Matrix, Subspace, Vector, kernel_of_rows
 
 
 def _constant_fn(alg: LieAlgebra):
@@ -225,6 +240,125 @@ def v_dims(alg: LieAlgebra) -> tuple[int, int, int]:
     )
 
 
+def fraction_index(alg: LieAlgebra):
+    """(left_out, right_out) in Fractions, read off ``alg.constants``:
+    left_out[(i, r)] = ((t, c_it^r), ...) and right_out[(j, r)] =
+    ((t, c_tj^r), ...) over all t with a nonzero constant."""
+    left_out: dict = {}
+    right_out: dict = {}
+    for (i, j, k), c in alg.constants:
+        for a, b, v in ((i, j, c), (j, i, -c)):
+            left_out.setdefault((a, k), []).append((b, v))
+            right_out.setdefault((b, k), []).append((a, v))
+    return left_out, right_out
+
+
+def fraction_map_rows(
+    alg: LieAlgebra, a: int, b: int, c: int
+) -> Iterator[dict[int, Fraction]]:
+    """`liebider.derivations._map_rows` in Fractions: the rows of
+    a f([e_i, e_j]) + b [f(e_i), e_j] + c [e_i, f(e_j)] = 0, one per pair
+    i <= j and output coordinate r, ordered by (i, j, r), zero rows dropped."""
+    n = alg.dim
+    left_out, right_out = fraction_index(alg)
+    for i in range(n):
+        for j in range(i, n):
+            pair = alg.pair_terms(i, j) if a else ()
+            for r in range(n):
+                row: dict[int, Fraction] = {}
+                # f([e_i, e_j])_r = sum_t c_ij^t f[r, t]
+                for t, coeff in pair:
+                    col = r * n + t
+                    row[col] = row.get(col, 0) + a * coeff
+                # [f(e_i), e_j]_r = sum_t f[t, i] c_tj^r
+                for t, coeff in right_out.get((j, r), ()):
+                    col = t * n + i
+                    row[col] = row.get(col, 0) + b * coeff
+                # [e_i, f(e_j)]_r = sum_t c_it^r f[t, j]
+                for t, coeff in left_out.get((i, r), ()):
+                    col = t * n + j
+                    row[col] = row.get(col, 0) + c * coeff
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def fraction_center_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
+    """Rows of [x, e_j]_k = sum_t x_t c_tj^k = 0 for all j, k."""
+    n = alg.dim
+    _, right_out = fraction_index(alg)
+    for j in range(n):
+        for k in range(n):
+            yield dict(right_out.get((j, k), ()))
+
+
+def fraction_intertwiner_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
+    """Rows of M A_i - A_i Q = 0 over (M, Q), ordered by (i, a, b), with
+    M_ab at a*n + b and Q_ab at n^2 + a*n + b."""
+    n = alg.dim
+    nn = n * n
+    left_out, right_out = fraction_index(alg)
+    for i in range(n):
+        for a in range(n):
+            for b in range(n):
+                # (M A_i)_ab = sum_t M_at c_tb^i
+                row = {a * n + t: c for t, c in right_out.get((b, i), ())}
+                # -(A_i Q)_ab = -sum_t c_at^i Q_tb
+                for t, c in left_out.get((a, i), ()):
+                    row[nn + t * n + b] = -c
+                yield row
+
+
+def fraction_ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
+    """`liebider.derivations.ad_preimage` from Fraction rows of
+    sum_i u_i ad_{e_i} - lam * target = 0, with the same exceptions."""
+    n = alg.dim
+    _, right_out = fraction_index(alg)
+    rows = []
+    for r in range(n):
+        for j in range(n):
+            # (ad_u)[r, j] = sum_i c_ij^r u_i
+            row = dict(right_out.get((j, r), ()))
+            if target[r][j]:
+                row[n] = -target[r][j]
+            rows.append(row)
+    kernel = kernel_of_rows(rows, n + 1)
+    if kernel.dim > 1 or (kernel.dim == 1 and not kernel.basis[0][n]):
+        raise CenterNonzero("adjoint preimage requires a trivial center")
+    if kernel.dim == 0:
+        raise NotInner("matrix is not the adjoint of any element")
+    v = kernel.basis[0]
+    return tuple(x / v[n] for x in v[:n])
+
+
+def dense_inner_derivation_space(alg: LieAlgebra) -> Subspace:
+    """Span of the flattened adjoint matrices, each built by n brackets."""
+    n = alg.dim
+    return Subspace.span(
+        [adjoint_matrix(alg, alg.basis_element(i)).flatten() for i in range(n)],
+        n * n,
+    )
+
+
+def dense_phi_psi_failure(
+    alg: LieAlgebra, cand: Biderivation, pair: PhiPsiPair
+) -> Optional[tuple[int, int]]:
+    """First basis pair (i, j), lexicographic, where B(e_i, e_j) differs
+    from [phi(e_i), e_j] or from [e_i, psi(e_j)], by `Matrix.apply` and
+    dense brackets; None when the factorization holds."""
+    n = alg.dim
+    basis = [alg.basis_element(t) for t in range(n)]
+    for i in range(n):
+        phi_ei = pair.phi.apply(basis[i])
+        for j in range(n):
+            expected = tuple(cand.mats[k][i][j] for k in range(n))
+            left = bracket(alg, phi_ei, basis[j])
+            right = bracket(alg, basis[i], pair.psi.apply(basis[j]))
+            if left != expected or right != expected:
+                return i, j
+    return None
+
+
 def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
     """Sparse rows of the direct system, one per (condition, i, j, k, r).
 
@@ -236,6 +370,7 @@ def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
     """
     n = alg.dim
     nn = n * n
+    left_out, right_out = fraction_index(alg)
     for i in range(n):
         for j in range(n):
             pair_ij = alg.pair_terms(i, j)
@@ -247,11 +382,11 @@ def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
                         col = r * nn + t * n + k
                         row[col] = row.get(col, 0) + c
                     # -[e_i, B(e_j, e_k)]_r = -sum_t c_it^r b_jk^t
-                    for t, c in alg._left_out.get((i, r), ()):
+                    for t, c in left_out.get((i, r), ()):
                         col = t * nn + j * n + k
                         row[col] = row.get(col, 0) - c
                     # -[B(e_i, e_k), e_j]_r = -sum_t c_tj^r b_ik^t
-                    for t, c in alg._right_out.get((j, r), ()):
+                    for t, c in right_out.get((j, r), ()):
                         col = t * nn + i * n + k
                         row[col] = row.get(col, 0) - c
                     yield {c: v for c, v in row.items() if v}
@@ -266,11 +401,11 @@ def constraint_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
                         col = r * nn + i * n + t
                         row[col] = row.get(col, 0) + c
                     # -[B(e_i, e_j), e_k]_r = -sum_t c_tk^r b_ij^t
-                    for t, c in alg._right_out.get((k, r), ()):
+                    for t, c in right_out.get((k, r), ()):
                         col = t * nn + i * n + j
                         row[col] = row.get(col, 0) - c
                     # -[e_j, B(e_i, e_k)]_r = -sum_t c_jt^r b_ik^t
-                    for t, c in alg._left_out.get((j, r), ()):
+                    for t, c in left_out.get((j, r), ()):
                         col = t * nn + i * n + k
                         row[col] = row.get(col, 0) - c
                     yield {c: v for c, v in row.items() if v}
@@ -387,25 +522,33 @@ def sl_n(n: int) -> LieAlgebra:
     return lie_algebra(dim, constants, names)
 
 
-def dense_basis_sl2_plus_sl2() -> LieAlgebra:
-    """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
-    alg = catalog("sl2_plus_sl2")
+def change_basis(alg: LieAlgebra, change: Matrix) -> LieAlgebra:
+    """``alg`` on the columns f_a = sum_t change[t][a] e_t of the invertible
+    matrix ``change`` as a new basis; the constants come from sympy's
+    exact inverse."""
     n = alg.dim
-    change = Matrix.from_rows(
-        [[Fraction(1, a + b + 1) for b in range(n)] for a in range(n)]
-    )
     basis = [change.column(a) for a in range(n)]
-    hilbert = sp.Matrix(n, n, lambda a, b: sp.Rational(1, a + b + 1))
+    inverse = sp.Matrix(
+        n, n, lambda a, b: sp.Rational(change[a][b].numerator, change[a][b].denominator)
+    ).inv()
     constants = {}
     for a in range(n):
         for b in range(a + 1, n):
             rhs = [sp.Rational(v.numerator, v.denominator)
                    for v in bracket(alg, basis[a], basis[b])]
-            coords = hilbert.LUsolve(sp.Matrix(rhs))
-            for c, value in enumerate(coords):
+            for c, value in enumerate(inverse * sp.Matrix(rhs)):
                 if value:
                     constants[(a, b, c)] = Fraction(int(value.p), int(value.q))
     return lie_algebra(n, constants)
+
+
+def dense_basis_sl2_plus_sl2() -> LieAlgebra:
+    """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
+    n = 6
+    return change_basis(
+        catalog("sl2_plus_sl2"),
+        Matrix.from_rows([[Fraction(1, a + b + 1) for b in range(n)] for a in range(n)]),
+    )
 
 
 def scaled_sl2() -> LieAlgebra:

@@ -26,7 +26,11 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
-from liebider.derivations import commuting_map_space, skew_commuting_map_space
+from liebider.derivations import (
+    commuting_map_space,
+    is_complete,
+    skew_commuting_map_space,
+)
 from liebider.liealg import bracket, lie_algebra, structure_matrices, validate
 from liebider.linalg import Matrix, Subspace, kernel_of_rows
 
@@ -248,6 +252,44 @@ def test_extract_phi_psi_factorization_property():
                     value = element.evaluate(ei, ej)
                     assert bracket(alg, pair.phi.apply(ei), ej) == value
                     assert bracket(alg, ei, pair.psi.apply(ej)) == value
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_factorization_check_matches_dense_oracle(name):
+    alg = oracles.ORACLE_TABLES[name]()
+    if not is_complete(alg).complete:
+        with pytest.raises(NotComplete):
+            extract_phi_psi(alg, Biderivation.zero(alg.dim))
+        return
+    for element in biderivation_space(alg).basis_elements():
+        pair = extract_phi_psi(alg, element)
+        assert oracles.dense_phi_psi_failure(alg, element, pair) is None
+
+
+# Adding e_1 to every phi preimage breaks [phi(e_1), e_2] first; adding it
+# to every psi preimage breaks [e_2, psi(e_1)] first ([e_1, e_1] = 0).
+@pytest.mark.parametrize("side, pair", [(0, (0, 1)), (1, (1, 0))], ids=["phi", "psi"])
+def test_corrupted_preimage_raises(monkeypatch, side, pair):
+    alg = oracles.scaled_sl2()
+    cand = inner_biderivation(alg, [3])
+    real = liebider.biderivations.ad_preimage
+    calls = []
+
+    def corrupted(alg, target):
+        # preimages alternate: phi column i, then psi column i
+        u = real(alg, target)
+        if len(calls) % 2 == side:
+            u = (u[0] + 1,) + u[1:]
+        calls.append(u)
+        return u
+
+    monkeypatch.setattr(liebider.biderivations, "ad_preimage", corrupted)
+    with pytest.raises(InternalInconsistency, match=rf"basis pair \({pair[0]}, {pair[1]}\)"):
+        extract_phi_psi(alg, cand)
+    phi = Matrix.from_rows([[calls[2 * i][r] for i in range(3)] for r in range(3)])
+    psi = Matrix.from_rows([[-calls[2 * i + 1][r] for i in range(3)] for r in range(3)])
+    corrupted_pair = liebider.biderivations.PhiPsiPair(phi, psi)
+    assert oracles.dense_phi_psi_failure(alg, cand, corrupted_pair) == pair
 
 
 def test_extract_phi_psi_errors():

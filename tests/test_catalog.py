@@ -1,5 +1,7 @@
 """Catalog entries: construction, naming, determinism."""
 
+import time
+
 import pytest
 
 from liebider.catalog import UnknownName, catalog, sl3, twostep
@@ -23,6 +25,15 @@ def test_all_entries_satisfy_jacobi():
     ]
     for name in names:
         assert validate(catalog(name)) is None, name
+
+
+def test_large_abelian_validates_quickly():
+    # Jacobi triples without a nonzero bracket among their pairs are
+    # skipped, so an abelian table costs no C(n, 3) scan.
+    start = time.perf_counter()
+    alg = catalog("abelian(3000)")
+    assert time.perf_counter() - start < 10
+    assert alg.dim == 3000 and validate(alg) is None
 
 
 def test_unknown_names_rejected():

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from liebider import vdecomp
 from liebider.catalog import catalog
 from liebider.derivations import (
     CenterNonzero,
     NotInner,
+    _map_rows,
     ad_preimage,
     commuting_map_space,
     derivation_space,
@@ -17,7 +19,7 @@ from liebider.derivations import (
     skew_commuting_map_space,
 )
 from liebider.liealg import adjoint_matrix, bracket, center
-from liebider.linalg import Matrix, SubspaceRelation, subspace_compare
+from liebider.linalg import Matrix, SubspaceRelation, kernel_of_rows, subspace_compare
 
 import oracles
 
@@ -156,3 +158,43 @@ def test_ad_preimage_errors():
         ad_preimage(catalog("sl2"), Matrix.identity(3))
     with pytest.raises(ValueError):
         ad_preimage(catalog("sl2"), Matrix.zeros(2, 2))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CenterNonzero, NotInner) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_integer_rows_match_fraction_rows(name, monkeypatch):
+    # Every system is built from the integer table, each row S times (up to
+    # sign) its Fraction row, so every result is equal to the Fraction one.
+    alg = oracles.ORACLE_TABLES[name]()
+    n = alg.dim
+    scale = alg._int_table[0]
+    for coeffs, space in (
+        ((1, -1, -1), derivation_space),
+        ((0, 1, -1), commuting_map_space),
+        ((0, 1, 1), skew_commuting_map_space),
+    ):
+        rows = list(oracles.fraction_map_rows(alg, *coeffs))
+        assert list(_map_rows(alg, *coeffs)) == [
+            {col: scale * v for col, v in row.items()} for row in rows
+        ]
+        assert space(alg) == kernel_of_rows(rows, n * n)
+    assert center(alg) == kernel_of_rows(oracles.fraction_center_rows(alg), n)
+    assert inner_derivation_space(alg) == oracles.dense_inner_derivation_space(alg)
+    for i in range(n):
+        target = adjoint_matrix(alg, alg.basis_element(i))
+        assert _outcome(ad_preimage, alg, target) == _outcome(
+            oracles.fraction_ad_preimage, alg, target
+        )
+    v = vdecomp.compute_V(alg)
+    monkeypatch.setattr(
+        vdecomp,
+        "_joint_intertwiner_kernel",
+        lambda alg: kernel_of_rows(oracles.fraction_intertwiner_rows(alg), 2 * n * n),
+    )
+    assert vdecomp.compute_V(alg) == v

@@ -1,6 +1,7 @@
 """Lie algebra core: bracket, validation, invariant subspaces, sums."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy as sp
@@ -10,6 +11,7 @@ from liebider.catalog import abelian, catalog, heisenberg3, l22, sl2, so3
 from liebider.liealg import (
     InvalidStructure,
     LieAlgebra,
+    _jacobi_triples,
     adjoint_matrix,
     bracket,
     center,
@@ -119,6 +121,24 @@ def test_validate_accepts_catalog_and_rejects_broken_table():
     assert violation is not None
     assert (violation.i, violation.j, violation.k) == (0, 1, 2)
     assert violation.residual == (F(0), F(0), F(-2))
+
+
+@st.composite
+def _dim_and_pairs(draw):
+    n = draw(st.integers(0, 7))
+    candidates = list(combinations(range(n), 2))
+    return n, draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+
+
+@given(_dim_and_pairs())
+def test_jacobi_triples_are_those_with_a_nonzero_bracket(case):
+    n, pairs = case
+    table = {pair: () for a, b in pairs for pair in ((a, b), (b, a))}
+    assert list(_jacobi_triples(n, table)) == [
+        (i, j, k)
+        for i, j, k in combinations(range(n), 3)
+        if {(i, j), (j, k), (i, k)} & pairs
+    ]
 
 
 def test_center_examples():
