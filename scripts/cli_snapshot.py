@@ -20,7 +20,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from liebider.biderivations import inner_biderivation
+from liebider.biderivations import Biderivation, inner_biderivation
 from liebider.catalog import catalog
 from liebider.cli import run_command
 from liebider.documents import (
@@ -54,6 +54,11 @@ SCALED_SL2 = lie_algebra(
         (1, 2, 1): Fraction(2, 5),
     },
 )
+
+# A table that breaks the Jacobi identity at (0, 1, 2), built with
+# `lie_algebra`, which does not validate.  Every command must refuse it;
+# phi-psi and check-bider run on a zero candidate.
+JACOBI_BROKEN = lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})
 
 # The complete algebras above; phi-psi and check-bider run on lambda = 2.
 COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3", "sl2_scaled"}
@@ -97,13 +102,18 @@ def main(argv=None) -> int:
             for name, seed in ALGEBRAS
         ]
         tables.append(("sl2_scaled", "sl2_scaled", SCALED_SL2))
+        tables.append(("jacobi_broken", "jacobi_broken", JACOBI_BROKEN))
         for name, stem, alg in tables:
             alg_file = pathlib.Path(tmp, f"{stem}.json")
             alg_file.write_text(serialize_document(algebra_to_document(alg, name)))
             jobs = [(cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]
+            cand = None
             if name in COMPLETE:
                 factors = alg.factors if alg.factors is not None else (alg.dim,)
                 cand = inner_biderivation(alg, [2] * len(factors))
+            elif alg is JACOBI_BROKEN:
+                cand = Biderivation.from_flat([0] * alg.dim**3, alg.dim)
+            if cand is not None:
                 bider_file = pathlib.Path(tmp, f"{stem}.bider.json")
                 bider_file.write_text(
                     serialize_document(biderivation_to_document(cand))

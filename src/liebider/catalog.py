@@ -2,13 +2,16 @@
 
 Every entry is constructed over Q with a documented basis.  Parameterized
 names use a call syntax: ``abelian(4)`` and ``twostep(5,2)``; the latter is
-seeded so random two-step nilpotent examples are reproducible.
+seeded so random two-step nilpotent examples are reproducible.  sl3 comes
+from `_sl_constants`, which reads the constants of sl(n) off sparse
+elementary matrices for any order of the off-diagonal positions.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from typing import Sequence
 
 from .liealg import ConstantKey, LieAlgebra, direct_sum, lie_algebra, validate
 
@@ -53,22 +56,23 @@ def so3() -> LieAlgebra:
     )
 
 
-def _sl3_constants() -> dict[ConstantKey, int]:
-    """Structure constants of sl(3) from its defining 3x3 matrices.
+def _sl_constants(
+    n: int, off_diagonal: Sequence[tuple[int, int]]
+) -> dict[ConstantKey, int]:
+    """Structure constants of sl(n) from its defining n x n matrices.
 
-    Basis order: x1=E12, x2=E23, x3=E13, y1=E21, y2=E32, y3=E31,
-    h1=E11-E22, h2=E22-E33.  Matrices are sparse {(a, b): c} and
+    The basis is E_ab for (a, b) in ``off_diagonal``, in that order, then
+    h_a = E_aa - E_(a+1)(a+1).  Matrices are sparse {(a, b): c} and
     [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb.  An off-diagonal entry is
-    the coordinate of its basis matrix, and a traceless diag(d) equals
-    d_1 h1 + (d_1 + d_2) h2.
+    the coordinate of its E_ab, and a traceless diag(d) equals
+    sum_a (d_1 + ... + d_a) h_a.
     """
-    off_diagonal = ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0))
     index = {pos: k for k, pos in enumerate(off_diagonal)}
     basis = [{pos: 1} for pos in off_diagonal]
-    basis += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+    basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
     constants: dict[ConstantKey, int] = {}
-    for i in range(8):
-        for j in range(i + 1, 8):
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
             comm: dict[tuple[int, int], int] = {}
             for (a, b), u in basis[i].items():
                 for (c, d), v in basis[j].items():
@@ -76,20 +80,21 @@ def _sl3_constants() -> dict[ConstantKey, int]:
                         comm[(a, d)] = comm.get((a, d), 0) + u * v
                     if d == a:
                         comm[(c, b)] = comm.get((c, b), 0) - u * v
-            d1, d2 = comm.pop((0, 0), 0), comm.pop((1, 1), 0)
-            comm.pop((2, 2), None)
-            coords = {index[pos]: c for pos, c in comm.items()}
-            coords[6], coords[7] = d1, d1 + d2
+            coords = {index[pos]: c for pos, c in comm.items() if pos[0] != pos[1]}
+            running = 0
+            for a in range(n - 1):
+                running += comm.get((a, a), 0)
+                coords[len(off_diagonal) + a] = running
             constants.update(((i, j, k), c) for k, c in coords.items() if c)
     return constants
 
 
 def sl3() -> LieAlgebra:
-    """sl(3): basis (x1, x2, x3, y1, y2, y3, h1, h2) of elementary and
-    diagonal trace-zero matrices; brackets are genuine 3x3 commutators."""
+    """sl(3): basis x1=E12, x2=E23, x3=E13, y1=E21, y2=E32, y3=E31,
+    h1=E11-E22, h2=E22-E33; brackets are genuine 3x3 commutators."""
     return lie_algebra(
         8,
-        _sl3_constants(),
+        _sl_constants(3, ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0))),
         ("x1", "x2", "x3", "y1", "y2", "y3", "h1", "h2"),
     )
 

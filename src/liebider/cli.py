@@ -5,6 +5,10 @@ exact solvers, and emit either a human-readable text report or (with
 ``--json``) a machine-readable ReportDocument.  Identical inputs always
 produce byte-identical output.
 
+`_COMMANDS` names each algebra command once, for the parser and the
+dispatch.  Each passes one Jacobi gate first: a broken table gets
+`validate`'s report under the command's name before any candidate is read.
+
 Exit codes: 0 on success/pass, 1 on a mathematical failure (a violated
 condition, a Jacobi-invalid table, a failed direct sum, non-closure), 2 on
 input errors (malformed documents, unknown names, usage problems).
@@ -175,17 +179,11 @@ def _report(
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns (results, exit_code))
+# Command implementations: each takes the validated algebra and the parsed
+# arguments and returns (results, exit_code)
 
 
-def _cmd_validate(alg: LieAlgebra) -> tuple[dict, int]:
-    violation = validate(alg)
-    if violation is None:
-        return {"valid": True, "violation": None}, 0
-    return {"valid": False, "violation": _violation_fields(violation)}, 1
-
-
-def _cmd_info(alg: LieAlgebra) -> tuple[dict, int]:
+def _cmd_info(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     series = lower_central_series(alg)
     kf = killing_form(alg)
     comp = is_complete(alg)
@@ -209,7 +207,7 @@ def _cmd_info(alg: LieAlgebra) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_derivations(alg: LieAlgebra) -> tuple[dict, int]:
+def _cmd_derivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     der = derivation_space(alg)
     inner = inner_derivation_space(alg)
     n = alg.dim
@@ -221,20 +219,20 @@ def _cmd_derivations(alg: LieAlgebra) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_biderivations(alg: LieAlgebra, mode: str) -> tuple[dict, int]:
-    if mode == "all":
+def _cmd_biderivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
+    if args.mode == "all":
         space = biderivation_space(alg)
     else:
-        space = constrained_biderivation_space(alg, mode)
+        space = constrained_biderivation_space(alg, args.mode)
     basis = [
         [matrix_strs(m) for m in element.mats]
         for element in space.basis_elements()
     ]
-    return {"dim": space.dim, "mode": mode, "basis": basis}, 0
+    return {"dim": space.dim, "mode": args.mode, "basis": basis}, 0
 
 
-def _cmd_check_bider(alg: LieAlgebra, cand: Biderivation) -> tuple[dict, int]:
-    violation = biderivation_violation(alg, cand)
+def _cmd_check_bider(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
+    violation = biderivation_violation(alg, args.candidate)
     if violation is None:
         return {"ok": True, "violation": None}, 0
     return {"ok": False, "violation": _bider_violation_fields(violation)}, 1
@@ -252,9 +250,9 @@ def _classify_symmetry(cand: Biderivation) -> str:
     return "mixed"
 
 
-def _cmd_phi_psi(alg: LieAlgebra, cand: Biderivation) -> tuple[dict, int]:
+def _cmd_phi_psi(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     try:
-        pair = extract_phi_psi(alg, cand)
+        pair = extract_phi_psi(alg, args.candidate)
     except NotComplete as exc:
         return {"error": str(exc)}, 1
     except NotBiderivation as exc:
@@ -265,11 +263,11 @@ def _cmd_phi_psi(alg: LieAlgebra, cand: Biderivation) -> tuple[dict, int]:
     return {
         "phi": matrix_strs(pair.phi),
         "psi": matrix_strs(pair.psi),
-        "classification": _classify_symmetry(cand),
+        "classification": _classify_symmetry(args.candidate),
     }, 0
 
 
-def _cmd_vdecomp(alg: LieAlgebra) -> tuple[dict, int]:
+def _cmd_vdecomp(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     report = verify_direct_sum(alg)
     results = {
         "m_convention": "M = transpose of phi-matrix",
@@ -299,7 +297,7 @@ def _cmd_vdecomp(alg: LieAlgebra) -> tuple[dict, int]:
     return results, code
 
 
-def _cmd_bracket_closure(alg: LieAlgebra) -> tuple[dict, int]:
+def _cmd_bracket_closure(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     report = bider_bracket_closure(alg)
     if report.closed:
         brackets: list[dict] = []
@@ -341,6 +339,31 @@ def _cmd_catalog(name: Optional[str], seed: int, json_mode: bool) -> tuple[str, 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
+# name: (help text, handler, whether a candidate file follows).  Handlers run
+# only on tables that passed the Jacobi gate, so `validate` has nothing left.
+_COMMANDS = {
+    "validate": (
+        "check the Jacobi identity of an algebra file",
+        lambda alg, args: ({"valid": True, "violation": None}, 0),
+        False,
+    ),
+    "info": ("dimensions, series, Killing rank, completeness", _cmd_info, False),
+    "derivations": (
+        "derivation and inner-derivation spaces", _cmd_derivations, False
+    ),
+    "biderivations": ("the space of biderivations", _cmd_biderivations, False),
+    "check-bider": ("verify a candidate biderivation", _cmd_check_bider, True),
+    "phi-psi": ("factor a biderivation through phi and psi", _cmd_phi_psi, True),
+    "vdecomp": (
+        "V = V+ (+) V- decomposition and correspondence", _cmd_vdecomp, False
+    ),
+    "bracket-closure": (
+        "closure of biderivations under the matrix bracket",
+        _cmd_bracket_closure,
+        False,
+    ),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -361,30 +384,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for parameterized catalog entries"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, needs_bfile, help_text in (
-        ("validate", False, "check the Jacobi identity of an algebra file"),
-        ("info", False, "dimensions, series, Killing rank, completeness"),
-        ("derivations", False, "derivation and inner-derivation spaces"),
-        ("biderivations", False, "the space of biderivations"),
-        ("check-bider", True, "verify a candidate biderivation"),
-        ("phi-psi", True, "factor a biderivation through phi and psi"),
-        ("vdecomp", False, "V = V+ (+) V- decomposition and correspondence"),
-        ("bracket-closure", False, "closure of biderivations under the matrix bracket"),
-    ):
+    for cmd, (help_text, handler, reads_candidate) in _COMMANDS.items():
         p = sub.add_parser(cmd, parents=[common], help=help_text)
         p.add_argument("file", help="AlgebraDocument JSON file")
-        if needs_bfile:
+        if reads_candidate:
             p.add_argument("bfile", help="BiderivationDocument JSON file")
-        if cmd == "biderivations":
+        if handler is _cmd_biderivations:
             group = p.add_mutually_exclusive_group()
-            group.add_argument(
-                "--symmetric", action="store_true",
-                help="restrict to symmetric biderivations",
-            )
-            group.add_argument(
-                "--skew", action="store_true",
-                help="restrict to skew biderivations",
-            )
+            for mode in ("symmetric", "skew"):
+                group.add_argument(
+                    f"--{mode}", dest="mode", action="store_const", const=mode,
+                    default="all", help=f"restrict to {mode} biderivations",
+                )
     p = sub.add_parser(
         "catalog", parents=[common], help="list catalog names or emit one entry"
     )
@@ -405,50 +416,20 @@ def run_command(argv: Sequence[str]) -> int:
             output, code = _cmd_catalog(args.name, args.seed, args.json)
             sys.stdout.write(output)
             return code
-        # Parse leniently, then enforce the Jacobi identity ourselves: the
-        # validate command reports the diagnostics, every other command
-        # refuses invalid tables.
+        _help, handler, reads_candidate = _COMMANDS[args.command]
+        # Parsed without the Jacobi check: this is the one gate for every command.
         alg, echo = _load_algebra(args.file)
         inputs: dict = {"algebra": echo}
-        if args.command != "validate":
-            violation = validate(alg)
-            if violation is not None:
-                report = _report(
-                    args.command,
-                    inputs,
-                    {"valid": False, "violation": _violation_fields(violation)},
-                )
-                sys.stdout.write(emit_report(report, mode))
-                return 1
-        cand: Optional[Biderivation] = None
-        if args.command in ("check-bider", "phi-psi"):
-            cand = parse_biderivation(_read_file(args.bfile), alg)
-            inputs["biderivation"] = biderivation_to_document(cand)
-        if args.command == "validate":
-            results, code = _cmd_validate(alg)
-        elif args.command == "info":
-            results, code = _cmd_info(alg)
-        elif args.command == "derivations":
-            results, code = _cmd_derivations(alg)
-        elif args.command == "biderivations":
-            bmode = (
-                "symmetric"
-                if args.symmetric
-                else "skew" if args.skew else "all"
-            )
-            results, code = _cmd_biderivations(alg, bmode)
-        elif args.command == "check-bider":
-            results, code = _cmd_check_bider(alg, cand)
-        elif args.command == "phi-psi":
-            results, code = _cmd_phi_psi(alg, cand)
-        elif args.command == "vdecomp":
-            results, code = _cmd_vdecomp(alg)
-        elif args.command == "bracket-closure":
-            results, code = _cmd_bracket_closure(alg)
-        else:  # pragma: no cover - argparse enforces the command set
-            raise _InputError(f"unknown command {args.command!r}")
-        report = _report(args.command, inputs, results)
-        sys.stdout.write(emit_report(report, mode))
+        violation = validate(alg)
+        if violation is not None:
+            results = {"valid": False, "violation": _violation_fields(violation)}
+            code = 1
+        else:
+            if reads_candidate:
+                args.candidate = parse_biderivation(_read_file(args.bfile), alg)
+                inputs["biderivation"] = biderivation_to_document(args.candidate)
+            results, code = handler(alg, args)
+        sys.stdout.write(emit_report(_report(args.command, inputs, results), mode))
         return code
     except (_InputError, ParseError, DimMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 Dense matrices with `fractions.Fraction` entries, canonical subspaces and
 sparse kernels.  Every subspace is stored by its unique reduced-echelon
 basis, so equal inputs produce bit-identical results and subspaces can be
-compared with plain ``==``; the subspace lattice offers membership, sum
-and intersection.  `Subspace.span` and `kernel_of_rows` are the only entry
-points to elimination.
+compared with plain ``==``; the subspace lattice offers membership, and
+sum and intersection from one Zassenhaus elimination.  `Subspace.span` and
+`kernel_of_rows` are the only entry points to elimination.
 
 Elimination runs on sparse integer rows: denominators are cleared on entry,
 rows are kept primitive (content 1), and pivots are rescaled to 1 only when
@@ -350,40 +350,29 @@ def subspace_compare(left: Subspace, right: Subspace) -> SubspaceRelation:
 
 
 def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspace]:
-    """Return ``(sum, intersection)`` of two subspaces.
+    """Return ``(sum, intersection)`` of two subspaces (Zassenhaus).
 
-    The intersection comes from the kernel of the stacked-basis system: a
-    combination sum(a_i * left_i) = sum(b_j * right_j) is a kernel vector
-    (a, b) of the rows, one per ambient coordinate, whose entries are the
-    left basis followed by the negated right basis at that coordinate.
+    The canonical basis of the span of the rows (u, u), for u in the left
+    basis, and (v, 0), for v in the right basis, is in reduced echelon form.
+    Its rows with a pivot in the first half restrict to the canonical basis
+    of the sum, and every other row is zero on the first half.  The second
+    halves of those rows are the canonical basis of the intersection.
     """
     if left.ambient_dim != right.ambient_dim:
         raise AmbientMismatch(
             f"ambient dimensions differ: {left.ambient_dim} vs {right.ambient_dim}"
         )
-    ambient = left.ambient_dim
-    total = Subspace.span(left.basis + right.basis, ambient)
-    p, q = left.dim, right.dim
-    if p == 0 or q == 0:
-        return total, Subspace.zero(ambient)
-    rows = (
-        {j: v[a] for j, v in enumerate(left.basis) if v[a]}
-        | {p + j: -v[a] for j, v in enumerate(right.basis) if v[a]}
-        for a in range(ambient)
+    n = left.ambient_dim
+    zero = (ZERO,) * n
+    joint = Subspace.span(
+        [u + u for u in left.basis] + [v + zero for v in right.basis], 2 * n
     )
-    coeff_space = kernel_of_rows(rows, p + q)
-    vectors = []
-    for coeffs in coeff_space.basis:
-        vec = [ZERO] * ambient
-        for j in range(p):
-            cj = coeffs[j]
-            if cj:
-                row = left.basis[j]
-                for a in range(ambient):
-                    if row[a]:
-                        vec[a] += cj * row[a]
-        vectors.append(vec)
-    return total, Subspace.span(vectors, ambient)
+    k = sum(1 for piv in joint.pivots if piv < n)
+    total = Subspace(n, tuple(v[:n] for v in joint.basis[:k]), joint.pivots[:k])
+    inter = Subspace(
+        n, tuple(v[n:] for v in joint.basis[k:]), tuple(p - n for p in joint.pivots[k:])
+    )
+    return total, inter
 
 
 def kernel_of_rows(

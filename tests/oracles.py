@@ -26,9 +26,10 @@ are the dense `adjoint_matrix`, `Matrix.apply` and `bracket` versions of
 the inner derivations and of the phi/psi factorization check.  The tests
 require `==` between each package result and its `Fraction` oracle.
 
-`sl_n` builds sl(n) from elementary matrices, `change_basis` rewrites a
-table on a new basis, and `ORACLE_TABLES` names the bracket tables the
-oracle comparisons run on, including ones whose constants are not integers.
+`sl_n` builds sl(n) with the catalog's elementary-matrix builder
+`liebider.catalog._sl_constants`, `change_basis` rewrites a table on a new
+basis, and `ORACLE_TABLES` names the bracket tables the oracle comparisons
+run on, including ones whose constants are not integers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterator, Optional
 import sympy as sp
 
 from liebider.biderivations import Biderivation, BiderViolation, PhiPsiPair
-from liebider.catalog import catalog
+from liebider.catalog import _sl_constants, catalog
 from liebider.derivations import CenterNonzero, NotInner
 from liebider.liealg import (
     JacobiViolation,
@@ -486,40 +487,10 @@ def dense_jacobi_violation(alg: LieAlgebra) -> Optional[JacobiViolation]:
 
 def sl_n(n: int) -> LieAlgebra:
     """sl(n) on the elementary matrices E_ab (a != b, lexicographic) followed
-    by H_a = E_aa - E_(a+1)(a+1); brackets are sparse matrix commutators.
-
-    An off-diagonal entry is the coordinate of its E_ab, and a traceless
-    diag(d) equals sum_a (d_1 + ... + d_a) H_a.
-    """
+    by H_a = E_aa - E_(a+1)(a+1), from the catalog's sl(n) builder."""
     off = [(a, b) for a in range(n) for b in range(n) if a != b]
-    index = {pos: t for t, pos in enumerate(off)}
-    basis = [{pos: 1} for pos in off]
-    basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
-    dim = len(basis)
-    names = [f"E{a + 1}{b + 1}" for a, b in off]
-    names += [f"H{a + 1}" for a in range(n - 1)]
-
-    def product(x: dict, y: dict) -> dict:
-        out: dict = {}
-        for (a, b), u in x.items():
-            for (c, d), v in y.items():
-                if b == c:
-                    out[(a, d)] = out.get((a, d), 0) + u * v
-        return out
-
-    constants = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = product(basis[i], basis[j])
-            for pos, v in product(basis[j], basis[i]).items():
-                comm[pos] = comm.get(pos, 0) - v
-            coords = {index[pos]: v for pos, v in comm.items() if pos[0] != pos[1]}
-            running = 0
-            for a in range(n - 1):
-                running += comm.get((a, a), 0)
-                coords[len(off) + a] = running
-            constants.update(((i, j, k), v) for k, v in coords.items() if v)
-    return lie_algebra(dim, constants, names)
+    names = [f"E{a + 1}{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
+    return lie_algebra(len(names), _sl_constants(n, off), names)
 
 
 def change_basis(alg: LieAlgebra, change: Matrix) -> LieAlgebra:

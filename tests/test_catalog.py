@@ -8,6 +8,8 @@ from liebider.catalog import UnknownName, catalog, sl3, twostep
 from liebider.liealg import bracket, center, derived_subalgebra, validate
 from liebider.linalg import Matrix
 
+import oracles
+
 
 def test_all_entries_satisfy_jacobi():
     names = [
@@ -50,28 +52,32 @@ def test_dimensions_and_names():
     assert catalog("twostep(5,2)").basis_names == ("g1", "g2", "g3", "z1", "z2")
 
 
-def test_sl3_brackets_are_matrix_commutators():
-    alg = sl3()
+SL3_OFF_DIAGONAL = ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0))
+SL4_OFF_DIAGONAL = tuple((a, b) for a in range(4) for b in range(4) if a != b)
+
+
+@pytest.mark.parametrize(
+    "build, n, off_diagonal",
+    [(sl3, 3, SL3_OFF_DIAGONAL), (lambda: oracles.sl_n(4), 4, SL4_OFF_DIAGONAL)],
+    ids=["sl3", "sl_n(4)"],
+)
+def test_sl3_brackets_are_matrix_commutators(build, n, off_diagonal):
+    """Every bracket equals the dense commutator of the basis matrices: the
+    elementary E_ab in the given order, then E_aa - E_(a+1)(a+1)."""
+    alg = build()
 
     def unit(a, b):
         return Matrix.from_rows(
-            [[1 if (r, c) == (a, b) else 0 for c in range(3)] for r in range(3)]
+            [[1 if (r, c) == (a, b) else 0 for c in range(n)] for r in range(n)]
         )
 
-    reps = [
-        unit(0, 1),
-        unit(1, 2),
-        unit(0, 2),
-        unit(1, 0),
-        unit(2, 1),
-        unit(2, 0),
-        unit(0, 0) - unit(1, 1),
-        unit(1, 1) - unit(2, 2),
-    ]
-    for i in range(8):
-        for j in range(8):
+    reps = [unit(a, b) for a, b in off_diagonal]
+    reps += [unit(a, a) - unit(a + 1, a + 1) for a in range(n - 1)]
+    assert alg.dim == len(reps)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
             coords = bracket(alg, alg.basis_element(i), alg.basis_element(j))
-            realized = Matrix.zeros(3, 3)
+            realized = Matrix.zeros(n, n)
             for k, c in enumerate(coords):
                 if c:
                     realized = realized + c * reps[k]

@@ -223,9 +223,11 @@ def test_bracket_closure_command(run, tmp_path, l22_file):
     ]
 
 
-def test_validate_and_jacobi_refusal(run, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
+@pytest.fixture
+def broken_file(tmp_path):
+    """A 3-dim table that breaks the Jacobi identity at (0, 1, 2)."""
+    path = tmp_path / "bad.json"
+    path.write_text(
         json.dumps(
             {
                 "dim": 3,
@@ -237,16 +239,50 @@ def test_validate_and_jacobi_refusal(run, tmp_path):
             }
         )
     )
-    code, out, _ = run("validate", str(bad), "--json")
+    return str(path)
+
+
+def test_validate_and_jacobi_refusal(run, broken_file):
+    code, out, _ = run("validate", broken_file, "--json")
     assert code == 1
     results = json.loads(out)["results"]
     assert results["valid"] is False
     assert results["violation"]["triple"] == [0, 1, 2]
     assert results["violation"]["residual"] == ["0", "0", "-2"]
     # solver commands refuse the same table
-    code, out, _ = run("info", str(bad), "--json")
+    code, out, _ = run("info", broken_file, "--json")
     assert code == 1
     assert json.loads(out)["results"]["valid"] is False
+
+
+def test_every_command_refuses_a_broken_table(run, broken_file, tmp_path):
+    """Every command prints validate's report under its own name and exits 1;
+    the table is checked before a candidate file is read, so a missing one
+    changes nothing."""
+    missing = str(tmp_path / "missing.json")
+    commands = [
+        ["info"],
+        ["derivations"],
+        ["biderivations"],
+        ["biderivations", "--symmetric"],
+        ["biderivations", "--skew"],
+        ["vdecomp"],
+        ["bracket-closure"],
+        ["check-bider", missing],
+        ["phi-psi", missing],
+    ]
+    for fmt in ([], ["--json"]):
+        code, expected, _ = run("validate", broken_file, *fmt)
+        assert code == 1
+        for cmd, *rest in commands:
+            code, out, err = run(cmd, broken_file, *rest, *fmt)
+            assert (code, err) == (1, ""), cmd
+            if fmt:
+                assert json.loads(out) == {**json.loads(expected), "command": cmd}
+            else:
+                assert out == expected.replace(
+                    "command: validate", f"command: {cmd}", 1
+                )
 
 
 def test_validate_accepts_good_table(run, sl2_file):

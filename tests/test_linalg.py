@@ -173,6 +173,9 @@ def test_combine_dimension_formula(lvecs, rvecs):
         assert total.contains(v)
     for v in inter.basis:
         assert s.contains(v) and t.contains(v)
+    # both results are canonical, so `==` decides equality with them
+    assert total == Subspace.span(s.basis + t.basis, 4)
+    assert inter == Subspace.span(inter.basis, 4)
 
 
 @given(vector_lists(), st.randoms(use_true_random=False))
