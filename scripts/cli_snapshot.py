@@ -2,10 +2,20 @@
 """Write the output of every CLI command on a fixed set of algebras.
 
 Each command runs in-process through ``liebider.cli.run_command``; its
-stdout, followed by a line ``exit=N``, goes to one file in OUTDIR per
-command, flag and output format.  Snapshots of two versions of the package
-are byte-identical exactly when ``diff -r`` between their directories is
-empty.
+stdout, a line ``exit=N`` and, when the command wrote to stderr, a line
+``stderr:`` followed by that text go to one file in OUTDIR per command,
+flag and output format.  The ``error.*`` files pin the input and usage
+errors (exit 2); the directory of the input files reads ``TMP`` in them,
+and argparse wraps its usage lines at 80 columns.  Snapshots of two
+versions of the package are byte-identical exactly when ``diff -r`` between
+their directories is empty.
+
+``tests/data/cli_snapshot.sha256`` holds the digest of every file, and
+``tests/test_scripts.py`` compares a fresh snapshot against it.  After an
+intended change of output, regenerate it with
+
+    python3 scripts/cli_snapshot.py OUT
+    (cd OUT && sha256sum *.txt) > tests/data/cli_snapshot.sha256
 
 Usage:
     python3 scripts/cli_snapshot.py OUTDIR
@@ -14,11 +24,14 @@ Usage:
 import argparse
 import contextlib
 import io
+import json
+import os
 import pathlib
 import re
 import sys
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 from liebider.biderivations import Biderivation, inner_biderivation
 from liebider.catalog import catalog
@@ -76,6 +89,39 @@ ALGEBRA_COMMANDS = [
 
 BIDER_COMMANDS = [["phi-psi"], ["check-bider"]]
 
+# Malformed input files, written next to the algebra files.
+ERROR_FILES = {
+    "garbage.json": b"{oops",
+    "latin.json": b"\xff\xfe{",
+    "no_dim.json": b'{"brackets": []}',
+    "bad_coeff.json": json.dumps({"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [{"index": 0, "coeff": "1/0"}]}
+    ]}).encode(),
+    "dim2.bider.json": json.dumps({"dim": 2, "mats": [[["0"] * 2] * 2] * 2}).encode(),
+    "bad_entry.bider.json": json.dumps({"dim": 3, "mats": [[["x"] * 3] * 3] * 3}).encode(),
+}
+
+# label: argv; an argument ending in .json names a file in the input directory.
+ERROR_COMMANDS = {
+    "missing_algebra": ["info", "missing.json"],
+    "garbage_algebra": ["info", "garbage.json"],
+    "latin_algebra": ["info", "latin.json"],
+    "no_dim_algebra": ["info", "no_dim.json"],
+    "bad_coeff_algebra": ["info", "bad_coeff.json"],
+    "missing_candidate": ["check-bider", "sl2.json", "missing.json"],
+    "garbage_candidate": ["phi-psi", "sl2.json", "garbage.json"],
+    "latin_candidate": ["check-bider", "sl2.json", "latin.json"],
+    "dim_mismatch_candidate": ["check-bider", "sl2.json", "dim2.bider.json"],
+    "bad_entry_candidate": ["check-bider", "sl2.json", "bad_entry.bider.json"],
+    "unknown_catalog_name": ["catalog", "not_a_name"],
+    "usage_no_command": [],
+    "usage_no_file": ["info"],
+    "usage_no_candidate": ["check-bider", "sl2.json"],
+    "usage_unknown_option": ["info", "sl2.json", "--bogus"],
+    "usage_bad_seed": ["info", "sl2.json", "--seed", "x"],
+    "usage_two_modes": ["biderivations", "sl2.json", "--symmetric", "--skew"],
+}
+
 
 def _stem(name: str, seed: int) -> str:
     stem = re.sub(r"[^A-Za-z0-9_]+", "_", name).strip("_")
@@ -83,20 +129,22 @@ def _stem(name: str, seed: int) -> str:
 
 
 def _run(argv: list[str]) -> str:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
-    return f"{buffer.getvalue()}exit={code}\n"
+    text = f"{out.getvalue()}exit={code}\n"
+    if err.getvalue():
+        text += f"stderr:\n{err.getvalue()}"
+    return text
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory for the output files")
-    args = parser.parse_args(argv)
-    outdir = pathlib.Path(args.outdir)
+def write_snapshot(outdir: pathlib.Path) -> int:
+    """Write every output file into ``outdir``; returns the number written."""
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+        os.environ, {"COLUMNS": "80"}
+    ):
         tables = [
             (name, _stem(name, seed), catalog(name, seed=seed))
             for name, seed in ALGEBRAS
@@ -128,7 +176,22 @@ def main(argv=None) -> int:
                     out = _run([cmd[0], *files, *flags])
                     (outdir / f"{label}.txt").write_text(out)
                     count += 1
-    print(f"{count} outputs written to {outdir}", file=sys.stderr)
+        for name, content in ERROR_FILES.items():
+            pathlib.Path(tmp, name).write_bytes(content)
+        for label, argv in ERROR_COMMANDS.items():
+            argv = [str(pathlib.Path(tmp, a)) if a.endswith(".json") else a for a in argv]
+            out = _run(argv).replace(tmp, "TMP")
+            (outdir / f"error.{label}.txt").write_text(out)
+            count += 1
+    return count
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory for the output files")
+    args = parser.parse_args(argv)
+    count = write_snapshot(pathlib.Path(args.outdir))
+    print(f"{count} outputs written to {args.outdir}", file=sys.stderr)
     return 0
 
 

@@ -40,9 +40,8 @@ by adjoint preimages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .liealg import LieAlgebra, structure_matrices
 from .linalg import (
@@ -95,8 +94,7 @@ class InternalInconsistency(RuntimeError):
     """A solver produced an object that fails its own defining equations."""
 
 
-@dataclass(frozen=True)
-class Biderivation:
+class Biderivation(NamedTuple):
     """Coordinate matrices (B_1, ..., B_n) of a bilinear map L x L -> L."""
 
     mats: tuple[Matrix, ...]
@@ -135,8 +133,7 @@ class Biderivation:
         return Biderivation(tuple(Matrix.zeros(n, n) for _ in range(n)))
 
 
-@dataclass(frozen=True)
-class BiderViolation:
+class BiderViolation(NamedTuple):
     """First failing instance of a defining condition on basis triples."""
 
     condition: int  # 1 or 2
@@ -144,8 +141,7 @@ class BiderViolation:
     residual: Vector  # left-hand side minus right-hand side of the condition
 
 
-@dataclass(frozen=True)
-class BiderivationSpace:
+class BiderivationSpace(NamedTuple):
     """The space of all biderivations as a canonical subspace of Q^(n^3)."""
 
     algebra_dim: int
@@ -402,8 +398,7 @@ def inner_biderivation(
     return Biderivation(scaled)
 
 
-@dataclass(frozen=True)
-class RowColumnReport:
+class RowColumnReport(NamedTuple):
     """Matrices of the partial maps B(e_i, -) and B(-, e_i)."""
 
     row_map: Matrix  # k-th row is row i of B_k: column vector recipe below
@@ -444,8 +439,7 @@ def _partial_maps(cand: Biderivation, i: int) -> tuple[Matrix, Matrix]:
     )
 
 
-@dataclass(frozen=True)
-class PhiPsiPair:
+class PhiPsiPair(NamedTuple):
     """Linear maps with B(x, y) = [phi(x), y] = [x, psi(y)]."""
 
     phi: Matrix
@@ -553,8 +547,7 @@ def constrained_biderivation_space(
 # Bracket of biderivations
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Whether componentwise matrix commutators stay inside the space.
 
     When closed, ``constants`` holds the induced bracket on the canonical
@@ -595,8 +588,7 @@ def bider_bracket_closure(alg: LieAlgebra) -> ClosureReport:
 # Two-step nilpotent structure
 
 
-@dataclass(frozen=True)
-class TwoStepReport:
+class TwoStepReport(NamedTuple):
     """Structural facts about a biderivation of a two-step algebra.
 
     Checks that B maps L x L' and L' x L into L' and vanishes on L' x L',

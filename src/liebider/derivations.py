@@ -21,8 +21,7 @@ every derivation inner), and adjoint preimages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace, Vector, kernel_of_rows
@@ -92,8 +91,7 @@ def inner_derivation_space(alg: LieAlgebra) -> Subspace:
     return Subspace.span(vectors, n * n)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     """Whether the algebra is complete: zero center and Der = ad."""
 
     complete: bool

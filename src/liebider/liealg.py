@@ -27,10 +27,9 @@ in a sparse dict; only a failing triple is turned back into Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     ZERO,
@@ -47,20 +46,26 @@ from .linalg import (
 ConstantKey = tuple[int, int, int]  # (i, j, k) with i < j, zero-based
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class _LieAlgebraFields(NamedTuple):
+    dim: int
+    basis_names: tuple[str, ...]
+    constants: tuple[tuple[ConstantKey, Fraction], ...]
+    factors: Optional[tuple[int, ...]] = None
+
+
+class LieAlgebra(_LieAlgebraFields):
     """Structure-constant presentation of a Lie algebra over Q.
 
     ``constants`` holds the sorted nonzero entries ((i, j, k), c) with
     i < j; the bracket of basis vectors with i >= j follows by antisymmetry.
     ``factors`` optionally records a direct-sum decomposition as consecutive
     block dimensions summing to ``dim``.
-    """
 
-    dim: int
-    basis_names: tuple[str, ...]
-    constants: tuple[tuple[ConstantKey, Fraction], ...]
-    factors: Optional[tuple[int, ...]] = None
+    The fields live in a private NamedTuple base, which gives equality,
+    hashing and immutability by value.  This subclass declares no
+    ``__slots__``, so instances have the ``__dict__`` that
+    `functools.cached_property` needs for the derived tables below.
+    """
 
     @cached_property
     def _table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
@@ -228,8 +233,7 @@ def structure_matrices(alg: LieAlgebra) -> tuple[Matrix, ...]:
 # Validation
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     """First basis triple where the Jacobi identity fails."""
 
     i: int
@@ -321,8 +325,7 @@ def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     return Subspace.span(vectors, n)
 
 
-@dataclass(frozen=True)
-class LowerCentralSeries:
+class LowerCentralSeries(NamedTuple):
     """Terms L^1 >= L^2 >= ... down to stabilization.
 
     The listed terms start at L^1 = [L, L] and include the first term that
@@ -359,8 +362,7 @@ def lower_central_series(alg: LieAlgebra) -> LowerCentralSeries:
     )
 
 
-@dataclass(frozen=True)
-class KillingForm:
+class KillingForm(NamedTuple):
     """Killing form K_ij = trace(ad_i ad_j) with its exact rank."""
 
     matrix: Matrix

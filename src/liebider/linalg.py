@@ -15,10 +15,9 @@ results are extracted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,13 +45,21 @@ def as_vector(values: Iterable[Scalar]) -> Vector:
 # Dense matrices
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+class Matrix(NamedTuple):
+    """Immutable dense matrix of Fractions, stored row-major.
+
+    ``m[i]`` and ``for row in m`` give rows, not fields, so the namedtuple
+    pickle protocol (which rebuilds from ``tuple(self)``) would pass the rows
+    to the constructor; `__reduce__` passes the three fields instead, for
+    `copy` and `pickle` alike.
+    """
 
     nrows: int
     ncols: int
     data: tuple[Vector, ...]
+
+    def __reduce__(self) -> tuple:
+        return Matrix, (self.nrows, self.ncols, self.data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
@@ -137,12 +144,6 @@ class Matrix:
             raise ValueError("vector length does not match column count")
         vec = as_vector(v)
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
-    def trace(self) -> Fraction:
-        return sum((self.data[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
-
-    def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
 
     def flatten(self) -> Vector:
         """Row-major flattening (row i, column j, at position i*ncols + j)."""
@@ -255,8 +256,7 @@ class _Reducer:
 # Canonical subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A linear subspace of Q^n stored by its canonical RREF basis.
 
     Two subspaces are equal as sets of vectors exactly when they are equal

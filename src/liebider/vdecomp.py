@@ -19,8 +19,7 @@ Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .liealg import LieAlgebra, killing_form
 from .linalg import Matrix, Subspace, kernel_of_rows, subspace_combine
@@ -33,8 +32,7 @@ from .derivations import (
 from .biderivations import NotComplete, _biderivations_over, _factor_phi_psi
 
 
-@dataclass(frozen=True)
-class MatrixSubspace:
+class MatrixSubspace(NamedTuple):
     """A subspace of n x n matrices, stored flattened row-major."""
 
     n: int
@@ -79,8 +77,7 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
     return kernel_of_rows(rows(), 2 * nn)
 
 
-@dataclass(frozen=True)
-class VSpace:
+class VSpace(NamedTuple):
     """V with one witness Q per canonical basis matrix M (M A_i = A_i Q)."""
 
     matrices: MatrixSubspace
@@ -131,8 +128,7 @@ def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     )
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Biderivation space versus V on a complete algebra.
 
     ``transposed_phis_in_v`` records that phi^T of every canonical basis
@@ -153,8 +149,7 @@ class CorrespondenceReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class DirectSumReport:
+class DirectSumReport(NamedTuple):
     """Whether V+ (+) V- = V, with all dimensions and the completeness flag.
 
     ``correspondence`` is None unless the algebra is complete.

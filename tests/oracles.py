@@ -26,6 +26,8 @@ are the dense `adjoint_matrix`, `Matrix.apply` and `bracket` versions of
 the inner derivations and of the phi/psi factorization check.  The tests
 require `==` between each package result and its `Fraction` oracle.
 
+`trace` and `is_zero` are the dense matrix helpers only tests use.
+
 `sl_n` builds sl(n) with the catalog's elementary-matrix builder
 `liebider.catalog._sl_constants`, `change_basis` rewrites a table on a new
 basis, and `ORACLE_TABLES` names the bracket tables the oracle comparisons
@@ -483,6 +485,14 @@ def dense_jacobi_violation(alg: LieAlgebra) -> Optional[JacobiViolation]:
                 if any(residual):
                     return JacobiViolation(i, j, k, residual)
     return None
+
+
+def trace(m: Matrix) -> Fraction:
+    return sum((m.data[i][i] for i in range(min(m.nrows, m.ncols))), ZERO)
+
+
+def is_zero(m: Matrix) -> bool:
+    return all(not a for row in m.data for a in row)
 
 
 def sl_n(n: int) -> LieAlgebra:

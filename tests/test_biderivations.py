@@ -228,7 +228,7 @@ def test_extract_phi_psi_on_inner_maps():
     assert pair.phi == 2 * Matrix.identity(3)
     assert pair.psi == 2 * Matrix.identity(3)
     zero_pair = extract_phi_psi(alg, Biderivation.zero(3))
-    assert zero_pair.phi.is_zero() and zero_pair.psi.is_zero()
+    assert oracles.is_zero(zero_pair.phi) and oracles.is_zero(zero_pair.psi)
     both = catalog("sl2_plus_sl2")
     pair = extract_phi_psi(both, inner_biderivation(both, [1, 0]))
     expected = Matrix.from_rows(
@@ -308,7 +308,7 @@ def test_symmetric_skew_split_arithmetic():
     alg = catalog("sl2")
     inner = inner_biderivation(alg, [1])
     plus, minus = symmetric_skew_split(inner)
-    assert all(m.is_zero() for m in plus.mats)  # structure matrices are skew
+    assert all(oracles.is_zero(m) for m in plus.mats)  # structure matrices are skew
     assert minus.mats == tuple(2 * m for m in inner.mats)
     cand = Biderivation(
         (Matrix.from_rows([[1, 2], [5, 8]]), Matrix.zeros(2, 2))

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -13,6 +16,8 @@ from liebider import __version__
 from liebider.biderivations import bider_bracket_closure
 from liebider.catalog import catalog
 from liebider.cli import main, run_command
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -362,6 +367,30 @@ def test_version_flag(run):
     code, out, _ = run("--version")
     assert code == 0
     assert __version__ in out
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "liebider", "--version")
+    assert (proc.returncode, proc.stdout) == (0, f"liebider {__version__}\n")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every fresh process pays for what importing the CLI loads; `-S` keeps
+    site hooks out of the count."""
+    proc = _python(
+        "-S",
+        "-c",
+        "import liebider.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_text_reports_render_matrices(run, sl2_file):

@@ -25,6 +25,8 @@ from liebider.liealg import (
 )
 from liebider.linalg import Matrix, Subspace
 
+import oracles
+
 F = Fraction
 
 ALL_NAMES = [
@@ -177,7 +179,7 @@ def test_killing_form_examples():
     kf = killing_form(sl2())
     assert kf.matrix == Matrix.from_rows([[0, 4, 0], [4, 0, 0], [0, 0, 8]])
     assert kf.rank == 3 and kf.semisimple
-    assert killing_form(abelian(3)).matrix.is_zero()
+    assert oracles.is_zero(killing_form(abelian(3)).matrix)
     assert not killing_form(abelian(3)).semisimple
     assert not killing_form(heisenberg3()).semisimple
     assert not killing_form(l22()).semisimple  # solvable: rank 1
@@ -194,7 +196,7 @@ def test_killing_form_matches_dense_traces(name):
     n = alg.dim
     ads = [adjoint_matrix(alg, alg.basis_element(i)) for i in range(n)]
     dense = Matrix.from_rows(
-        [[(ads[i] * ads[j]).trace() for j in range(n)] for i in range(n)]
+        [[oracles.trace(ads[i] * ads[j]) for j in range(n)] for i in range(n)]
     )
     kf = killing_form(alg)
     assert kf.matrix == dense

