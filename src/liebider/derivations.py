@@ -7,16 +7,14 @@ a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
 (0, 1, -1) and (0, 1, 1).  The unknowns are the n^2 entries of f, flattened
 row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
 is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
-and output coordinate suffices; zero rows are dropped.  Every row here, and
-in `ad_preimage`, is built in integers from the scaled bracket table of
-`liealg` (`LieAlgebra._int_table` and `_int_ad`), so it is S times (up to
-sign) the Fraction row and has the same kernel.  `biderivations`
-solves over the derivation space, and `vdecomp` reads V+ and V- off the
-commuting and skew-commuting spaces.
-
-The module also computes the inner derivations (spanned by the adjoint
-maps, read off the same table), a completeness report (trivial center and
-every derivation inner), and adjoint preimages.
+and output coordinate suffices; zero rows are dropped.  Every row is built
+in integers from the scaled bracket table of `liealg`
+(`LieAlgebra._int_table` and `_int_ad`), so it is S times (up to sign) the
+Fraction row and has the same kernel.  `biderivations` solves over the
+derivation space, and `vdecomp` reads V+ and V- off the commuting and
+skew-commuting spaces.  The inner derivations, the completeness report
+(trivial center and every derivation inner) and the adjoint preimages all
+read `LieAlgebra._ad_split`, one span that gives Z(L), ad(L) and ad^-1.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .liealg import LieAlgebra
-from .linalg import Matrix, Subspace, Vector, kernel_of_rows
+from .linalg import ZERO, Matrix, Subspace, Vector, kernel_of_rows
 from .liealg import center as center_space
 
 
@@ -78,17 +76,7 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:
     """Span of the adjoint matrices ad_{e_i}, flattened row-major."""
-    n = alg.dim
-    ad = alg._int_ad
-    vectors = []
-    for i in range(n):
-        # S ad_{e_i}; entry (r, t) is S c_it^r
-        flat = [0] * (n * n)
-        for r in range(n):
-            for t, c in ad.get((i, r), ()):
-                flat[r * n + t] = c
-        vectors.append(flat)
-    return Subspace.span(vectors, n * n)
+    return alg._ad_split[0]
 
 
 class CompletenessReport(NamedTuple):
@@ -130,30 +118,21 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
     """Unique u with ad_u = target, when the center is zero.
 
-    Solves sum_i u_i ad_{e_i} - lam * target = 0 in (u, lam), with every
-    row scaled by -S and read off `LieAlgebra._int_ad`.  The kernel
-    contains every central element with lam = 0, so it has one basis vector
-    with lam != 0 exactly when the center is zero and ``target`` is inner.
-    Raises CenterNonzero when uniqueness fails a priori, and NotInner when
+    u combines the preimages that `LieAlgebra._ad_split` pairs with the
+    basis of ad(L) by the coordinates of ``target`` in that basis.  Raises
+    CenterNonzero when uniqueness fails a priori, and NotInner when
     ``target`` is not an adjoint matrix at all.
     """
     n = alg.dim
     if target.nrows != n or target.ncols != n:
         raise ValueError("target matrix shape does not match algebra dimension")
-    scale, _ = alg._int_table
-    ad = alg._int_ad
-    rows = []
-    for r in range(n):
-        for j in range(n):
-            # -S (ad_u)[r, j] = S [e_j, u]_r = sum_i (S c_ji^r) u_i
-            row = dict(ad.get((j, r), ()))
-            if target[r][j]:
-                row[n] = scale * target[r][j]
-            rows.append(row)
-    kernel = kernel_of_rows(rows, n + 1)
-    if kernel.dim > 1 or (kernel.dim == 1 and not kernel.basis[0][n]):
+    inner, preimages, centre = alg._ad_split
+    if centre.dim:
         raise CenterNonzero("adjoint preimage requires a trivial center")
-    if kernel.dim == 0:
+    coords = inner.coefficients_of(target.flatten())
+    if coords is None:
         raise NotInner("matrix is not the adjoint of any element")
-    v = kernel.basis[0]
-    return tuple(x / v[n] for x in v[:n])
+    return tuple(
+        sum((a * pre[t] for a, pre in zip(coords, preimages) if a), ZERO)
+        for t in range(n)
+    )

@@ -49,11 +49,11 @@ class DimMismatch(ValueError):
     """Biderivation document shape is inconsistent with the algebra."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(path, f"not a rational string: {text!r}")
     try:
         parts = [int(part) for part in text.split("/")]

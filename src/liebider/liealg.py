@@ -10,12 +10,13 @@ and direct sums.
 One integer table feeds every linear system and every checker in the
 package.  `LieAlgebra._int_table` holds S * c_ij^k for every ordered pair,
 with S the lcm of the constant denominators, and `LieAlgebra._int_ad`
-indexes the same integers as the rows of S * ad_{e_i}.  The center, the
-Killing form, the systems of `derivations` and `vdecomp`, the Jacobi scan
-and the biderivation and phi/psi checks all read them.  A row scaled by +-S
-has the same kernel as its Fraction row, so every result is exact and
-unchanged.  The Fraction table serves `bracket` and `pair_terms` at the API
-edge.
+indexes the same integers as the rows of S * ad_{e_i}.  The Killing form,
+the systems of `derivations` and `vdecomp`, the Jacobi scan and the
+biderivation and phi/psi checks all read them, and `LieAlgebra._ad_split`
+solves ad: L -> Der(L) once from them for Z(L), ad(L) and ad^-1.  A row
+scaled by +-S has the same kernel as its Fraction row, so every result is
+exact and unchanged.  The Fraction table serves `bracket` and `pair_terms`
+at the API edge.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
@@ -39,7 +40,7 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
-    kernel_of_rows,
+    split_span,
     _frac,
 )
 
@@ -97,6 +98,17 @@ class LieAlgebra(_LieAlgebraFields):
             for k, c in terms:
                 raw.setdefault((i, k), []).append((j, c))
         return {key: tuple(terms) for key, terms in raw.items()}
+
+    @cached_property
+    def _ad_split(self) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
+        """(ad(L), a u with ad_u equal to each of its basis rows, Z(L)):
+        `split_span` at n^2 of the span of the rows (S * ad_{e_i}, S * e_i)."""
+        n, nn, scale = self.dim, self.dim * self.dim, self._int_table[0]
+        rows = [[0] * (nn + i) + [scale] + [0] * (n - 1 - i) for i in range(n)]
+        for (i, r), terms in self._int_ad.items():
+            for t, c in terms:
+                rows[i][r * n + t] = c
+        return split_span(Subspace.span(rows, nn + n), nn)
 
     def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Nonzero coordinates of [e_i, e_j] as ((k, c), ...)."""
@@ -302,12 +314,8 @@ def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    """{x : [e_j, x] = 0 for all j} as a canonical subspace of Q^n."""
-    n = alg.dim
-    ad = alg._int_ad
-    # S [e_j, x]_k = sum_t (S c_jt^k) x_t
-    rows = (dict(ad.get((j, k), ())) for j in range(n) for k in range(n))
-    return kernel_of_rows(rows, n)
+    """{x : [e_j, x] = 0 for all j} = ker ad, from `LieAlgebra._ad_split`."""
+    return alg._ad_split[2]
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:

@@ -4,8 +4,9 @@ Dense matrices with `fractions.Fraction` entries, canonical subspaces and
 sparse kernels.  Every subspace is stored by its unique reduced-echelon
 basis, so equal inputs produce bit-identical results and subspaces can be
 compared with plain ``==``; the subspace lattice offers membership, and
-sum and intersection from one Zassenhaus elimination.  `Subspace.span` and
-`kernel_of_rows` are the only entry points to elimination.
+sum and intersection from one Zassenhaus elimination (`split_span`).
+`Subspace.span` and `kernel_of_rows` are the only entry points to
+elimination.
 
 Elimination runs on sparse integer rows: denominators are cleared on entry,
 rows are kept primitive (content 1), and pivots are rescaled to 1 only when
@@ -349,14 +350,33 @@ def subspace_compare(left: Subspace, right: Subspace) -> SubspaceRelation:
     return SubspaceRelation.INCOMPARABLE
 
 
+def split_span(
+    joint: Subspace, n: int
+) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
+    """Zassenhaus split of a canonical subspace at column ``n``.
+
+    The basis rows with a pivot in the first ``n`` columns restrict there
+    to the canonical basis of the projection onto them; the other rows are
+    zero there.  Returns the projection, the tail (from column ``n`` on) of
+    each of its rows, and the canonical span of the other rows' tails.
+    """
+    k = sum(1 for piv in joint.pivots if piv < n)
+    head, tails = joint.basis[:k], tuple(v[n:] for v in joint.basis)
+    lower = tuple(p - n for p in joint.pivots[k:])
+    return (
+        Subspace(n, tuple(v[:n] for v in head), joint.pivots[:k]),
+        tails[:k],
+        Subspace(joint.ambient_dim - n, tails[k:], lower),
+    )
+
+
 def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspace]:
     """Return ``(sum, intersection)`` of two subspaces (Zassenhaus).
 
-    The canonical basis of the span of the rows (u, u), for u in the left
-    basis, and (v, 0), for v in the right basis, is in reduced echelon form.
-    Its rows with a pivot in the first half restrict to the canonical basis
-    of the sum, and every other row is zero on the first half.  The second
-    halves of those rows are the canonical basis of the intersection.
+    `split_span` at n of the span of the rows (u, u), for u in the left
+    basis, and (v, 0), for v in the right basis, gives the sum as the
+    projection and the intersection as the rows that vanish on the first
+    half.
     """
     if left.ambient_dim != right.ambient_dim:
         raise AmbientMismatch(
@@ -367,11 +387,7 @@ def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspac
     joint = Subspace.span(
         [u + u for u in left.basis] + [v + zero for v in right.basis], 2 * n
     )
-    k = sum(1 for piv in joint.pivots if piv < n)
-    total = Subspace(n, tuple(v[:n] for v in joint.basis[:k]), joint.pivots[:k])
-    inter = Subspace(
-        n, tuple(v[n:] for v in joint.basis[k:]), tuple(p - n for p in joint.pivots[k:])
-    )
+    total, _, inter = split_span(joint, n)
     return total, inter
 
 

@@ -3,12 +3,13 @@
 V is the space of matrices M such that M A_i = A_i Q holds for a single
 matrix Q and every i; V+ and V- are the members for which every product
 M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
-basis matrix come from a single (M, Q) kernel, whose rows are read in
-integers off the scaled bracket table of `liealg` (`LieAlgebra._int_ad`),
-the table every other system and checker reads too.  Writing phi = M^T, the
-(a, b) entry of M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and
-V- are the transposes of the skew-commuting and the commuting maps of
-`derivations`, and they lie in V.  On complete algebras
+basis matrix come from the Zassenhaus split (`linalg.split_span`) of a
+single (M, Q) kernel, whose rows are read in integers off the scaled
+bracket table of `liealg` (`LieAlgebra._int_ad`), the table every other
+system and checker reads too.  Writing phi = M^T, the (a, b) entry of
+M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and V- are the
+transposes of the skew-commuting and the commuting maps of `derivations`,
+and they lie in V.  On complete algebras
 V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
 the biderivation space: the coordinate matrices of a biderivation with
 factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .liealg import LieAlgebra, killing_form
-from .linalg import Matrix, Subspace, kernel_of_rows, subspace_combine
+from .linalg import Matrix, Subspace, kernel_of_rows, split_span, subspace_combine
 from .derivations import (
     commuting_map_space,
     inner_derivation_space,
@@ -91,18 +92,13 @@ class VSpace(NamedTuple):
 def compute_V(alg: LieAlgebra) -> VSpace:
     """The space V = {M : exists Q with M A_i = A_i Q for all i}.
 
-    The canonical basis of the joint (M, Q) kernel is in reduced echelon
-    form with the M columns first, so its rows with a pivot in the M block
-    restrict to the canonical basis of the projection V, and every other
-    row is zero on M.  Each such row's Q part is the witness of its M part.
+    The joint (M, Q) kernel has the M columns first, so `split_span` at n^2
+    gives V as its projection, and the Q part of each row of that
+    projection is the witness of the row's M part.
     """
     n = alg.dim
-    nn = n * n
-    joint = _joint_intertwiner_kernel(alg)
-    k = sum(1 for piv in joint.pivots if piv < nn)
-    rows = joint.basis[:k]
-    space = Subspace(nn, tuple(v[:nn] for v in rows), joint.pivots[:k])
-    witnesses = tuple(Matrix.from_flat(v[nn:], n, n) for v in rows)
+    space, tails, _ = split_span(_joint_intertwiner_kernel(alg), n * n)
+    witnesses = tuple(Matrix.from_flat(v, n, n) for v in tails)
     return VSpace(MatrixSubspace(n, space), witnesses)
 
 

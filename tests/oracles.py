@@ -21,10 +21,12 @@ tests require `==` between each scan and its dense oracle.
 The `fraction_*` builders are the `Fraction` constraint rows that the
 package's integer rows replaced (the package reads every row off
 `LieAlgebra._int_table`, scaled by the lcm S of the constant
-denominators); `dense_inner_derivation_space` and `dense_phi_psi_failure`
-are the dense `adjoint_matrix`, `Matrix.apply` and `bracket` versions of
-the inner derivations and of the phi/psi factorization check.  The tests
-require `==` between each package result and its `Fraction` oracle.
+denominators); `fraction_ad_preimage` is the per-call (u, lam) solve that
+the package's one adjoint split replaced; `dense_inner_derivation_space`
+and `dense_phi_psi_failure` are the dense `adjoint_matrix`, `Matrix.apply`
+and `bracket` versions of the inner derivations and of the phi/psi
+factorization check.  The tests require `==` between each package result
+and its `Fraction` oracle.
 
 `trace` and `is_zero` are the dense matrix helpers only tests use.
 
@@ -313,8 +315,10 @@ def fraction_intertwiner_rows(alg: LieAlgebra) -> Iterator[dict[int, Fraction]]:
 
 
 def fraction_ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
-    """`liebider.derivations.ad_preimage` from Fraction rows of
-    sum_i u_i ad_{e_i} - lam * target = 0, with the same exceptions."""
+    """`liebider.derivations.ad_preimage` by its own solve, with the same
+    exceptions: the kernel of the Fraction rows of
+    sum_i u_i ad_{e_i} - lam * target = 0 has one basis vector with
+    lam != 0 exactly when the center is zero and ``target`` is inner."""
     n = alg.dim
     _, right_out = fraction_index(alg)
     rows = []

@@ -541,7 +541,7 @@ def test_checkers_share_no_solver_code():
 
     solver_names = {
         "bracket", "_map_rows", "_condition_one_rows", "_symmetry_rows",
-        "kernel_of_rows", "_Reducer",
+        "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
     }
     for checker in (biderivation_violation, validate):
         assert not names(checker.__code__) & solver_names, checker.__name__

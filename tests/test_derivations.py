@@ -186,8 +186,8 @@ def test_integer_rows_match_fraction_rows(name, monkeypatch):
         assert space(alg) == kernel_of_rows(rows, n * n)
     assert center(alg) == kernel_of_rows(oracles.fraction_center_rows(alg), n)
     assert inner_derivation_space(alg) == oracles.dense_inner_derivation_space(alg)
-    for i in range(n):
-        target = adjoint_matrix(alg, alg.basis_element(i))
+    targets = [adjoint_matrix(alg, alg.basis_element(i)) for i in range(n)]
+    for target in targets + [Matrix.identity(n), Matrix.zeros(n, n)]:
         assert _outcome(ad_preimage, alg, target) == _outcome(
             oracles.fraction_ad_preimage, alg, target
         )

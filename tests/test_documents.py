@@ -33,7 +33,11 @@ def test_rational_grammar():
     assert parse_rational("3", "$") == F(3)
     assert parse_rational("-1/2", "$") == F(-1, 2)
     assert parse_rational("4/6", "$") == F(2, 3)
-    for bad in ["", "1.5", "1/-2", "--3", "a", "1/0", None, 7]:
+    for bad in [
+        "", "1.5", "1/-2", "--3", "a", "1/0", None, 7,
+        # "$" matches before a trailing newline, "\d" matches any Unicode digit
+        "1\n", "\u0661", "\u0663/\u0664",
+    ]:
         with pytest.raises(ParseError):
             parse_rational(bad, "$")
     assert rational_str(F(2, 4)) == "1/2"

@@ -11,6 +11,7 @@ from liebider.linalg import (
     Subspace,
     SubspaceRelation,
     kernel_of_rows,
+    split_span,
     subspace_combine,
     subspace_compare,
 )
@@ -178,6 +179,21 @@ def test_combine_dimension_formula(lvecs, rvecs):
     # both results are canonical, so `==` decides equality with them
     assert total == Subspace.span(s.basis + t.basis, 4)
     assert inter == Subspace.span(inter.basis, 4)
+
+
+@given(vector_lists(ambient=5, max_count=5), st.integers(min_value=0, max_value=5))
+def test_split_span_projects_and_pairs_tails(vecs, n):
+    joint = Subspace.span(vecs, 5)
+    head, tails, lower = split_span(joint, n)
+    assert head == Subspace.span([v[:n] for v in vecs], n)
+    # each projection row keeps its own tail, and the other rows are the
+    # members of the span that vanish on the first n columns
+    for h, t in zip(head.basis, tails):
+        assert joint.contains(h + t)
+    for v in lower.basis:
+        assert joint.contains((F(0),) * n + v)
+    assert head.dim + lower.dim == joint.dim
+    assert lower == Subspace.span(lower.basis, 5 - n)
 
 
 @given(vector_lists(), st.randoms(use_true_random=False))

@@ -10,6 +10,7 @@ from liebider.biderivations import (
     biderivation_space,
     constrained_biderivation_space,
     extract_phi_psi,
+    inner_biderivation,
 )
 from liebider.liealg import center, structure_matrices
 from liebider.linalg import Matrix, subspace_combine
@@ -262,3 +263,34 @@ def test_skew_symmetric_bider_match_vminus_vplus():
         for element in constrained_biderivation_space(alg, "skew").basis_elements():
             pair = extract_phi_psi(alg, element)
             assert vminus.contains(pair.phi.transpose()), name
+
+
+def test_eliminations_do_not_grow_with_the_algebra(monkeypatch):
+    # Z(L), ad(L) and every adjoint preimage come from one cached split, so
+    # phi/psi extraction and the V check run a fixed number of eliminations
+    # (one `_Reducer` each), whatever the dimension of the algebra.
+    from liebider import linalg
+
+    created = []
+
+    class CountingReducer(linalg._Reducer):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            created.append(ncols)
+
+    monkeypatch.setattr(linalg, "_Reducer", CountingReducer)
+
+    def eliminations(run, name):
+        alg = catalog(name)
+        del created[:]
+        run(alg)
+        return len(created)
+
+    def extract(alg):
+        factors = alg.factors or (alg.dim,)
+        extract_phi_psi(alg, inner_biderivation(alg, [2] * len(factors)))
+
+    names = ["sl2", "sl3", "sl2_plus_sl2"]
+    for run in (extract, verify_direct_sum):
+        counts = {name: eliminations(run, name) for name in names}
+        assert len(set(counts.values())) == 1, (run.__name__, counts)
