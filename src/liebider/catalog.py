@@ -144,6 +144,7 @@ _PLAIN = {
 }
 
 _PARAM_RE = re.compile(r"^(?P<head>[A-Za-z_][A-Za-z0-9_]*)\((?P<args>[^)]*)\)$")
+_ARG_RE = re.compile(r" *[0-9]+ *")  # ASCII digits only: no sign, `_` or other scripts
 
 CATALOG_NAMES = (
     "abelian(n)",
@@ -171,9 +172,12 @@ def catalog(name: str, seed: int = 0) -> LieAlgebra:
         if not match:
             raise UnknownName(f"unknown catalog name: {name!r}")
         head = match.group("head")
+        parts = match.group("args").split(",")
         try:
-            args = [int(a.strip()) for a in match.group("args").split(",") if a.strip()]
-        except ValueError as exc:
+            if not all(_ARG_RE.fullmatch(a) for a in parts):
+                raise ValueError(parts)
+            args = [int(a) for a in parts]
+        except ValueError as exc:  # also numbers beyond the int/str digit limit
             raise UnknownName(f"bad catalog arguments in {name!r}") from exc
         if head == "abelian" and len(args) == 1:
             alg = abelian(args[0])

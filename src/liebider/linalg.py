@@ -8,9 +8,13 @@ sum and intersection from one Zassenhaus elimination (`split_span`).
 `Subspace.span` and `kernel_of_rows` are the only entry points to
 elimination.
 
-Elimination runs on sparse integer rows: denominators are cleared on entry,
-rows are kept primitive (content 1), and pivots are rescaled to 1 only when
-results are extracted.
+Elimination (`_Reducer`) runs on sparse integer rows: denominators are
+cleared on entry, rows are kept primitive (content 1) with a positive
+lead, and pivots are rescaled to 1 only when results are extracted.  The
+stored rows stay fully reduced: each is zero in every other pivot column.
+So a new row clears all the pivots it meets in one integer accumulation,
+and a column index (`_Reducer.users`) sends a new pivot only to the stored
+rows that are nonzero in its column.
 """
 
 from __future__ import annotations
@@ -176,15 +180,23 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 class _Reducer:
     """Maintains a fully reduced echelon set of sparse primitive integer rows.
 
-    Feeding the rows of a matrix in any order produces its unique RREF:
-    pivots are the first nonzero columns, every stored row is zero in all
-    other pivot columns, and rows are rescaled so pivots equal 1 only on
-    extraction.
+    Feeding the rows of a matrix in any order produces its unique RREF.
+
+    - ``rows`` maps each pivot column to its stored row: a primitive integer
+      row whose first nonzero entry, the lead, sits at the pivot and is
+      positive.  Invariant: every stored row is zero in every other pivot
+      column.
+    - ``users`` maps each non-pivot column to the set of pivots whose stored
+      row is nonzero there.  A new pivot is back-substituted only into the
+      rows it names, instead of a scan over every stored row.
+
+    Rows are rescaled so pivots equal 1 only on extraction.
     """
 
     def __init__(self, ncols: int) -> None:
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+        self.users: dict[int, set[int]] = {}  # non-pivot column -> pivots
 
     @staticmethod
     def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -197,19 +209,33 @@ class _Reducer:
             return {c: v // g for c, v in row.items()}
         return row
 
-    @staticmethod
-    def _combine(
-        scale_a: int, row_a: dict[int, int], scale_b: int, row_b: dict[int, int]
-    ) -> dict[int, int]:
-        """Return primitive form of scale_a*row_a - scale_b*row_b."""
-        out = {c: scale_a * v for c, v in row_a.items()}
-        for c, v in row_b.items():
-            w = out.get(c, 0) - scale_b * v
-            if w:
-                out[c] = w
-            else:
-                out.pop(c, None)
-        return _Reducer._primitive(out)
+    def _reduce(self, work: dict[int, int]) -> dict[int, int]:
+        """Primitive form of ``work`` with every pivot column cleared.
+
+        With H the pivots that ``work`` meets and L the lcm of their leads,
+        ``L*work - sum((L*work[c] // lead_c) * row_c for c in H)`` is zero in
+        every pivot column, since each ``row_c`` is zero in the other pivots.
+        Clearing the pivots one at a time, each step scaling by a positive
+        lead and dividing by a positive gcd, gives a positive multiple of
+        this sum, so both reach the same primitive row.
+        """
+        rows = self.rows
+        hit = [c for c in work if c in rows]
+        if not hit:
+            return self._primitive(work)
+        lcm = 1
+        for c in hit:
+            lead = rows[c][c]
+            if lead != 1:
+                lcm = lcm * lead // math.gcd(lcm, lead)
+        acc = {c: lcm * v for c, v in work.items()} if lcm != 1 else dict(work)
+        get = acc.get
+        for c in hit:
+            row = rows[c]
+            f = lcm // row[c] * work[c]
+            for k, v in row.items():
+                acc[k] = get(k, 0) - f * v
+        return self._primitive({k: v for k, v in acc.items() if v})
 
     def add(self, row: dict[int, Scalar]) -> None:
         """Reduce one row into the set (`row` is not mutated)."""
@@ -218,27 +244,37 @@ class _Reducer:
             d = v.denominator
             if d != 1:
                 den = den * d // math.gcd(den, d)
-        work = {}
-        for c, v in row.items():
-            iv = v.numerator * (den // v.denominator)
-            if iv:
-                work[c] = iv
-        if not work:
-            return
-        work = self._primitive(work)
-        for c in sorted(k for k in work if k in self.rows):
-            pivot_row = self.rows[c]
-            work = self._combine(pivot_row[c], work, work[c], pivot_row)
+        work = self._reduce(
+            {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        )
         if not work:
             return
         piv = min(work)
-        if work[piv] < 0:
+        lead = work[piv]
+        if lead < 0:
             work = {c: -v for c, v in work.items()}
-        for pc, stored in self.rows.items():
-            coeff = stored.get(piv)
-            if coeff:
-                self.rows[pc] = self._combine(work[piv], stored, coeff, work)
-        self.rows[piv] = work
+            lead = -lead
+        rows, users = self.rows, self.users
+        tail = [(c, v) for c, v in work.items() if c != piv]
+        for c, _ in tail:
+            users.setdefault(c, set()).add(piv)
+        for pc in users.pop(piv, ()):
+            # stored := primitive(lead * stored - coeff * work), zero at piv
+            stored = rows[pc]
+            coeff = stored[piv]
+            out = {c: lead * v for c, v in stored.items()} if lead != 1 else dict(stored)
+            del out[piv]
+            get = out.get
+            for c, v in tail:
+                w = get(c, 0) - coeff * v
+                if w:
+                    out[c] = w
+                    users[c].add(pc)
+                else:
+                    del out[c]
+                    users[c].discard(pc)
+            rows[pc] = self._primitive(out)
+        rows[piv] = work
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self.rows))
@@ -397,25 +433,20 @@ def kernel_of_rows(
     """Canonical basis of ``{x : row . x = 0 for every row}``.
 
     Each row maps a column index to its nonzero coefficient.  The
-    free-variable parameterisation of the reduced rows is re-canonicalised,
-    so the result is the unique reduced-echelon basis of the kernel.
+    free-variable parameterisation of the reduced rows (x_f = 1 and
+    x_p = -row_p[f] / lead_p over the rows that ``users`` lists for f) is
+    re-canonicalised, so the result is the unique reduced-echelon basis of
+    the kernel.
     """
     red = _Reducer(ncols)
     for row in rows:
         red.add(row)
-    pivot_set = set(red.rows)
-    reduced = red.reduced_rows()
-    vectors = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: ONE}
-        for piv, row in reduced:
-            val = row.get(free)
-            if val:
-                vec[piv] = -val
-        vectors.append(vec)
     out = _Reducer(ncols)
-    for vec in vectors:
-        out.add(vec)
+    for free in range(ncols):
+        if free not in red.rows:
+            vec = {free: ONE}
+            for piv in red.users.get(free, ()):
+                row = red.rows[piv]
+                vec[piv] = Fraction(-row[free], row[piv])
+            out.add(vec)
     return Subspace._from_reducer(out, ncols)

@@ -570,7 +570,7 @@ def test_swap_keeps_biderivations(make):
     assert sym.dim + skew.dim == space.dim
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_tang_gate_on_sl_n(n):
     # Tang (2018): every biderivation of a simple algebra is inner, so
     # BiDer(sl(n)) = span{(x, y) -> [x, y]}, which is skew.

@@ -42,6 +42,15 @@ def test_unknown_names_rejected():
     for bad in ["sl4", "abelian", "abelian(x)", "twostep(3,2)", "twostep(2,1)", ""]:
         with pytest.raises(UnknownName):
             catalog(bad)
+    # each argument is ASCII digits with optional spaces around them: no
+    # `_` separators, other scripts' digits, signs or empty arguments
+    for bad in ["abelian(1_0)", "abelian( \u0662 )", "abelian(+3)", "abelian(,3)",
+                "abelian(3,)", "abelian()", "twostep(6,,1)", "abelian(3\n)",
+                "abelian(" + "1" * 5000 + ")"]:
+        with pytest.raises(UnknownName):
+            catalog(bad)
+    assert catalog("twostep(6, 1)") == catalog("twostep(6,1)")
+    assert catalog(" abelian( 3 ) ").dim == 3
 
 
 def test_dimensions_and_names():

@@ -305,6 +305,8 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
     assert code == 2
     code, _, err = run("catalog", "not_a_name")
     assert code == 2
+    code, _, err = run("catalog", "abelian(1_0)")
+    assert code == 2 and "error" in err
     # numbers longer than the interpreter's int/str digit limit (4,300)
     long_coeff = tmp_path / "long_coeff.json"
     long_coeff.write_text(json.dumps({"dim": 2, "brackets": [

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from liebider.linalg import (
     AmbientMismatch,
@@ -209,3 +210,42 @@ def test_span_is_canonical_under_row_operations(vecs, rng):
     if mangled:
         mangled.append([2 * a for a in mangled[0]])
     assert Subspace.span(mangled, 4) == s
+
+
+@st.composite
+def redundant_systems(draw, max_cols=12, max_base=4, max_rows=14):
+    """Sparse rows in the style of the Der systems: a few base rows with
+    Fraction entries plus many integer combinations of them, shuffled."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    sparse = st.one_of(st.just(F(0)), st.just(F(0)), entries)  # mostly zero
+    base = draw(st.lists(st.lists(sparse, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=max_base))
+    combos = draw(st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=len(base), max_size=len(base)),
+        max_size=max_rows - len(base),
+    ))
+    rows = base + [
+        [sum(k * row[c] for k, row in zip(coeffs, base)) for c in range(ncols)]
+        for coeffs in combos
+    ]
+    return draw(st.permutations(rows)), ncols
+
+
+def _sympy_fraction(x):
+    return F(int(x.p), int(x.q))
+
+
+@settings(max_examples=60)
+@given(redundant_systems())
+def test_elimination_matches_sympy_on_redundant_rows(system):
+    rows, ncols = system
+    ref, ref_pivots = sp.Matrix(rows).rref()
+    ref_basis = tuple(
+        tuple(_sympy_fraction(x) for x in ref.row(i)) for i in range(len(ref_pivots))
+    )
+    span = Subspace.span(rows, ncols)
+    assert (span.basis, span.pivots) == (ref_basis, tuple(ref_pivots))
+    null = [[_sympy_fraction(x) for x in v] for v in sp.Matrix(rows).nullspace()]
+    kernel = kernel_of_rows(_sparse_rows(rows), ncols)
+    assert kernel == Subspace.span(null, ncols)
