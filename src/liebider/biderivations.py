@@ -22,11 +22,16 @@ or skew B whose left partial maps are derivations has right partial maps
 B(-, z) = +-B(z, -), which are derivations too.  So the symmetric and the
 skew biderivations are the kernels of the symmetry rows
 b_ij^k -+ b_ji^k = 0 (i <= j) alone, and the full space is spanned by both.
+When the Jacobi identity holds, the brackets pi_C [x, y] on the ideals C
+of `LieAlgebra._components` are known skew biderivations, so the skew
+kernel starts from them and stops once the rank proves there are no others
+(`linalg.kernel_beside`).
 The kernels in the x_is are mapped back into Q^(n^3) and canonicalised, and
 every basis element is re-checked by `biderivation_violation`, which shares
-no assembly code with the solver: it scans both conditions on all 2*n^3
-basis triples in integers, over the bracket table scaled by the lcm S of
-its denominators and the nonzero values of B scaled by the lcm D of theirs.
+no assembly code with the solver: it scans both conditions on the
+n^2 (n - 1) basis triples that can fail first, in integers, over the
+bracket table scaled by the lcm S of its denominators and the nonzero
+values of B scaled by the lcm D of theirs.
 The tests compare every mode against the direct system of 2*n^4 rows in the
 n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
 checker against the dense `Fraction` scan it replaced
@@ -43,7 +48,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .liealg import LieAlgebra, structure_matrices
+from .liealg import LieAlgebra, structure_matrices, validate
 from .linalg import (
     ZERO,
     Matrix,
@@ -53,6 +58,7 @@ from .linalg import (
     Vector,
     as_vector,
     commutator,
+    kernel_beside,
     kernel_of_rows,
     subspace_compare,
 )
@@ -205,6 +211,32 @@ def _symmetry_rows(
                     yield row
 
 
+def _bracket_parts(alg: LieAlgebra, der: Subspace, ders: list[list[int]]) -> Subspace:
+    """The skew biderivations pi_C [x, y] in the x_is, one per ideal C of
+    `LieAlgebra._components` with a nonzero bracket.
+
+    pi_C [x, y] = [pi_C x, y] = [x, pi_C y], so both partial maps are inner
+    derivations and B(e_i, -) is ad_{e_i} for i in C, else 0.  The caller
+    certifies that ad(L) lies in the span of the D_s; each D_s is 0 at the
+    other pivots p_t of the canonical ``der``, so
+    ad_{e_i} = sum_s (ad_{e_i})[p_s] / D_s[p_s] * D_s, with
+    (ad_{e_i})[k*n + j] = c_ij^k at p_s = k*n + j.
+    """
+    n, d = alg.dim, len(ders)
+    parts = []
+    for block in alg._components:
+        x = [ZERO] * (n * d)
+        for i in block:
+            for s, p in enumerate(der.pivots):
+                k, j = divmod(p, n)
+                c = dict(alg.pair_terms(i, j)).get(k)
+                if c:
+                    x[i * d + s] = c / ders[s][p]
+        if any(x):
+            parts.append(x)
+    return Subspace.span(parts, n * d)
+
+
 def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
     """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is.
 
@@ -274,17 +306,28 @@ def _biderivations_over(
     """Biderivations in ``mode`` (None: all) for a caller that holds Der(L).
 
     One kernel of the symmetry rows per sign the mode needs, lifted to
-    Q^(n^3) together and re-checked by `_checked`.
+    Q^(n^3) together and re-checked by `_checked`.  Every caller's ``der``
+    contains ad(L) when the Jacobi identity holds (it is Der(L), or ad(L) on
+    a complete algebra), so the skew kernel then starts from the certified
+    `_bracket_parts` (`kernel_beside`); the symmetric one has no known part.
     """
     n = alg.dim
     ders = _primitive_derivations(der)
     d = len(ders)
     at = _entries_at(ders, n * n)
-    xs = [
-        x
-        for sign in _SIGNS[mode]
-        for x in kernel_of_rows(_symmetry_rows(at, n, d, sign), n * d).basis
-    ]
+    xs: list[Vector] = []
+    for sign in _SIGNS[mode]:
+        rows = _symmetry_rows(at, n, d, sign)
+        if sign < 0:
+            kernel = kernel_of_rows(rows, n * d)
+        else:
+            known = (
+                _bracket_parts(alg, der, ders)
+                if validate(alg) is None
+                else Subspace.zero(n * d)
+            )
+            kernel = kernel_beside(known, rows, n * d)
+        xs.extend(kernel.basis)
     return _checked(alg, _lift(xs, ders, n), mode)
 
 
@@ -298,7 +341,10 @@ def biderivation_violation(
     """First violated defining condition, or None when B is a biderivation.
 
     Triples are scanned condition outermost, then (i, j, k) lexicographic,
-    and the scan stops at the first failure, which is returned.
+    and the scan stops at the first failure, which is returned.  Swapping
+    i and j negates the residual of (1), and swapping j and k negates that
+    of (2), so the diagonal residuals are 0 and the first failure of (1)
+    has i < j, that of (2) j < k: only those triples are scanned.
 
     The scan runs in integers: the bracket table is read as S * c_ij^k (see
     `LieAlgebra._int_table`) and the nonzero values b_ij^k of B as D * b_ij^k
@@ -329,7 +375,7 @@ def biderivation_violation(
         return BiderViolation(condition, triple, residual)
 
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             pair_ij = table.get((i, j), empty)
             for k in range(n):
                 acc: dict[int, int] = {}
@@ -349,7 +395,7 @@ def biderivation_violation(
                     return failure(1, (i, j, k), acc)
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            for k in range(j + 1, n):
                 acc = {}
                 # B(e_i, [e_j, e_k]) = sum_t c_jk^t B(e_i, e_t)
                 for t, c in table.get((j, k), empty):

@@ -15,14 +15,18 @@ derivation space, and `vdecomp` reads V+ and V- off the commuting and
 skew-commuting spaces.  The inner derivations, the completeness report
 (trivial center and every derivation inner) and the adjoint preimages all
 read `LieAlgebra._ad_split`, one span that gives Z(L), ad(L) and ad^-1.
+Two systems start from a certified part of their kernel and stop once the
+rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
+Jacobi identity holds, and the commuting maps from the projections onto
+the ideals of `LieAlgebra._components`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .liealg import LieAlgebra
-from .linalg import ZERO, Matrix, Subspace, Vector, kernel_of_rows
+from .liealg import LieAlgebra, validate
+from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
 from .liealg import center as center_space
 
 
@@ -70,8 +74,17 @@ def _map_rows(
 
 
 def derivation_space(alg: LieAlgebra) -> Subspace:
-    """Canonical subspace of Q^(n^2) of all derivations (row-major maps)."""
-    return kernel_of_rows(_map_rows(alg, 1, -1, -1), alg.dim * alg.dim)
+    """Canonical subspace of Q^(n^2) of all derivations (row-major maps).
+
+    Every ad_x is a derivation exactly when the Jacobi identity holds, so
+    on a valid table ad(L) is a certified part of the kernel and
+    elimination stops once the rows read prove Der(L) = ad(L)
+    (`kernel_beside`).
+    """
+    rows, nn = _map_rows(alg, 1, -1, -1), alg.dim * alg.dim
+    if validate(alg) is not None:
+        return kernel_of_rows(rows, nn)
+    return kernel_beside(alg._ad_split[0], rows, nn)
 
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:
@@ -101,9 +114,19 @@ def commuting_map_space(alg: LieAlgebra) -> Subspace:
 
     The defect [f(x), y] - [x, f(y)] is symmetric in (x, y), so the pairs
     i <= j carry all constraints; the diagonal conditions [f(e_i), e_i] = 0
-    are genuine.
+    are genuine.  The projections onto the ideals of
+    `LieAlgebra._components` commute with any antisymmetric table, so they
+    are a certified part of the kernel (`kernel_beside`).
     """
-    return kernel_of_rows(_map_rows(alg, 0, 1, -1), alg.dim * alg.dim)
+    nn = alg.dim * alg.dim
+    projections = []
+    for block in alg._components:
+        vec = [0] * nn
+        for a in block:
+            vec[a * alg.dim + a] = 1
+        projections.append(vec)
+    known = Subspace.span(projections, nn)
+    return kernel_beside(known, _map_rows(alg, 0, 1, -1), nn)
 
 
 def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:

@@ -20,6 +20,8 @@ at the API edge.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
+The verdict is scanned once per algebra (`LieAlgebra._jacobi`), and the
+solvers read it to certify that ad(L) lies in Der(L).
 It visits only triples with a nonzero bracket among their pairs (on the
 others every term vanishes) and sums each triple's residual, scaled by S^2,
 in a sparse dict; only a failing triple is turned back into Fractions.
@@ -109,6 +111,29 @@ class LieAlgebra(_LieAlgebraFields):
             for t, c in terms:
                 rows[i][r * n + t] = c
         return split_span(Subspace.span(rows, nn + n), nn)
+
+    @cached_property
+    def _jacobi(self) -> Optional["JacobiViolation"]:
+        """`validate`'s verdict, from one `_jacobi_scan` per algebra."""
+        return _jacobi_scan(self)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of basis indices, each sorted, ordered by their least.
+
+        i, j and k share a class for every nonzero c_ij^k, so [e_i, e_j]
+        lies in the span of the class of i and vanishes unless j is in that
+        class: the spans of the classes are ideals that commute with each
+        other, and L is their direct sum.
+        """
+        block = {a: {a} for a in range(self.dim)}
+        for (i, j, k), _ in self.constants:
+            if not block[i] is block[j] is block[k]:
+                merged = block[i] | block[j] | block[k]
+                for a in merged:
+                    block[a] = merged
+        unique = {id(b): b for b in block.values()}.values()
+        return tuple(sorted(tuple(sorted(b)) for b in unique))
 
     def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Nonzero coordinates of [e_i, e_j] as ((k, c), ...)."""
@@ -286,6 +311,16 @@ def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
 
     Returns None when the table is a Lie algebra, otherwise the
     lexicographically first violating triple with its residual vector.
+    The verdict is scanned once per algebra (`LieAlgebra._jacobi`) and
+    shared by every caller: the CLI gate, the loaders and the solvers that
+    certify ad(L) inside Der(L) by it.
+    """
+    return alg._jacobi
+
+
+def _jacobi_scan(alg: LieAlgebra) -> Optional[JacobiViolation]:
+    """The scan behind `validate`.
+
     Antisymmetry holds by construction, so triples with repeats are exact,
     and only triples with a nonzero bracket among their pairs are scanned
     (`_jacobi_triples`).  Each residual sum_t c_ab^t c_tc^r over the three

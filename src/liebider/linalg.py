@@ -8,6 +8,15 @@ sum and intersection from one Zassenhaus elimination (`split_span`).
 `Subspace.span` and `kernel_of_rows` are the only entry points to
 elimination.
 
+Elimination stops as soon as the rank proves the answer.  `kernel_of_rows`
+stops reading rows once the rank reaches the number of columns, since the
+kernel is then 0.  `kernel_beside` takes a canonical part K of the kernel
+that its caller certifies (K lies in the kernel of every row); the unit
+rows e_p at the pivots p of K cut out a complement of K, so
+ker A = K (+) ker [E_K; A], and once the rows read so far give the stacked
+system full rank the kernel is K itself.  The row iterables are lazy, so
+the rows after the stop are never assembled.
+
 Elimination (`_Reducer`) runs on sparse integer rows: denominators are
 cleared on entry, rows are kept primitive (content 1) with a positive
 lead, and pivots are rescaled to 1 only when results are extracted.  The
@@ -22,6 +31,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -432,15 +442,19 @@ def kernel_of_rows(
 ) -> Subspace:
     """Canonical basis of ``{x : row . x = 0 for every row}``.
 
-    Each row maps a column index to its nonzero coefficient.  The
-    free-variable parameterisation of the reduced rows (x_f = 1 and
-    x_p = -row_p[f] / lead_p over the rows that ``users`` lists for f) is
-    re-canonicalised, so the result is the unique reduced-echelon basis of
-    the kernel.
+    Each row maps a column index to its nonzero coefficient.  Rows are read
+    only until the rank reaches ``ncols``: the kernel is then 0, whatever
+    the rows left unread.  The free-variable parameterisation of the
+    reduced rows (x_f = 1 and x_p = -row_p[f] / lead_p over the rows that
+    ``users`` lists for f) is re-canonicalised, so the result is the unique
+    reduced-echelon basis of the kernel.
     """
     red = _Reducer(ncols)
-    for row in rows:
-        red.add(row)
+    if ncols:
+        for row in rows:
+            red.add(row)
+            if len(red.rows) == ncols:
+                break
     out = _Reducer(ncols)
     for free in range(ncols):
         if free not in red.rows:
@@ -450,3 +464,29 @@ def kernel_of_rows(
                 vec[piv] = Fraction(-row[free], row[piv])
             out.add(vec)
     return Subspace._from_reducer(out, ncols)
+
+
+def kernel_beside(
+    known: Subspace, rows: Iterable[dict[int, Scalar]], ncols: int
+) -> Subspace:
+    """`kernel_of_rows` for a caller that holds part of the kernel.
+
+    The caller certifies that ``known`` lies in the kernel of every row.
+    Each basis row of the canonical ``known`` is 1 at its pivot p and 0 at
+    its other pivots, so any x in the kernel minus sum x_p (row at p) is a
+    kernel vector that vanishes at every pivot of ``known``:
+    ker A = known (+) ker [E_K; A], with E_K the unit rows e_p.  Those rows
+    go first, so elimination stops (see `kernel_of_rows`) as soon as the
+    rows read prove that ``known`` is the whole kernel, and ``known`` itself
+    is returned.  Otherwise the result is the canonical span of both parts.
+    """
+    if known.ambient_dim != ncols:
+        raise AmbientMismatch(
+            f"known part in ambient dimension {known.ambient_dim}, not {ncols}"
+        )
+    rest = kernel_of_rows(chain(({p: 1} for p in known.pivots), rows), ncols)
+    if not rest.dim:
+        return known
+    if not known.dim:
+        return rest
+    return Subspace.span(known.basis + rest.basis, ncols)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from liebider.catalog import catalog
 import liebider.biderivations
+import liebider.liealg
 from liebider.biderivations import (
     Biderivation,
     FactorMismatch,
@@ -26,8 +27,16 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
+from liebider.biderivations import (
+    _entries_at,
+    _lift,
+    _primitive_derivations,
+)
+import liebider.derivations
 from liebider.derivations import (
+    _map_rows,
     commuting_map_space,
+    derivation_space,
     is_complete,
     skew_commuting_map_space,
 )
@@ -542,8 +551,10 @@ def test_checkers_share_no_solver_code():
     solver_names = {
         "bracket", "_map_rows", "_condition_one_rows", "_symmetry_rows",
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
+        "kernel_beside", "_components", "_bracket_parts",
     }
-    for checker in (biderivation_violation, validate):
+    # `validate` returns the cached verdict of `_jacobi_scan`, which scans.
+    for checker in (biderivation_violation, liebider.liealg._jacobi_scan):
         assert not names(checker.__code__) & solver_names, checker.__name__
 
 
@@ -570,7 +581,7 @@ def test_swap_keeps_biderivations(make):
     assert sym.dim + skew.dim == space.dim
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_tang_gate_on_sl_n(n):
     # Tang (2018): every biderivation of a simple algebra is inner, so
     # BiDer(sl(n)) = span{(x, y) -> [x, y]}, which is skew.
@@ -589,3 +600,105 @@ def test_tang_gate_on_sl_n(n):
         changed = Biderivation(tuple(mats))
         violation = _assert_scans_agree(alg, changed)
         assert violation is not None
+
+
+def _read_every_row(rows, ncols):
+    """The kernel with every row read: a spare zero column keeps the rank
+    below the column count, so no stop applies, and the wider kernel is
+    ker A (+) span(e_spare), whose canonical basis ends with e_spare."""
+    wide = kernel_of_rows(rows, ncols + 1)
+    assert wide.pivots[-1:] == (ncols,)
+    return Subspace(ncols, tuple(v[:-1] for v in wide.basis[:-1]), wide.pivots[:-1])
+
+
+# the solver's rows in the x_is; `_symmetry_rows` above is the n^3 oracle's
+_solver_rows = liebider.biderivations._symmetry_rows
+
+_STOP_TABLES = dict(
+    oracles.ORACLE_TABLES,
+    sl4=lambda: oracles.sl_n(4),
+    sl5=lambda: oracles.sl_n(5),
+    twostep_7_2=lambda: catalog("twostep(7,2)"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_STOP_TABLES))
+def test_early_stop_keeps_every_kernel(name):
+    # Each system solves to the same canonical kernel with its known part
+    # and the full-rank stop as with every row read and no known part.
+    alg = _STOP_TABLES[name]()
+    n = alg.dim
+    der = derivation_space(alg)
+    for coeffs, space in (
+        ((1, -1, -1), der),
+        ((0, 1, -1), commuting_map_space(alg)),
+        ((0, 1, 1), skew_commuting_map_space(alg)),
+    ):
+        assert space == _read_every_row(_map_rows(alg, *coeffs), n * n), coeffs
+    ders = _primitive_derivations(der)
+    d = len(ders)
+    at = _entries_at(ders, n * n)
+    for mode, sign in (("symmetric", -1), ("skew", 1)):
+        xs = _read_every_row(_solver_rows(at, n, d, sign), n * d).basis
+        expected = _lift(list(xs), ders, n)
+        assert constrained_biderivation_space(alg, mode).space == expected, mode
+
+
+def test_known_parts_end_elimination_early(monkeypatch):
+    # ad(L) is all of Der(sl(4)), so its elimination stops before the last
+    # row (906 of 1,320 rows in the present order); twostep(7,2) has outer
+    # derivations, so every row is read.  The ideals of sl2 (+) sl2 give the
+    # two projections and the two brackets pi_C [x, y].
+    counts = []
+
+    def counted(alg, a, b, c):
+        rows = list(_map_rows(alg, a, b, c))
+        seen = [0, len(rows)]
+        counts.append(seen)
+        for row in rows:
+            seen[0] += 1
+            yield row
+
+    monkeypatch.setattr(liebider.derivations, "_map_rows", counted)
+    derivation_space(oracles.sl_n(4))
+    read, total = counts.pop()
+    assert read < total == 1320
+    derivation_space(catalog("twostep(7,2)"))
+    read, total = counts.pop()
+    assert read == total
+    alg = catalog("sl2_plus_sl2")
+    assert alg._components == ((0, 1, 2), (3, 4, 5))
+    assert commuting_map_space(alg).dim == 2
+    assert constrained_biderivation_space(alg, "skew").dim == 2
+
+
+def test_known_parts_only_under_jacobi():
+    # ad(L) lies in Der(L), and pi_C [x, y] is a biderivation, exactly when
+    # the Jacobi identity holds.  On tables that fail it (built by
+    # `lie_algebra`, which runs no Jacobi check) Der(L) and the skew kernel
+    # must come from the rows alone.
+    broken = 0
+    for name, make in oracles.ORACLE_TABLES.items():
+        alg = make()
+        n = alg.dim
+        if n > 6:
+            continue
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in {j, (i + j) % n}:
+                    constants = dict(alg.constants)
+                    constants[(i, j, k)] = constants.get((i, j, k), 0) + 1
+                    table = lie_algebra(n, constants)
+                    if validate(table) is not None:
+                        broken += 1
+                        der = derivation_space(table)
+                        assert der == kernel_of_rows(
+                            _map_rows(table, 1, -1, -1), n * n
+                        ), (name, (i, j, k))
+                        ders = _primitive_derivations(der)
+                        d = len(ders)
+                        rows = _solver_rows(_entries_at(ders, n * n), n, d, 1)
+                        xs = kernel_of_rows(rows, n * d).basis
+                        skew = constrained_biderivation_space(table, "skew")
+                        assert skew.space == _lift(list(xs), ders, n), (name, (i, j, k))
+    assert broken > 70

@@ -11,6 +11,7 @@ from liebider.linalg import (
     Matrix,
     Subspace,
     SubspaceRelation,
+    kernel_beside,
     kernel_of_rows,
     split_span,
     subspace_combine,
@@ -165,6 +166,40 @@ def test_rank_nullity(m):
 def test_kernel_vectors_are_annihilated(m):
     for v in kernel_of_rows(_sparse_rows(m), m.ncols).basis:
         assert all(x == 0 for x in m.apply(v))
+
+
+def test_kernel_stops_at_full_rank():
+    def rows():
+        yield {0: 1, 1: 1}
+        yield {1: 2}
+        raise AssertionError("read past full rank")
+
+    assert kernel_of_rows(rows(), 2) == Subspace.zero(2)
+    known = Subspace.span([(0, 0, 1)], 3)
+    assert kernel_beside(known, rows(), 3) is known
+    with pytest.raises(AmbientMismatch):
+        kernel_beside(known, [], 4)
+
+
+@given(matrices(max_rows=4, max_cols=6), st.data())
+def test_kernel_beside_any_known_part(m, data):
+    # Any subspace of the kernel, even 0 or the whole kernel, gives the same
+    # canonical kernel as elimination without it.
+    whole = kernel_of_rows(_sparse_rows(m), m.ncols)
+    mix = data.draw(
+        st.lists(
+            st.lists(entries, min_size=whole.dim, max_size=whole.dim),
+            max_size=whole.dim + 1,
+        )
+    )
+    combos = [
+        [sum((a * v[c] for a, v in zip(coeffs, whole.basis)), F(0))
+         for c in range(m.ncols)]
+        for coeffs in mix
+    ]
+    known = Subspace.span(combos, m.ncols)
+    assert kernel_beside(known, _sparse_rows(m), m.ncols) == whole
+    assert kernel_beside(whole, _sparse_rows(m), m.ncols) is whole
 
 
 @given(vector_lists(), vector_lists())
