@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs on two checkouts and summarise.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seed 1601 \\
+        --pairs 5 --workloads solve:10 verify query --out BENCH_15.json \\
+        --title "what the change does" --claim "solve wall_s lower"
+
+Each checkout runs its own ``perfbench/run.py --trace 0`` for the
+``run_seconds`` of the parent's ``BENCHMARK.json``, one run at a time.  A
+workload given as NAME:N runs N pairs, a bare NAME ``--pairs``.  Every pair
+has its own seed, counting up from ``--seed`` over all the workloads; the
+parent runs first in even-numbered pairs (0, 2, ...) of each workload and
+the change first in odd ones, so drift of the host's speed during a pair
+falls on both sides alike.
+
+The output records the machine, the method, each run's rounds and result
+line, and per workload and metric the q1, median and q3 of each side
+(inclusive quartiles) with ``change_lower_in``, the number of pairs in
+which the change read lower (ties count for neither) out of all pairs.
+It is rewritten after every pair, so an interrupted run keeps what it has.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+
+
+def summarize(pairs: list[dict]) -> dict[str, dict]:
+    """Quartiles of each side and pairs won by the change, per metric."""
+    summary = {}
+    for name in pairs[0]["parent"]["result"]["metrics"]:
+        values = {
+            side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
+            for side in SIDES
+        }
+        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        summary[name] = {
+            "parent": quartiles(values["parent"]),
+            "change": quartiles(values["change"]),
+            "change_lower_in": f"{lower}/{len(pairs)}",
+        }
+    return summary
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its untraced rounds and its result line."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
+            f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+        )
+    rounds = re.search(r"(\d+) untraced", lines[0])
+    return {"rounds": int(rounds.group(1)), "result": json.loads(lines[-1])}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "logical_cpus": os.cpu_count(),
+        "os": f"{platform.system()} {platform.release().split('-')[0]}",
+        "python": platform.python_version(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs for a workload given without :N")
+    parser.add_argument("--workloads", nargs="+", required=True,
+                        help="NAME or NAME:N for each workload to run")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--title", default="",
+                        help="what the change does, for the \"change\" key")
+    parser.add_argument("--claim", default=None, help="the gain the change claims")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
+        seconds = json.load(handle)["run_seconds"]
+    plan = []
+    for entry in args.workloads:
+        name, _, count = entry.partition(":")
+        plan.append((name, int(count) if count else args.pairs))
+    last_seed = args.seed + sum(count for _, count in plan) - 1
+    doc = {
+        "change": args.title,
+        "command": f"python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {seconds:g} --trace 0",
+        "machine": machine(),
+        "method": (
+            ", ".join(f"{count} pairs on {name}" for name, count in plan)
+            + f", one seed per pair ({args.seed}-{last_seed}); the parent runs "
+            "first in even-numbered pairs (0, 2, ...) and the change first in "
+            "odd ones; runs one at a time"
+        ),
+        "claim": args.claim,
+        "workloads": {},
+    }
+    checkouts = {"parent": args.parent, "change": args.change}
+    seed = args.seed
+    for name, count in plan:
+        pairs: list[dict] = []
+        for index in range(count):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], name, seed, seconds)
+            pairs.append(pair)
+            seed += 1
+            doc["workloads"][name] = {"summary": summarize(pairs), "pairs": pairs}
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, indent=1)
+                handle.write("\n")
+            wall = [pair[side]["result"]["metrics"]["wall_s"]["value"] for side in SIDES]
+            print(f"{name} seed {pair['seed']}: wall_s parent {wall[0]:.4f} "
+                  f"change {wall[1]:.4f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,9 +26,13 @@ When the Jacobi identity holds, the brackets pi_C [x, y] on the ideals C
 of `LieAlgebra._components` are known skew biderivations, so the skew
 kernel starts from them and stops once the rank proves there are no others
 (`linalg.kernel_beside`).
-The kernels in the x_is are mapped back into Q^(n^3) and canonicalised, and
-every basis element is re-checked by `biderivation_violation`, which shares
-no assembly code with the solver: it scans both conditions on the
+The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
+each kernel vector is scaled by the lcm of its denominators and its
+coordinates are summed sparse, straight into elimination) and
+canonicalised; the CLI renders its reports from these canonical rows.
+Every basis element is re-checked by `biderivation_violation`, and in a
+mode its symmetry is checked in place on its canonical row.  The checker
+shares no assembly code with the solver: it scans both conditions on the
 n^2 (n - 1) basis triples that can fail first, in integers, over the
 bracket table scaled by the lcm S of its denominators and the nonzero
 values of B scaled by the lcm D of theirs.
@@ -56,6 +60,7 @@ from .linalg import (
     Subspace,
     SubspaceRelation,
     Vector,
+    _Reducer,
     as_vector,
     commutator,
     kernel_beside,
@@ -158,9 +163,16 @@ class BiderivationSpace(NamedTuple):
         return self.space.dim
 
     def basis_elements(self) -> tuple[Biderivation, ...]:
+        """The canonical basis as coordinate matrices, sliced from its rows."""
         n = self.algebra_dim
         return tuple(
-            Biderivation.from_flat(v, n) for v in self.space.basis
+            Biderivation(
+                tuple(
+                    Matrix(n, n, tuple(v[r : r + n] for r in range(k, k + n * n, n)))
+                    for k in range(0, n * n * n, n * n)
+                )
+            )
+            for v in self.space.basis
         )
 
 
@@ -240,7 +252,9 @@ def _bracket_parts(alg: LieAlgebra, der: Subspace, ders: list[list[int]]) -> Sub
 def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
     """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is.
 
-    Coordinates follow b_ij^k = sum_s x_is D_s[k, j].
+    Coordinates follow b_ij^k = sum_s x_is D_s[k, j].  Each x is scaled by
+    the lcm of its denominators, which leaves its span unchanged, so the
+    coordinates are summed as integers and go to elimination sparse.
     """
     nn = n * n
     d = len(ders)
@@ -248,16 +262,20 @@ def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
     spread = [
         [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
     ]
-    vectors = []
+    red = _Reducer(n * nn)
     for x in xs:
-        flat = [ZERO] * (n * nn)
-        for col, coeff in enumerate(x):
-            if coeff:
-                i, s = divmod(col, d)
-                for pos, v in spread[s]:
-                    flat[pos + i * n] += coeff * v
-        vectors.append(flat)
-    return Subspace.span(vectors, n * nn)
+        terms = [(col, v) for col, v in enumerate(x) if v]
+        den = math.lcm(*(v.denominator for _, v in terms))
+        flat: dict[int, int] = {}
+        get = flat.get
+        for col, v in terms:
+            i, s = divmod(col, d)
+            coeff, shift = v.numerator * (den // v.denominator), i * n
+            for pos, dv in spread[s]:
+                pos += shift
+                flat[pos] = get(pos, 0) + coeff * dv
+        red.add({pos: v for pos, v in flat.items() if v})
+    return Subspace._from_reducer(red, n * nn)
 
 
 def _checked(
@@ -265,21 +283,30 @@ def _checked(
 ) -> BiderivationSpace:
     """Re-verify every canonical basis element with the independent checker.
 
-    A failure means the solver and the checker disagree and raises
-    InternalInconsistency.
+    In a mode, each nonzero b_ij^k of an element must also equal +-b_ji^k,
+    read in place in its canonical row (a zero b_ij^k is checked from its
+    mirror's side).  A failure means the solver and the checker disagree
+    and raises InternalInconsistency.
     """
-    result = BiderivationSpace(alg.dim, space)
-    for element in result.basis_elements():
+    n = alg.dim
+    nn = n * n
+    sign = -1 if mode == "skew" else 1
+    result = BiderivationSpace(n, space)
+    for vec, element in zip(space.basis, result.basis_elements()):
         violation = biderivation_violation(alg, element)
         if violation is not None:
             raise InternalInconsistency(
                 f"kernel basis element fails condition ({violation.condition}) "
                 f"at triple {violation.triple}"
             )
-        if mode == "symmetric" and any(m != m.transpose() for m in element.mats):
-            raise InternalInconsistency("kernel basis element is not symmetric")
-        if mode == "skew" and any(m != -m.transpose() for m in element.mats):
-            raise InternalInconsistency("kernel basis element is not skew")
+        if mode is None:
+            continue
+        for p, v in enumerate(vec):
+            if v:
+                i, j = divmod(p % nn, n)
+                # b_ji^k sits at k*n^2 + j*n + i
+                if vec[p + (j - i) * (n - 1)] != sign * v:
+                    raise InternalInconsistency(f"kernel basis element is not {mode}")
     return result
 
 

@@ -52,7 +52,7 @@ from .liealg import (
     lower_central_series,
     validate,
 )
-from .linalg import Matrix
+from .linalg import Vector
 from .vdecomp import verify_direct_sum
 
 
@@ -183,6 +183,15 @@ def _report(
 # arguments and returns (results, exit_code)
 
 
+def _grid(flat: Vector, start: int, n: int) -> list[list[str]]:
+    """The n x n matrix stored row-major in ``flat`` from ``start`` on, as
+    the strings of `documents.matrix_strs`."""
+    return [
+        [str(v) if v else "0" for v in flat[r : r + n]]
+        for r in range(start, start + n * n, n)
+    ]
+
+
 def _cmd_info(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     series = lower_central_series(alg)
     kf = killing_form(alg)
@@ -210,8 +219,7 @@ def _cmd_info(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_derivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     der = derivation_space(alg)
     inner = inner_derivation_space(alg)
-    n = alg.dim
-    basis = [matrix_strs(Matrix.from_flat(v, n, n)) for v in der.basis]
+    basis = [_grid(v, 0, alg.dim) for v in der.basis]
     return {
         "derivation_dim": der.dim,
         "inner_dim": inner.dim,
@@ -224,9 +232,10 @@ def _cmd_biderivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict,
         space = biderivation_space(alg)
     else:
         space = constrained_biderivation_space(alg, args.mode)
+    n = alg.dim
+    nn = n * n
     basis = [
-        [matrix_strs(m) for m in element.mats]
-        for element in space.basis_elements()
+        [_grid(v, k, n) for k in range(0, n * nn, nn)] for v in space.space.basis
     ]
     return {"dim": space.dim, "mode": args.mode, "basis": basis}, 0
 

@@ -22,7 +22,9 @@ The `fraction_*` builders are the `Fraction` constraint rows that the
 package's integer rows replaced (the package reads every row off
 `LieAlgebra._int_table`, scaled by the lcm S of the constant
 denominators); `fraction_ad_preimage` is the per-call (u, lam) solve that
-the package's one adjoint split replaced; `dense_inner_derivation_space`
+the package's one adjoint split replaced; `fraction_lift` is the dense
+`Fraction` lift of the symmetry kernels into Q^(n^3) that the package's
+integer lift replaced; `dense_inner_derivation_space`
 and `dense_phi_psi_failure` are the dense `adjoint_matrix`, `Matrix.apply`
 and `bracket` versions of the inner derivations and of the phi/psi
 factorization check.  The tests require `==` between each package result
@@ -30,10 +32,11 @@ and its `Fraction` oracle.
 
 `trace` and `is_zero` are the dense matrix helpers only tests use.
 
-`sl_n` builds sl(n) with the catalog's elementary-matrix builder
-`liebider.catalog._sl_constants`, `change_basis` rewrites a table on a new
-basis, and `ORACLE_TABLES` names the bracket tables the oracle comparisons
-run on, including ones whose constants are not integers.
+`sl_n` builds sl(n) and `borel_n` its upper Borel subalgebra with the
+catalog's elementary-matrix builder `liebider.catalog._sl_constants`,
+`change_basis` rewrites a table on a new basis, and `ORACLE_TABLES` names
+the bracket tables the oracle comparisons run on, including ones whose
+constants are not integers.
 """
 
 from __future__ import annotations
@@ -243,6 +246,27 @@ def v_dims(alg: LieAlgebra) -> tuple[int, int, int]:
         _nullspace_dim(plus_eqs, m_unknowns),
         _nullspace_dim(minus_eqs, m_unknowns),
     )
+
+
+def fraction_lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
+    """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is, summed
+    as dense `Fraction` flats with b_ij^k = sum_s x_is D_s[k, j]."""
+    nn = n * n
+    d = len(ders)
+    # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
+    spread = [
+        [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
+    ]
+    vectors = []
+    for x in xs:
+        flat = [ZERO] * (n * nn)
+        for col, coeff in enumerate(x):
+            if coeff:
+                i, s = divmod(col, d)
+                for pos, v in spread[s]:
+                    flat[pos + i * n] += coeff * v
+        vectors.append(flat)
+    return Subspace.span(vectors, n * nn)
 
 
 def fraction_index(alg: LieAlgebra):
@@ -503,6 +527,15 @@ def sl_n(n: int) -> LieAlgebra:
     """sl(n) on the elementary matrices E_ab (a != b, lexicographic) followed
     by H_a = E_aa - E_(a+1)(a+1), from the catalog's sl(n) builder."""
     off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    names = [f"E{a + 1}{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
+    return lie_algebra(len(names), _sl_constants(n, off), names)
+
+
+def borel_n(n: int) -> LieAlgebra:
+    """The upper Borel subalgebra of sl(n): E_ab (a < b, lexicographic)
+    followed by H_a = E_aa - E_(a+1)(a+1).  It is complete and solvable, so
+    not semisimple; borel_n(2) is isomorphic to L22."""
+    off = [(a, b) for a in range(n) for b in range(a + 1, n)]
     names = [f"E{a + 1}{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
     return lie_algebra(len(names), _sl_constants(n, off), names)
 

@@ -40,8 +40,15 @@ from liebider.derivations import (
     is_complete,
     skew_commuting_map_space,
 )
-from liebider.liealg import bracket, lie_algebra, structure_matrices, validate
+from liebider.liealg import (
+    bracket,
+    killing_form,
+    lie_algebra,
+    structure_matrices,
+    validate,
+)
 from liebider.linalg import Matrix, Subspace, kernel_of_rows
+from liebider.vdecomp import verify_direct_sum
 
 import oracles
 
@@ -602,6 +609,23 @@ def test_tang_gate_on_sl_n(n):
         assert violation is not None
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_paper_gate_on_borel_n(n):
+    # The Borel subalgebras of sl(n) are complete but not semisimple, so
+    # Tang's theorem does not apply; the paper's dim BiDer = dim V and
+    # V = V+ (+) V- still hold.
+    alg = oracles.borel_n(n)
+    assert is_complete(alg).complete
+    assert not killing_form(alg).semisimple
+    assert biderivation_space(alg).dim == 2
+    assert constrained_biderivation_space(alg, "symmetric").dim == 1
+    assert constrained_biderivation_space(alg, "skew").dim == 1
+    report = verify_direct_sum(alg)
+    assert report.v_dim == 2
+    assert report.is_direct_sum
+    assert report.correspondence.ok
+
+
 def _read_every_row(rows, ncols):
     """The kernel with every row read: a spare zero column keeps the rank
     below the column count, so no stop applies, and the wider kernel is
@@ -702,3 +726,62 @@ def test_known_parts_only_under_jacobi():
                         skew = constrained_biderivation_space(table, "skew")
                         assert skew.space == _lift(list(xs), ders, n), (name, (i, j, k))
     assert broken > 70
+
+
+_LIFT_TABLES = dict(oracles.ORACLE_TABLES, sl4=lambda: oracles.sl_n(4))
+
+
+@pytest.mark.parametrize("name", sorted(_LIFT_TABLES))
+def test_integer_lift_matches_fraction_lift(name):
+    # Each mode's kernel vectors, and three seeded rational combinations of
+    # them with denominators up to 7, so that the lcm scaling of the
+    # integer lift is not 1.
+    alg = _LIFT_TABLES[name]()
+    n = alg.dim
+    ders = _primitive_derivations(derivation_space(alg))
+    d = len(ders)
+    at = _entries_at(ders, n * n)
+    kernels = {
+        sign: kernel_of_rows(_solver_rows(at, n, d, sign), n * d).basis
+        for sign in (-1, 1)
+    }
+    rng = random.Random(f"lift {name}")
+    for mode, signs in (("all", (-1, 1)), ("symmetric", (-1,)), ("skew", (1,))):
+        xs = [x for sign in signs for x in kernels[sign]]
+        assert _lift(xs, ders, n) == oracles.fraction_lift(xs, ders, n), mode
+        mixed = []
+        for _ in range(3 if xs else 0):
+            coeffs = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in xs]
+            mixed.append(
+                tuple(sum(c * x[col] for c, x in zip(coeffs, xs)) for col in range(n * d))
+            )
+        assert _lift(mixed, ders, n) == oracles.fraction_lift(mixed, ders, n), mode
+
+
+def _abelian2_map(*positions):
+    """The map of abelian(2) with b_ij^k = 1 at each flat position."""
+    return Biderivation.from_flat([int(p in positions) for p in range(8)], 2)
+
+
+@pytest.mark.parametrize(
+    "name, make, mode",
+    [
+        ("sl2", lambda alg: inner_biderivation(alg, [1]), "symmetric"),
+        ("abelian(2)", lambda alg: _abelian2_map(0), "skew"),
+        # b_01^0 = 1 and b_10^0 = 0: only the mirror of the nonzero is wrong
+        ("abelian(2)", lambda alg: _abelian2_map(1), "symmetric"),
+        ("abelian(2)", lambda alg: _abelian2_map(1), "skew"),
+    ],
+    ids=["sl2-inner-symmetric", "abelian2-b000-skew", "abelian2-b010-symmetric",
+         "abelian2-b010-skew"],
+)
+def test_checked_refuses_the_wrong_symmetry(monkeypatch, name, make, mode):
+    # A genuine biderivation of the wrong symmetry passes the checker, so
+    # only the symmetry test in `_checked` can refuse it.
+    alg = catalog(name)
+    element = make(alg)
+    assert biderivation_violation(alg, element) is None
+    lifted = Subspace.span([element.flatten()], alg.dim ** 3)
+    monkeypatch.setattr(liebider.biderivations, "_lift", lambda xs, ders, n: lifted)
+    with pytest.raises(InternalInconsistency, match=f"is not {mode}$"):
+        constrained_biderivation_space(alg, mode)

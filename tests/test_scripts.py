@@ -32,3 +32,29 @@ def test_cli_snapshot_matches_pinned_digests(tmp_path):
         for path in tmp_path.iterdir()
     }
     assert actual == expected
+
+
+def _canned_pair(parent, change):
+    return {
+        side: {"rounds": 9, "result": {"metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": 30.0, "unit": "MB"},
+        }}}
+        for side, wall in (("parent", parent), ("change", change))
+    }
+
+
+def test_bench_pairs_summary_on_canned_results():
+    """The summary of scripts/bench_pairs.py: inclusive quartiles of each
+    side, and pairs the change won, ties counting for neither."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    pairs = [_canned_pair(p, c) for p, c in [(5, 4), (1, 2), (3, 1), (4, 3), (2, 2)]]
+    summary = bench["summarize"](pairs)
+    assert summary["wall_s"] == {
+        "parent": {"q1": 2.0, "median": 3.0, "q3": 4.0},
+        "change": {"q1": 2.0, "median": 2.0, "q3": 3.0},
+        "change_lower_in": "3/5",
+    }
+    assert summary["peak_rss_mb"]["change_lower_in"] == "0/5"
+    single = bench["summarize"](pairs[:1])["wall_s"]
+    assert single["parent"] == {"q1": 5, "median": 5, "q3": 5}
