@@ -274,7 +274,7 @@ def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
             for pos, dv in spread[s]:
                 pos += shift
                 flat[pos] = get(pos, 0) + coeff * dv
-        red.add({pos: v for pos, v in flat.items() if v})
+        red.add(flat)
     return Subspace._from_reducer(red, n * nn)
 
 
