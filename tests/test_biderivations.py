@@ -499,6 +499,33 @@ def test_checker_matches_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_checker_matches_dense_oracle_on_condition_two(name):
+    # B(e_i, -) = sum_s x_is D_s over the Der basis satisfies condition (2)
+    # by construction, so a failure of B is one of condition (1); the swap
+    # B^t satisfies (1) and can fail only condition (2).
+    alg = oracles.ORACLE_TABLES[name]()
+    n = alg.dim
+    ders = derivation_space(alg).basis
+    rng = random.Random(name)
+    failed_two = 0
+    for _ in range(3):
+        x = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in ders] for _ in range(n)]
+        flat = [
+            sum((x[i][s] * der[k * n + j] for s, der in enumerate(ders)), F(0))
+            for k in range(n) for i in range(n) for j in range(n)
+        ]
+        cand = Biderivation.from_flat(flat, n)
+        swapped = Biderivation(tuple(m.transpose() for m in cand.mats))
+        violation = _assert_scans_agree(alg, cand)
+        assert violation is None or violation.condition == 1
+        violation = _assert_scans_agree(alg, swapped)
+        assert violation is None or violation.condition == 2
+        failed_two += violation is not None
+    # every such B is a biderivation exactly when BiDer has dimension n * d
+    assert bool(failed_two) == (biderivation_space(alg).dim < n * len(ders))
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
 def test_scans_match_dense_oracles_on_perturbed_tables(name):
     alg = oracles.ORACLE_TABLES[name]()
     n = alg.dim
