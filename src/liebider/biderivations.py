@@ -35,7 +35,9 @@ mode its symmetry is checked in place on its canonical row.  The checker
 shares no assembly code with the solver: it scans both conditions on the
 n^2 (n - 1) basis triples that can fail first, in integers, over the
 bracket table scaled by the lcm S of its denominators and the nonzero
-values of B scaled by the lcm D of theirs.
+values of B scaled by the lcm D of theirs.  Condition (2) of B is
+condition (1) of the swap B^t, so one residual (`liealg._leibniz_residual`,
+which the Jacobi scan shares) serves both.
 The tests compare every mode against the direct system of 2*n^4 rows in the
 n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
 checker against the dense `Fraction` scan it replaced
@@ -50,22 +52,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .liealg import LieAlgebra, structure_matrices, validate
+from .liealg import LieAlgebra, _leibniz_residual, structure_matrices, validate
 from .linalg import (
     ZERO,
     Matrix,
     Scalar,
     Subspace,
-    SubspaceRelation,
     Vector,
     _Reducer,
     as_vector,
     commutator,
     kernel_beside,
-    kernel_of_rows,
-    subspace_compare,
 )
 from .derivations import (
     CenterNonzero,
@@ -336,7 +336,8 @@ def _biderivations_over(
     Q^(n^3) together and re-checked by `_checked`.  Every caller's ``der``
     contains ad(L) when the Jacobi identity holds (it is Der(L), or ad(L) on
     a complete algebra), so the skew kernel then starts from the certified
-    `_bracket_parts` (`kernel_beside`); the symmetric one has no known part.
+    `_bracket_parts`; the symmetric one, and the skew one off Jacobi, start
+    from the zero space (`kernel_beside`).
     """
     n = alg.dim
     ders = _primitive_derivations(der)
@@ -344,17 +345,12 @@ def _biderivations_over(
     at = _entries_at(ders, n * n)
     xs: list[Vector] = []
     for sign in _SIGNS[mode]:
-        rows = _symmetry_rows(at, n, d, sign)
-        if sign < 0:
-            kernel = kernel_of_rows(rows, n * d)
-        else:
-            known = (
-                _bracket_parts(alg, der, ders)
-                if validate(alg) is None
-                else Subspace.zero(n * d)
-            )
-            kernel = kernel_beside(known, rows, n * d)
-        xs.extend(kernel.basis)
+        known = (
+            _bracket_parts(alg, der, ders)
+            if sign > 0 and validate(alg) is None
+            else Subspace.zero(n * d)
+        )
+        xs.extend(kernel_beside(known, _symmetry_rows(at, n, d, sign), n * d).basis)
     return _checked(alg, _lift(xs, ders, n), mode)
 
 
@@ -373,10 +369,9 @@ def biderivation_violation(
     of (2), so the diagonal residuals are 0 and the first failure of (1)
     has i < j, that of (2) j < k: only those triples are scanned.
 
-    The scan runs in integers: the bracket table is read as S * c_ij^k (see
-    `LieAlgebra._int_table`) and the nonzero values b_ij^k of B as D * b_ij^k
-    with D the lcm of their denominators.  Each residual is then a sum of
-    products scaled by S * D, accumulated in a sparse dict; only the failing
+    Both conditions run through `liealg._leibniz_residual`, over the
+    bracket table read as S * c_ij^k and the nonzero b_ij^k read as
+    D * b_ij^k with D the lcm of their denominators; only the failing
     triple's residual is divided back into Fractions.
     """
     n = alg.dim
@@ -395,49 +390,19 @@ def biderivation_violation(
     values: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, j, k, v in nonzero:
         values.setdefault((i, j), []).append((k, v.numerator * (den // v.denominator)))
-    empty = ()
-
-    def failure(condition: int, triple: tuple[int, int, int], acc: dict[int, int]):
-        residual = tuple(Fraction(acc.get(r, 0), scale * den) for r in range(n))
-        return BiderViolation(condition, triple, residual)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_ij = table.get((i, j), empty)
-            for k in range(n):
-                acc: dict[int, int] = {}
-                # B([e_i, e_j], e_k) = sum_t c_ij^t B(e_t, e_k)
-                for t, c in pair_ij:
-                    for r, v in values.get((t, k), empty):
-                        acc[r] = acc.get(r, 0) + c * v
-                # - [e_i, B(e_j, e_k)] = - sum_t b_jk^t [e_i, e_t]
-                for t, v in values.get((j, k), empty):
-                    for r, c in table.get((i, t), empty):
-                        acc[r] = acc.get(r, 0) - v * c
-                # - [B(e_i, e_k), e_j] = - sum_t b_ik^t [e_t, e_j]
-                for t, v in values.get((i, k), empty):
-                    for r, c in table.get((t, j), empty):
-                        acc[r] = acc.get(r, 0) - v * c
-                if any(acc.values()):
-                    return failure(1, (i, j, k), acc)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                acc = {}
-                # B(e_i, [e_j, e_k]) = sum_t c_jk^t B(e_i, e_t)
-                for t, c in table.get((j, k), empty):
-                    for r, v in values.get((i, t), empty):
-                        acc[r] = acc.get(r, 0) + c * v
-                # - [B(e_i, e_j), e_k] = - sum_t b_ij^t [e_t, e_k]
-                for t, v in values.get((i, j), empty):
-                    for r, c in table.get((t, k), empty):
-                        acc[r] = acc.get(r, 0) - v * c
-                # - [e_j, B(e_i, e_k)] = - sum_t b_ik^t [e_j, e_t]
-                for t, v in values.get((i, k), empty):
-                    for r, c in table.get((j, t), empty):
-                        acc[r] = acc.get(r, 0) - v * c
-                if any(acc.values()):
-                    return failure(2, (i, j, k), acc)
+    # condition (2) of B at (i, j, k) is condition (1) of B^t at (j, k, i)
+    swapped = {(j, i): terms for (i, j), terms in values.items()}
+    scans = chain(
+        ((1, (i, j, k), values, (i, j, k))
+         for i in range(n) for j in range(i + 1, n) for k in range(n)),
+        ((2, (i, j, k), swapped, (j, k, i))
+         for i in range(n) for j in range(n) for k in range(j + 1, n)),
+    )
+    for condition, triple, vals, (a, b, c) in scans:
+        acc = _leibniz_residual(table, vals, a, b, c)
+        if any(acc.values()):
+            residual = tuple(Fraction(acc.get(r, 0), scale * den) for r in range(n))
+            return BiderViolation(condition, triple, residual)
     return None
 
 
@@ -683,11 +648,7 @@ def two_step_properties(alg: LieAlgebra, cand: Biderivation) -> TwoStepReport:
     """
     derived = derived_subalgebra(alg)
     centre = center_space(alg)
-    rel = subspace_compare(derived, centre)
-    if derived.dim == 0 or rel not in (
-        SubspaceRelation.EQUAL,
-        SubspaceRelation.LEFT_IN_RIGHT,
-    ):
+    if derived.dim == 0 or not all(centre.contains(v) for v in derived.basis):
         raise NotTwoStep(
             "two-step analysis requires 0 != [L, L] contained in the center"
         )

@@ -135,35 +135,23 @@ def twostep(n: int, m: int, seed: int = 0) -> LieAlgebra:
 
 
 _PLAIN = {
+    "heisenberg3": heisenberg3,
+    "L22": l22,
     "sl2": sl2,
     "sl3": sl3,
     "so3": so3,
     "sl2_plus_sl2": sl2_plus_sl2,
-    "heisenberg3": heisenberg3,
-    "L22": l22,
 }
 
 _PARAM_RE = re.compile(r"^(?P<head>[A-Za-z_][A-Za-z0-9_]*)\((?P<args>[^)]*)\)$")
 _ARG_RE = re.compile(r" *[0-9]+ *")  # ASCII digits only: no sign, `_` or other scripts
 
-CATALOG_NAMES = (
-    "abelian(n)",
-    "heisenberg3",
-    "L22",
-    "sl2",
-    "sl3",
-    "so3",
-    "sl2_plus_sl2",
-    "twostep(n,m)",
-)
+CATALOG_NAMES = ("abelian(n)", *_PLAIN, "twostep(n,m)")
 
 
 def catalog(name: str, seed: int = 0) -> LieAlgebra:
-    """Look up a catalog algebra by name.
-
-    Plain names: sl2, sl3, so3, sl2_plus_sl2, heisenberg3, L22.
-    Parameterized: abelian(n), twostep(n,m) (the latter uses ``seed``).
-    """
+    """Look up a catalog algebra by one of `CATALOG_NAMES`; ``seed`` feeds
+    twostep(n,m)."""
     name = name.strip()
     if name in _PLAIN:
         alg = _PLAIN[name]()

@@ -72,7 +72,7 @@ def _read_file(path: str) -> str:
 
 def _load_algebra(path: str) -> tuple[LieAlgebra, dict]:
     """Parse an algebra file unvalidated; returns it and its document echo."""
-    alg, name = load_algebra_document(_read_file(path), skip_jacobi=True)
+    alg, name = load_algebra_document(_read_file(path))
     return alg, algebra_to_document(alg, name)
 
 

@@ -79,12 +79,11 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     Every ad_x is a derivation exactly when the Jacobi identity holds, so
     on a valid table ad(L) is a certified part of the kernel and
     elimination stops once the rows read prove Der(L) = ad(L)
-    (`kernel_beside`).
+    (`kernel_beside`); on an invalid one the known part is 0.
     """
-    rows, nn = _map_rows(alg, 1, -1, -1), alg.dim * alg.dim
-    if validate(alg) is not None:
-        return kernel_of_rows(rows, nn)
-    return kernel_beside(alg._ad_split[0], rows, nn)
+    nn = alg.dim * alg.dim
+    known = alg._ad_split[0] if validate(alg) is None else Subspace.zero(nn)
+    return kernel_beside(known, _map_rows(alg, 1, -1, -1), nn)
 
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:

@@ -5,7 +5,9 @@ table), BiderivationDocument (a candidate matrix tuple), and ReportDocument
 (command output).  All rational values travel as strings in lowest terms
 ("p" or "p/q" with positive q); nothing is ever a float.  Serialization is
 canonical: sorted keys, two-space indent, trailing newline, so identical
-inputs yield byte-identical documents.
+inputs yield byte-identical documents.  `load_algebra_document` checks the
+shape of a table but not the Jacobi identity; `parse_algebra` alone raises
+JacobiError, and the CLI reports a broken table through `validate`.
 """
 
 from __future__ import annotations
@@ -94,13 +96,9 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ParseError(path, message)
 
 
-def load_algebra_document(text: str, skip_jacobi: bool = False) -> tuple[LieAlgebra, str]:
-    """Parse an AlgebraDocument; returns the algebra and its name.
-
-    Unless ``skip_jacobi`` is set, the table must satisfy the Jacobi
-    identity (JacobiError otherwise).  ``skip_jacobi`` exists only so the
-    validate command can show diagnostics for broken tables.
-    """
+def load_algebra_document(text: str) -> tuple[LieAlgebra, str]:
+    """Parse an AlgebraDocument; returns the algebra and its name.  The
+    Jacobi identity is left to `validate` and `parse_algebra`."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, huge number, deep nesting
@@ -164,16 +162,16 @@ def load_algebra_document(text: str, skip_jacobi: bool = False) -> tuple[LieAlge
         alg = lie_algebra(dim, constants, basis, factors)
     except InvalidStructure as exc:
         raise ParseError("$", str(exc)) from None
-    if not skip_jacobi:
-        violation = validate(alg)
-        if violation is not None:
-            raise JacobiError(violation)
     return alg, name
 
 
 def parse_algebra(text: str) -> LieAlgebra:
-    """Parse and fully validate an AlgebraDocument."""
-    return load_algebra_document(text)[0]
+    """Parse an AlgebraDocument; JacobiError unless the Jacobi identity holds."""
+    alg = load_algebra_document(text)[0]
+    violation = validate(alg)
+    if violation is not None:
+        raise JacobiError(violation)
+    return alg
 
 
 def algebra_to_document(alg: LieAlgebra, name: str = "") -> dict:

@@ -23,8 +23,9 @@ else in the package assumes a valid table, but every documented result does.
 The verdict is scanned once per algebra (`LieAlgebra._jacobi`), and the
 solvers read it to certify that ad(L) lies in Der(L).
 It visits only triples with a nonzero bracket among their pairs (on the
-others every term vanishes) and sums each triple's residual, scaled by S^2,
-in a sparse dict; only a failing triple is turned back into Fractions.
+others every term vanishes).  The Jacobi sum is condition (1) of a
+biderivation for the bracket itself, so the scan and the biderivation
+checker share one integer residual, `_leibniz_residual`.
 """
 
 from __future__ import annotations
@@ -323,25 +324,45 @@ def _jacobi_scan(alg: LieAlgebra) -> Optional[JacobiViolation]:
 
     Antisymmetry holds by construction, so triples with repeats are exact,
     and only triples with a nonzero bracket among their pairs are scanned
-    (`_jacobi_triples`).  Each residual sum_t c_ab^t c_tc^r over the three
-    cyclic pairs is accumulated in integers scaled by S^2 (see
-    `LieAlgebra._int_table`).
+    (`_jacobi_triples`).  Each residual is `_leibniz_residual` with the
+    table as B, in integers scaled by S^2.
     """
     n = alg.dim
     scale, table = alg._int_table
-    empty = ()
     for i, j, k in _jacobi_triples(n, table):
-        acc: dict[int, int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for t, u in table.get((a, b), empty):
-                for r, v in table.get((t, c), empty):
-                    acc[r] = acc.get(r, 0) + u * v
+        acc = _leibniz_residual(table, table, i, j, k)
         if any(acc.values()):
             den = scale * scale
             return JacobiViolation(
                 i, j, k, tuple(Fraction(acc.get(r, 0), den) for r in range(n))
             )
     return None
+
+
+def _leibniz_residual(
+    table: Mapping, values: Mapping, i: int, j: int, k: int
+) -> dict[int, int]:
+    """B([e_i, e_j], e_k) - [e_i, B(e_j, e_k)] - [B(e_i, e_k), e_j], the
+    residual of condition (1), as a sparse {r: coordinate} in integers.
+
+    ``table`` is the integer table of `LieAlgebra._int_table` and ``values``
+    maps (a, b) to the nonzero integer coordinates ((r, v), ...) of
+    B(e_a, e_b).  Only the checkers call it; no solver does.
+    """
+    acc: dict[int, int] = {}
+    # B([e_i, e_j], e_k) = sum_t c_ij^t B(e_t, e_k)
+    for t, c in table.get((i, j), ()):
+        for r, v in values.get((t, k), ()):
+            acc[r] = acc.get(r, 0) + c * v
+    # - [e_i, B(e_j, e_k)] = - sum_t b_jk^t [e_i, e_t]
+    for t, v in values.get((j, k), ()):
+        for r, c in table.get((i, t), ()):
+            acc[r] = acc.get(r, 0) - v * c
+    # - [B(e_i, e_k), e_j] = - sum_t b_ik^t [e_t, e_j]
+    for t, v in values.get((i, k), ()):
+        for r, c in table.get((t, j), ()):
+            acc[r] = acc.get(r, 0) - v * c
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ rows that are nonzero in its column.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -370,30 +369,6 @@ class Subspace(NamedTuple):
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self.coefficients_of(v) is not None
-
-
-class SubspaceRelation(Enum):
-    EQUAL = "equal"
-    LEFT_IN_RIGHT = "left-in-right"
-    RIGHT_IN_LEFT = "right-in-left"
-    INCOMPARABLE = "incomparable"
-
-
-def subspace_compare(left: Subspace, right: Subspace) -> SubspaceRelation:
-    """Decide how two subspaces of the same ambient space relate."""
-    if left.ambient_dim != right.ambient_dim:
-        raise AmbientMismatch(
-            f"ambient dimensions differ: {left.ambient_dim} vs {right.ambient_dim}"
-        )
-    if left == right:
-        return SubspaceRelation.EQUAL
-    left_in_right = all(right.contains(v) for v in left.basis)
-    if left_in_right:
-        return SubspaceRelation.LEFT_IN_RIGHT
-    right_in_left = all(left.contains(v) for v in right.basis)
-    if right_in_left:
-        return SubspaceRelation.RIGHT_IN_LEFT
-    return SubspaceRelation.INCOMPARABLE
 
 
 def split_span(

@@ -523,21 +523,24 @@ def is_zero(m: Matrix) -> bool:
     return all(not a for row in m.data for a in row)
 
 
+def _elementary(n: int, off: list[tuple[int, int]]) -> LieAlgebra:
+    """The subalgebra of sl(n) on E_ab for (a, b) in ``off``, named
+    ``E{a}_{b}`` so that no two names collide, then the H_a."""
+    names = [f"E{a + 1}_{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
+    return lie_algebra(len(names), _sl_constants(n, off), names)
+
+
 def sl_n(n: int) -> LieAlgebra:
     """sl(n) on the elementary matrices E_ab (a != b, lexicographic) followed
     by H_a = E_aa - E_(a+1)(a+1), from the catalog's sl(n) builder."""
-    off = [(a, b) for a in range(n) for b in range(n) if a != b]
-    names = [f"E{a + 1}{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
-    return lie_algebra(len(names), _sl_constants(n, off), names)
+    return _elementary(n, [(a, b) for a in range(n) for b in range(n) if a != b])
 
 
 def borel_n(n: int) -> LieAlgebra:
     """The upper Borel subalgebra of sl(n): E_ab (a < b, lexicographic)
     followed by H_a = E_aa - E_(a+1)(a+1).  It is complete and solvable, so
     not semisimple; borel_n(2) is isomorphic to L22."""
-    off = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    names = [f"E{a + 1}{b + 1}" for a, b in off] + [f"H{a + 1}" for a in range(n - 1)]
-    return lie_algebra(len(names), _sl_constants(n, off), names)
+    return _elementary(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def change_basis(alg: LieAlgebra, change: Matrix) -> LieAlgebra:

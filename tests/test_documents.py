@@ -131,8 +131,8 @@ def test_parse_errors_and_jacobi():
         parse_algebra(broken)
     v = info.value.violation
     assert (v.i, v.j, v.k) == (0, 1, 2)
-    # lenient mode parses the same table for diagnostics
-    alg, _ = load_algebra_document(broken, skip_jacobi=True)
+    # the loader parses the same table, so `validate` can report on it
+    alg, _ = load_algebra_document(broken)
     assert alg.dim == 3
 
 

@@ -114,6 +114,12 @@ def test_bracket_bilinear_antisymmetric(name, seed):
     assert all(v == 0 for v in bracket(alg, x, x))
 
 
+def test_sl_n_helper_names_stay_distinct_from_n_11():
+    # E_{1,11} and E_{11,1} both read E111 without a separator
+    alg = oracles.sl_n(11)
+    assert alg.dim == 120 and len(set(alg.basis_names)) == 120
+
+
 def test_validate_accepts_catalog_and_rejects_broken_table():
     for name in ALL_NAMES:
         assert validate(catalog(name)) is None

@@ -10,12 +10,10 @@ from liebider.linalg import (
     AmbientMismatch,
     Matrix,
     Subspace,
-    SubspaceRelation,
     kernel_beside,
     kernel_of_rows,
     split_span,
     subspace_combine,
-    subspace_compare,
 )
 
 import oracles
@@ -121,18 +119,6 @@ def test_subspace_membership_and_coefficients():
     assert tuple(rebuilt) == (F(2), F(3), F(5))
     with pytest.raises(AmbientMismatch):
         s.contains((1, 0))
-
-
-def test_subspace_compare_relations():
-    plane = Subspace.span([(1, 0, 0), (0, 1, 0)], 3)
-    line = Subspace.span([(1, 1, 0)], 3)
-    other = Subspace.span([(0, 0, 1)], 3)
-    assert subspace_compare(plane, plane) is SubspaceRelation.EQUAL
-    assert subspace_compare(line, plane) is SubspaceRelation.LEFT_IN_RIGHT
-    assert subspace_compare(plane, line) is SubspaceRelation.RIGHT_IN_LEFT
-    assert subspace_compare(line, other) is SubspaceRelation.INCOMPARABLE
-    with pytest.raises(AmbientMismatch):
-        subspace_compare(line, Subspace.zero(2))
 
 
 def test_subspace_combine_examples():
