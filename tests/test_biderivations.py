@@ -43,6 +43,7 @@ from liebider.derivations import (
 )
 from liebider.liealg import (
     bracket,
+    direct_sum,
     killing_form,
     lie_algebra,
     structure_matrices,
@@ -409,6 +410,9 @@ def test_two_step_properties_h3_and_errors():
         two_step_properties(catalog("sl2"), Biderivation.zero(3))
     with pytest.raises(NotTwoStep):
         two_step_properties(catalog("abelian(3)"), Biderivation.zero(3))
+    # [L, L] meets the center but is not inside it
+    with pytest.raises(NotTwoStep):
+        two_step_properties(direct_sum(alg, catalog("sl2")), Biderivation.zero(6))
     # a non-biderivation candidate is rejected up front
     bad = Biderivation(
         (
