@@ -14,10 +14,16 @@ the change first in odd ones, so drift of the host's speed during a pair
 falls on both sides alike.
 
 The output records the machine, the method, each run's rounds and result
-line, and per workload and metric the q1, median and q3 of each side
-(inclusive quartiles) with ``change_lower_in``, the number of pairs in
-which the change read lower (ties count for neither) out of all pairs.
-It is rewritten after every pair, so an interrupted run keeps what it has.
+line, and per workload the q1, median and q3 (inclusive quartiles) of each
+side's rounds per run and of each metric, with ``change_lower_in``, the
+number of pairs in which the change read lower (ties count for neither)
+out of all pairs.  Each end-to-end metric of the parent's
+``BENCHMARK.json`` also gets ``ratio``, the change median over the parent
+median, and ``within_bound``, whether the change is worse by no more than
+the metric's ``bound``.  The rounds matter because ``peak_rss_mb`` grows
+with them: a faster change runs more rounds in the same seconds.
+The file is rewritten after every pair, so an interrupted run keeps what
+it has.
 """
 
 from __future__ import annotations
@@ -42,20 +48,31 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
-def summarize(pairs: list[dict]) -> dict[str, dict]:
-    """Quartiles of each side and pairs won by the change, per metric."""
-    summary = {}
+def summarize(pairs: list[dict], bounds: dict[str, dict] | None = None) -> dict[str, dict]:
+    """Quartiles of each side's rounds; per metric the quartiles of each
+    side and the pairs won by the change, and for a metric named in
+    ``bounds`` (end-to-end entries of ``BENCHMARK.json`` by name) the
+    change/parent median ratio checked against its bound."""
+    summary = {
+        "rounds": {side: quartiles([p[side]["rounds"] for p in pairs]) for side in SIDES}
+    }
     for name in pairs[0]["parent"]["result"]["metrics"]:
         values = {
             side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
             for side in SIDES
         }
         lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        summary[name] = {
+        entry = summary[name] = {
             "parent": quartiles(values["parent"]),
             "change": quartiles(values["change"]),
             "change_lower_in": f"{lower}/{len(pairs)}",
         }
+        spec = (bounds or {}).get(name)
+        if spec is not None:
+            ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+            worse = ratio - 1 if spec["better"] == "lower" else 1 - ratio
+            entry["ratio"] = round(ratio, 4)
+            entry["within_bound"] = worse <= spec["bound"]
     return summary
 
 
@@ -110,7 +127,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
-        seconds = json.load(handle)["run_seconds"]
+        benchmark = json.load(handle)
+    seconds = benchmark["run_seconds"]
+    bounds = {entry["name"]: entry for entry in benchmark["end_to_end"]}
     plan = []
     for entry in args.workloads:
         name, _, count = entry.partition(":")
@@ -141,13 +160,15 @@ def main(argv=None) -> int:
                 pair[side] = run_once(checkouts[side], name, seed, seconds)
             pairs.append(pair)
             seed += 1
-            doc["workloads"][name] = {"summary": summarize(pairs), "pairs": pairs}
+            doc["workloads"][name] = {"summary": summarize(pairs, bounds), "pairs": pairs}
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle, indent=1)
                 handle.write("\n")
             wall = [pair[side]["result"]["metrics"]["wall_s"]["value"] for side in SIDES]
+            rounds = [pair[side]["rounds"] for side in SIDES]
             print(f"{name} seed {pair['seed']}: wall_s parent {wall[0]:.4f} "
-                  f"change {wall[1]:.4f}", flush=True)
+                  f"change {wall[1]:.4f}, rounds {rounds[0]} and {rounds[1]}",
+                  flush=True)
     return 0
 
 

@@ -248,8 +248,15 @@ def _cmd_check_bider(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, i
 
 
 def _classify_symmetry(cand: Biderivation) -> str:
-    symmetric = all(m == m.transpose() for m in cand.mats)
-    skew = all(m == -m.transpose() for m in cand.mats)
+    """Compare each b_ij^k with b_ji^k (symmetric) and -b_ji^k (skew), i <= j."""
+    pairs = [
+        (row[j], m.data[j][i])
+        for m in cand.mats
+        for i, row in enumerate(m.data)
+        for j in range(i, len(row))
+    ]
+    symmetric = all(a == b for a, b in pairs)
+    skew = all(a == -b for a, b in pairs)
     if symmetric and not skew:
         return "symmetric"
     if skew and not symmetric:

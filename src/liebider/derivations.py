@@ -18,7 +18,10 @@ read `LieAlgebra._ad_split`, one span that gives Z(L), ad(L) and ad^-1.
 Two systems start from a certified part of their kernel and stop once the
 rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
 Jacobi identity holds, and the commuting maps from the projections onto
-the ideals of `LieAlgebra._components`.
+the ideals of `LieAlgebra._components`.  On a Lie algebra with a
+nondegenerate Killing form, Der(L) needs no elimination at all: by
+Cartan's criterion L is semisimple, and by Zassenhaus's lemma every
+derivation is inner, so Der(L) is ad(L) itself.
 """
 
 from __future__ import annotations
@@ -77,12 +80,21 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     """Canonical subspace of Q^(n^2) of all derivations (row-major maps).
 
     Every ad_x is a derivation exactly when the Jacobi identity holds, so
-    on a valid table ad(L) is a certified part of the kernel and
+    on a valid table ad(L) is a certified part of the kernel.  If the
+    Killing form is also nondegenerate, L is semisimple (Cartan) and every
+    derivation is inner (Zassenhaus), so ad(L) is returned without a single
+    row: the very object that elimination would return.  Otherwise
     elimination stops once the rows read prove Der(L) = ad(L)
-    (`kernel_beside`); on an invalid one the known part is 0.
+    (`kernel_beside`); on an invalid table the known part is 0.
     """
     nn = alg.dim * alg.dim
-    known = alg._ad_split[0] if validate(alg) is None else Subspace.zero(nn)
+    if validate(alg) is not None:
+        known = Subspace.zero(nn)
+    else:
+        known, _, centre = alg._ad_split
+        # a nonzero center lies in the radical of the Killing form
+        if not centre.dim and alg._killing.semisimple:
+            return known
     return kernel_beside(known, _map_rows(alg, 1, -1, -1), nn)
 
 

@@ -21,7 +21,8 @@ at the API edge.
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
 The verdict is scanned once per algebra (`LieAlgebra._jacobi`), and the
-solvers read it to certify that ad(L) lies in Der(L).
+solvers read it to certify that ad(L) lies in Der(L).  The Killing form is
+likewise computed once per algebra (`LieAlgebra._killing`).
 It visits only triples with a nonzero bracket among their pairs (on the
 others every term vanishes).  The Jacobi sum is condition (1) of a
 biderivation for the bracket itself, so the scan and the biderivation
@@ -117,6 +118,12 @@ class LieAlgebra(_LieAlgebraFields):
     def _jacobi(self) -> Optional["JacobiViolation"]:
         """`validate`'s verdict, from one `_jacobi_scan` per algebra."""
         return _jacobi_scan(self)
+
+    @cached_property
+    def _killing(self) -> "KillingForm":
+        """`killing_form`'s value, computed once per algebra and shared by
+        `info`, the V correspondence and the Der(L) = ad(L) certificate."""
+        return _killing_of(self)
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
@@ -435,6 +442,12 @@ class KillingForm(NamedTuple):
 
 
 def killing_form(alg: LieAlgebra) -> KillingForm:
+    """The Killing form of ``alg``, computed once (`LieAlgebra._killing`)."""
+    return alg._killing
+
+
+def _killing_of(alg: LieAlgebra) -> KillingForm:
+    """The computation behind `killing_form`."""
     n = alg.dim
     scale, _ = alg._int_table
     ad = alg._int_ad

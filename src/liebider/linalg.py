@@ -128,10 +128,6 @@ class Matrix(NamedTuple):
         )
         return Matrix(self.nrows, self.ncols, rows)
 
-    def __neg__(self) -> "Matrix":
-        rows = tuple(tuple(-a for a in row) for row in self.data)
-        return Matrix(self.nrows, self.ncols, rows)
-
     def __mul__(self, other: Union["Matrix", Scalar]) -> "Matrix":
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:

@@ -142,7 +142,7 @@ def test_constrained_spaces_inside_full_space():
                     if mode == "symmetric":
                         assert m == m.transpose()
                     else:
-                        assert m == -m.transpose()
+                        assert oracles.is_zero(m + m.transpose())
     with pytest.raises(ValueError):
         constrained_biderivation_space(catalog("sl2"), "diagonal")
 
@@ -638,7 +638,7 @@ def test_swap_keeps_biderivations(make):
     assert sym.dim + skew.dim == space.dim
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_tang_gate_on_sl_n(n):
     # Tang (2018): every biderivation of a simple algebra is inner, so
     # BiDer(sl(n)) = span{(x, y) -> [x, y]}, which is skew.
@@ -719,10 +719,12 @@ def test_early_stop_keeps_every_kernel(name):
 
 
 def test_known_parts_end_elimination_early(monkeypatch):
-    # ad(L) is all of Der(sl(4)), so its elimination stops before the last
-    # row (906 of 1,320 rows in the present order); twostep(7,2) has outer
-    # derivations, so every row is read.  The ideals of sl2 (+) sl2 give the
-    # two projections and the two brackets pi_C [x, y].
+    # ad(L) is all of Der(borel(4)), which is complete but not semisimple,
+    # so its elimination stops before the last row (226 of 235 rows in the
+    # present order); sl(4) is semisimple, so Der(L) = ad(L) is certified
+    # without building a row; twostep(7,2) has outer derivations, so every
+    # row is read.  The ideals of sl2 (+) sl2 give the two projections and
+    # the two brackets pi_C [x, y].
     counts = []
 
     def counted(alg, a, b, c):
@@ -734,9 +736,11 @@ def test_known_parts_end_elimination_early(monkeypatch):
             yield row
 
     monkeypatch.setattr(liebider.derivations, "_map_rows", counted)
-    derivation_space(oracles.sl_n(4))
+    derivation_space(oracles.borel_n(4))
     read, total = counts.pop()
-    assert read < total == 1320
+    assert read < total == 235
+    derivation_space(oracles.sl_n(4))
+    assert counts == []
     derivation_space(catalog("twostep(7,2)"))
     read, total = counts.pop()
     assert read == total

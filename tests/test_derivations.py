@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from liebider import vdecomp
+import liebider.derivations
+import liebider.liealg
+from liebider import cli, vdecomp
 from liebider.catalog import catalog
 from liebider.derivations import (
     CenterNonzero,
@@ -18,8 +20,16 @@ from liebider.derivations import (
     is_complete,
     skew_commuting_map_space,
 )
-from liebider.liealg import adjoint_matrix, bracket, center
-from liebider.linalg import Matrix, kernel_of_rows
+from liebider.documents import algebra_to_document, serialize_document
+from liebider.liealg import (
+    adjoint_matrix,
+    bracket,
+    center,
+    killing_form,
+    lie_algebra,
+    validate,
+)
+from liebider.linalg import Matrix, kernel_beside, kernel_of_rows
 
 import oracles
 
@@ -195,3 +205,100 @@ def test_integer_rows_match_fraction_rows(name, monkeypatch):
         lambda alg: kernel_of_rows(oracles.fraction_intertwiner_rows(alg), 2 * n * n),
     )
     assert vdecomp.compute_V(alg) == v
+
+
+def _unit_upper(n):
+    """Unit upper-triangular change of basis with 1/(a+b+1) above the
+    diagonal: rational, so the new constants have denominators."""
+    return Matrix.from_rows(
+        [[F(1) if a == b else F(int(a < b), a + b + 1) for b in range(n)] for a in range(n)]
+    )
+
+
+_CERTIFY_TABLES = dict(
+    oracles.ORACLE_TABLES,
+    # ORACLE_TABLES holds every plain catalog name, abelian(3) and twostep(6,1)
+    **{name: (lambda name=name: catalog(name)) for name in (
+        "abelian(0)", "abelian(1)", "twostep(7,2)")},
+    **{f"borel({n})": (lambda n=n: oracles.borel_n(n)) for n in (3, 4, 5)},
+    sl3_rational=lambda: oracles.change_basis(catalog("sl3"), _unit_upper(8)),
+)
+
+
+def _counting_map_rows(monkeypatch):
+    """Record every call of `_map_rows` that `derivation_space` makes."""
+    calls = []
+    original = liebider.derivations._map_rows
+
+    def counted(alg, a, b, c):
+        calls.append((a, b, c))
+        return original(alg, a, b, c)
+
+    monkeypatch.setattr(liebider.derivations, "_map_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFY_TABLES))
+def test_certified_derivations_match_elimination(name, monkeypatch):
+    # Der(L) = ad(L) is certified, without a row, exactly on the valid tables
+    # with a nondegenerate Killing form (dim 0 included: its form is
+    # vacuously nondegenerate); every result equals the exact elimination.
+    alg = _CERTIFY_TABLES[name]()
+    nn = alg.dim * alg.dim
+    assert validate(alg) is None
+    exact = kernel_beside(alg._ad_split[0], _map_rows(alg, 1, -1, -1), nn)
+    calls = _counting_map_rows(monkeypatch)
+    certified = derivation_space(alg)
+    assert certified == exact
+    assert (calls == []) == killing_form(alg).semisimple, calls
+    if not calls:
+        assert certified is alg._ad_split[0]
+
+
+def test_broken_table_never_takes_the_certificate(monkeypatch):
+    # On a table that fails the Jacobi identity a nondegenerate Killing form
+    # proves nothing: Der(L) comes from every row with no known part.
+    alg = catalog("sl2")
+    calls = _counting_map_rows(monkeypatch)
+    broken = 0
+    for key in [(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)]:
+        constants = dict(alg.constants)
+        constants[key] = constants.get(key, 0) + 1
+        table = lie_algebra(3, constants)
+        if validate(table) is None or not killing_form(table).semisimple:
+            continue
+        broken += 1
+        del calls[:]
+        assert derivation_space(table) == kernel_of_rows(_map_rows(table, 1, -1, -1), 9)
+        assert calls == [(1, -1, -1)], key
+    assert broken >= 3
+
+
+@pytest.mark.parametrize(
+    "name, command, code, expected",
+    [
+        ("sl2_plus_sl2", "info", 0, 1),
+        ("sl2_plus_sl2", "vdecomp", 0, 1),
+        ("L22", "info", 0, 1),
+        ("L22", "vdecomp", 0, 1),
+        ("heisenberg3", "info", 0, 1),
+        # a nonzero center rules out the certificate before the form is read
+        ("heisenberg3", "vdecomp", 1, 0),
+    ],
+)
+def test_killing_form_computed_once_per_algebra(
+    name, command, code, expected, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    original = liebider.liealg._killing_of
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return original(alg)
+
+    monkeypatch.setattr(liebider.liealg, "_killing_of", counted)
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
+    assert cli.run_command([command, str(path)]) == code
+    capsys.readouterr()
+    assert len(calls) == expected

@@ -98,7 +98,7 @@ def test_structure_matrices_are_skew():
     for name in ALL_NAMES:
         alg = catalog(name)
         for mat in structure_matrices(alg):
-            assert mat == -mat.transpose()
+            assert oracles.is_zero(mat + mat.transpose())
 
 
 @given(st.sampled_from(ALL_NAMES), st.integers(0, 10_000))

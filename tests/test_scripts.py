@@ -34,13 +34,13 @@ def test_cli_snapshot_matches_pinned_digests(tmp_path):
     assert actual == expected
 
 
-def _canned_pair(parent, change):
+def _canned_pair(parent, change, rounds=(9, 9), rss=(30.0, 30.0)):
     return {
-        side: {"rounds": 9, "result": {"metrics": {
+        side: {"rounds": count, "result": {"metrics": {
             "wall_s": {"value": wall, "unit": "s"},
-            "peak_rss_mb": {"value": 30.0, "unit": "MB"},
+            "peak_rss_mb": {"value": mb, "unit": "MB"},
         }}}
-        for side, wall in (("parent", parent), ("change", change))
+        for side, wall, count, mb in zip(("parent", "change"), (parent, change), rounds, rss)
     }
 
 
@@ -58,3 +58,32 @@ def test_bench_pairs_summary_on_canned_results():
     assert summary["peak_rss_mb"]["change_lower_in"] == "0/5"
     single = bench["summarize"](pairs[:1])["wall_s"]
     assert single["parent"] == {"q1": 5, "median": 5, "q3": 5}
+
+
+def test_bench_pairs_rounds_and_bounds_on_canned_results():
+    """Each side's rounds per run, and the change/parent median ratio of
+    every end-to-end metric checked against its bound."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    pairs = [
+        _canned_pair(p, c, rounds, (30.0, mb))
+        for p, c, rounds, mb in [
+            (5, 4, (70, 80), 34.0), (1, 2, (71, 104), 35.5), (3, 1, (72, 90), 32.0),
+        ]
+    ]
+    bounds = {
+        "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+        "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    }
+    summary = bench["summarize"](pairs, bounds)
+    assert summary["rounds"] == {
+        "parent": {"q1": 70.5, "median": 71, "q3": 71.5},
+        "change": {"q1": 85.0, "median": 90, "q3": 97.0},
+    }
+    # wall_s medians 3 -> 2 s; peak_rss_mb 30 -> 34 MB is +13%
+    assert summary["wall_s"]["ratio"] == 0.6667
+    assert summary["wall_s"]["within_bound"] is True
+    assert summary["peak_rss_mb"]["ratio"] == 1.1333
+    assert summary["peak_rss_mb"]["within_bound"] is False
+    higher = {"wall_s": dict(bounds["wall_s"], better="higher")}
+    assert bench["summarize"](pairs, higher)["wall_s"]["within_bound"] is False
+    assert "ratio" not in bench["summarize"](pairs)["wall_s"]
