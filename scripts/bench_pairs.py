@@ -21,7 +21,12 @@ out of all pairs.  Each end-to-end metric of the parent's
 ``BENCHMARK.json`` also gets ``ratio``, the change median over the parent
 median, and ``within_bound``, whether the change is worse by no more than
 the metric's ``bound``.  The rounds matter because ``peak_rss_mb`` grows
-with them: a faster change runs more rounds in the same seconds.
+with them: a faster change runs more rounds in the same seconds.  So
+``peak_rss_fit`` holds the least-squares line
+``peak_rss_mb ~ intercept_mb + mb_per_round * rounds`` over both sides' runs
+and each side's median residual from it: the line is the runner's growth
+with each round, and the residuals compare the program's own memory at
+equal rounds.
 The file is rewritten after every pair, so an interrupted run keeps what
 it has.
 """
@@ -48,11 +53,33 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
+def rss_fit(pairs: list[dict]) -> dict[str, float]:
+    """Least-squares line of ``peak_rss_mb`` over rounds through every run
+    of both sides (flat when all runs made the same rounds), and each
+    side's median residual from it."""
+    runs = {
+        side: [(p[side]["rounds"], p[side]["result"]["metrics"]["peak_rss_mb"]["value"])
+               for p in pairs]
+        for side in SIDES
+    }
+    rounds, rss = zip(*runs["parent"], *runs["change"])
+    try:
+        slope, intercept = statistics.linear_regression(rounds, rss)
+    except statistics.StatisticsError:  # every run made the same rounds
+        slope, intercept = 0.0, statistics.fmean(rss)
+    fit = {"intercept_mb": round(intercept, 6), "mb_per_round": round(slope, 6)}
+    for side in SIDES:
+        residuals = [mb - (intercept + slope * count) for count, mb in runs[side]]
+        fit[f"{side}_residual_mb"] = round(statistics.median(residuals), 6)
+    return fit
+
+
 def summarize(pairs: list[dict], bounds: dict[str, dict] | None = None) -> dict[str, dict]:
     """Quartiles of each side's rounds; per metric the quartiles of each
     side and the pairs won by the change, and for a metric named in
     ``bounds`` (end-to-end entries of ``BENCHMARK.json`` by name) the
-    change/parent median ratio checked against its bound."""
+    change/parent median ratio checked against its bound; and the
+    `rss_fit` of ``peak_rss_mb`` over rounds."""
     summary = {
         "rounds": {side: quartiles([p[side]["rounds"] for p in pairs]) for side in SIDES}
     }
@@ -73,6 +100,8 @@ def summarize(pairs: list[dict], bounds: dict[str, dict] | None = None) -> dict[
             worse = ratio - 1 if spec["better"] == "lower" else 1 - ratio
             entry["ratio"] = round(ratio, 4)
             entry["within_bound"] = worse <= spec["bound"]
+    if "peak_rss_mb" in summary:
+        summary["peak_rss_fit"] = rss_fit(pairs)
     return summary
 
 

@@ -26,6 +26,14 @@ When the Jacobi identity holds, the brackets pi_C [x, y] on the ideals C
 of `LieAlgebra._components` are known skew biderivations, so the skew
 kernel starts from them and stops once the rank proves there are no others
 (`linalg.kernel_beside`).
+On a complete algebra (Z(L) = 0 and Der(L) = ad(L)) no symmetry row is
+built.  There every B(x, -) is inner, ad_{phi(x)} with phi(x) unique and
+linear in x, so B(x, y) = [phi(x), y]; B is symmetric exactly when phi is
+skew-commuting (phi^T in V+) and skew exactly when phi is commuting
+(phi^T in V-), and by the Jacobi identity every such phi gives a
+biderivation.  So Sym and Skew are the lifts of
+`derivations.skew_commuting_map_space` and `commuting_map_space`: the same
+canonical spans as the symmetry kernels, so every output is unchanged.
 The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
 each kernel vector is scaled by the lcm of its denominators and its
 coordinates are summed sparse, straight into elimination) and
@@ -71,8 +79,10 @@ from .derivations import (
     CenterNonzero,
     NotInner,
     ad_preimage,
+    commuting_map_space,
     derivation_space,
     is_complete,
+    skew_commuting_map_space,
 )
 from .liealg import center as center_space
 from .liealg import derived_subalgebra
@@ -323,8 +333,11 @@ def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
     return _biderivations_over(alg, derivation_space(alg))
 
 
-# Signs of the symmetry rows each mode solves (see `_symmetry_rows`).
+# Signs of the symmetry rows each mode solves (see `_symmetry_rows`), and
+# the maps phi whose B(x, y) = [phi(x), y] span each sign's kernel on a
+# complete algebra (see `_correspondence_kernels`).
 _SIGNS = {None: (-1, 1), "symmetric": (-1,), "skew": (1,)}
+_MAP_SPACES = {-1: skew_commuting_map_space, 1: commuting_map_space}
 
 
 def _biderivations_over(
@@ -332,12 +345,55 @@ def _biderivations_over(
 ) -> BiderivationSpace:
     """Biderivations in ``mode`` (None: all) for a caller that holds Der(L).
 
-    One kernel of the symmetry rows per sign the mode needs, lifted to
-    Q^(n^3) together and re-checked by `_checked`.  Every caller's ``der``
-    contains ad(L) when the Jacobi identity holds (it is Der(L), or ad(L) on
-    a complete algebra), so the skew kernel then starts from the certified
-    `_bracket_parts`; the symmetric one, and the skew one off Jacobi, start
-    from the zero space (`kernel_beside`).
+    When Z(L) = 0 and ``der`` is ad(L), the algebra is complete and the
+    kernels come from the maps phi of the correspondence
+    (`_correspondence_kernels`); otherwise from the symmetry rows over the
+    canonical basis of ``der`` (`_derivation_kernels`).  Both give the
+    vectors x_is of B(e_i, -) = sum_s x_is D_s for a family D_s whose lift
+    is the same canonical span in Q^(n^3), which `_checked` re-verifies.
+    """
+    inner, _, centre = alg._ad_split
+    if not centre.dim and der == inner:
+        xs, ders = _correspondence_kernels(alg, mode)
+    else:
+        xs, ders = _derivation_kernels(alg, der, mode)
+    return _checked(alg, _lift(xs, ders, alg.dim), mode)
+
+
+def _correspondence_kernels(
+    alg: LieAlgebra, mode: Optional[BiderSymmetryMode]
+) -> tuple[list[Vector], list[list[int]]]:
+    """(x_ir, D_r) of the biderivations B(x, y) = [phi(x), y] in ``mode``
+    of a complete algebra (see the module docstring).
+
+    B(e_i, -) = sum_r phi[r, i] ad_{e_r}, so the D_r are the integer
+    adjoint matrices S * ad_{e_r}, read off `LieAlgebra._int_table`, and
+    x_ir = phi[r, i]; the scale S leaves the span `_lift` takes unchanged.
+    """
+    n = alg.dim
+    ads = [[0] * (n * n) for _ in range(n)]
+    for (r, j), terms in alg._int_table[1].items():
+        for k, c in terms:
+            ads[r][k * n + j] = c
+    # phi[r, i] sits at r*n + i, and x_ir at column i*n + r
+    xs = [
+        tuple(phi[r * n + i] for i in range(n) for r in range(n))
+        for sign in _SIGNS[mode]
+        for phi in _MAP_SPACES[sign](alg).basis
+    ]
+    return xs, ads
+
+
+def _derivation_kernels(
+    alg: LieAlgebra, der: Subspace, mode: Optional[BiderSymmetryMode]
+) -> tuple[list[Vector], list[list[int]]]:
+    """(x_is, D_s): one kernel of the symmetry rows per sign ``mode``
+    needs, over the canonical basis D_s of ``der``.
+
+    Every caller's ``der`` contains ad(L) when the Jacobi identity holds
+    (it is Der(L), or ad(L) on a complete algebra), so the skew kernel then
+    starts from the certified `_bracket_parts`; the symmetric one, and the
+    skew one off Jacobi, start from the zero space (`kernel_beside`).
     """
     n = alg.dim
     ders = _primitive_derivations(der)
@@ -351,7 +407,7 @@ def _biderivations_over(
             else Subspace.zero(n * d)
         )
         xs.extend(kernel_beside(known, _symmetry_rows(at, n, d, sign), n * d).basis)
-    return _checked(alg, _lift(xs, ders, n), mode)
+    return xs, ders
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +628,8 @@ def constrained_biderivation_space(
     only rows are b_ij^k - b_ji^k = 0 (symmetric, n^2 (n - 1) / 2 rows) or
     b_ij^k + b_ji^k = 0 (skew, n^2 (n + 1) / 2 rows; the diagonal ones force
     b_ii^k = 0) for all k and i <= j, less those that vanish in the x_is.
-    Condition (1) follows: B(-, z) = +-B(z, -) is a derivation.  Every basis
+    Condition (1) follows: B(-, z) = +-B(z, -) is a derivation.  A complete
+    algebra needs no row (see `_biderivations_over`).  Every basis
     element is re-verified against both defining conditions and its
     symmetry; a failure raises InternalInconsistency.
     """

@@ -19,14 +19,18 @@ Two systems start from a certified part of their kernel and stop once the
 rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
 Jacobi identity holds, and the commuting maps from the projections onto
 the ideals of `LieAlgebra._components`.  On a Lie algebra with a
-nondegenerate Killing form, Der(L) needs no elimination at all: by
-Cartan's criterion L is semisimple, and by Zassenhaus's lemma every
-derivation is inner, so Der(L) is ad(L) itself.
+nondegenerate Killing form (`_semisimple`), two systems need no
+elimination at all: by Cartan's criterion L is semisimple, so Der(L) is
+ad(L) itself (Zassenhaus's lemma), and there is no nonzero skew-commuting
+map (every biderivation is skew).  `vdecomp` and `biderivations` both read
+the commuting and skew-commuting maps, so each is solved once per algebra
+(`_per_algebra`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from functools import wraps
+from typing import Callable, Iterator, NamedTuple
 
 from .liealg import LieAlgebra, validate
 from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
@@ -76,6 +80,37 @@ def _map_rows(
                     yield row
 
 
+def _semisimple(alg: LieAlgebra) -> bool:
+    """The Jacobi identity holds and the Killing form is nondegenerate, so
+    L is semisimple by Cartan's criterion.
+
+    A nonzero center lies in the radical of the Killing form, so the center
+    is read first and the form is only computed when it is zero.
+    """
+    return (
+        validate(alg) is None
+        and not alg._ad_split[2].dim
+        and alg._killing.semisimple
+    )
+
+
+def _per_algebra(
+    solve: Callable[[LieAlgebra], Subspace]
+) -> Callable[[LieAlgebra], Subspace]:
+    """``solve`` run once per algebra, its value kept in the algebra's
+    ``__dict__`` beside the cached properties of `LieAlgebra`."""
+    key = f"_{solve.__name__}"
+
+    @wraps(solve)
+    def once(alg: LieAlgebra) -> Subspace:
+        cache = alg.__dict__
+        if key not in cache:
+            cache[key] = solve(alg)
+        return cache[key]
+
+    return once
+
+
 def derivation_space(alg: LieAlgebra) -> Subspace:
     """Canonical subspace of Q^(n^2) of all derivations (row-major maps).
 
@@ -88,13 +123,9 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     (`kernel_beside`); on an invalid table the known part is 0.
     """
     nn = alg.dim * alg.dim
-    if validate(alg) is not None:
-        known = Subspace.zero(nn)
-    else:
-        known, _, centre = alg._ad_split
-        # a nonzero center lies in the radical of the Killing form
-        if not centre.dim and alg._killing.semisimple:
-            return known
+    if _semisimple(alg):
+        return alg._ad_split[0]
+    known = alg._ad_split[0] if validate(alg) is None else Subspace.zero(nn)
     return kernel_beside(known, _map_rows(alg, 1, -1, -1), nn)
 
 
@@ -120,6 +151,7 @@ def is_complete(alg: LieAlgebra) -> CompletenessReport:
     return CompletenessReport(c_dim == 0 and der == inner, c_dim, der.dim, inner.dim)
 
 
+@_per_algebra
 def commuting_map_space(alg: LieAlgebra) -> Subspace:
     """Maps f with [f(x), y] = [x, f(y)] for all x, y.
 
@@ -127,7 +159,8 @@ def commuting_map_space(alg: LieAlgebra) -> Subspace:
     i <= j carry all constraints; the diagonal conditions [f(e_i), e_i] = 0
     are genuine.  The projections onto the ideals of
     `LieAlgebra._components` commute with any antisymmetric table, so they
-    are a certified part of the kernel (`kernel_beside`).
+    are a certified part of the kernel (`kernel_beside`).  Solved once per
+    algebra.
     """
     nn = alg.dim * alg.dim
     projections = []
@@ -140,13 +173,22 @@ def commuting_map_space(alg: LieAlgebra) -> Subspace:
     return kernel_beside(known, _map_rows(alg, 0, 1, -1), nn)
 
 
+@_per_algebra
 def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
     """Maps f with [f(x), y] = -[x, f(y)] for all x, y.
 
     The defect [f(x), y] + [x, f(y)] is antisymmetric in (x, y), so the
-    pairs i < j carry all constraints and the diagonal rows vanish.
+    pairs i < j carry all constraints and the diagonal rows vanish.  Each
+    such f gives a symmetric biderivation B(x, y) = [f(x), y], which is 0
+    only if f maps into Z(L).  On a semisimple algebra every biderivation
+    is skew and Z(L) = 0, so on the inputs that `derivation_space`
+    certifies (`_semisimple`) the space is 0 and no row is built.  Solved
+    once per algebra.
     """
-    return kernel_of_rows(_map_rows(alg, 0, 1, 1), alg.dim * alg.dim)
+    nn = alg.dim * alg.dim
+    if _semisimple(alg):
+        return Subspace.zero(nn)
+    return kernel_of_rows(_map_rows(alg, 0, 1, 1), nn)
 
 
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:

@@ -186,7 +186,8 @@ def _correspondence(
     """dim BiDer = dim V and phi^T in V, for a complete algebra.
 
     Completeness means Der(L) = ad(L) as canonical subspaces, so BiDer is
-    solved over the inner derivations without solving Der(L) again.  Its
+    lifted from the commuting and skew-commuting maps that V+ and V- were
+    read from (solved once per algebra), without solving Der(L) again.  Its
     basis is re-checked, so phi is factored without the premise checks of
     `extract_phi_psi`.
     """

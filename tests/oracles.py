@@ -34,7 +34,9 @@ and its `Fraction` oracle.
 
 `sl_n` builds sl(n) and `borel_n` its upper Borel subalgebra with the
 catalog's elementary-matrix builder `liebider.catalog._sl_constants`,
-`change_basis` rewrites a table on a new basis, and `ORACLE_TABLES` names
+`change_basis` rewrites a table on a new basis (`unit_upper` gives a dense
+rational one), `restrict_scalars` reads an algebra over a quadratic field
+Q(sqrt(d)) as a Q-algebra of twice the dimension, and `ORACLE_TABLES` names
 the bracket tables the oracle comparisons run on, including ones whose
 constants are not integers.
 """
@@ -563,6 +565,36 @@ def change_basis(alg: LieAlgebra, change: Matrix) -> LieAlgebra:
     return lie_algebra(n, constants)
 
 
+def unit_upper(n: int) -> Matrix:
+    """Unit upper-triangular change of basis with 1/(a+b+1) above the
+    diagonal: rational, so the new constants have denominators."""
+    return Matrix.from_rows(
+        [[Fraction(1) if a == b else Fraction(int(a < b), a + b + 1) for b in range(n)]
+         for a in range(n)]
+    )
+
+
+def restrict_scalars(alg: LieAlgebra, square: int) -> LieAlgebra:
+    """``alg`` tensored with Q(s), s^2 = ``square`` not a square, as a
+    Q-algebra: e_a (x) 1 at index a and e_a (x) s at n + a, with
+    [x (x) u, y (x) v] = [x, y] (x) uv.
+
+    Its basis indices form one class of `LieAlgebra._components`, yet
+    multiplication by s commutes with the bracket, so there are more
+    commuting maps than component projections.  When ``alg`` is simple it
+    stays simple over Q, but not over an extension of Q.
+    """
+    n = alg.dim
+    constants = {}
+    for (i, j, k), c in alg.constants:
+        constants[(i, j, k)] = c
+        constants[(i, n + j, n + k)] = c
+        constants[(j, n + i, n + k)] = -c
+        constants[(n + i, n + j, k)] = square * c
+    names = alg.basis_names + tuple(f"{name}_s" for name in alg.basis_names)
+    return lie_algebra(2 * n, constants, names)
+
+
 def dense_basis_sl2_plus_sl2() -> LieAlgebra:
     """sl2 + sl2 on the columns of the 6 x 6 Hilbert matrix as a new basis."""
     n = 6
@@ -595,4 +627,12 @@ ORACLE_TABLES = {
     "twostep(6,1)": lambda: catalog("twostep(6,1)", seed=3),
     "sl2_plus_sl2_dense": dense_basis_sl2_plus_sl2,
     "sl2_scaled": scaled_sl2,
+}
+
+# Restrictions of scalars: simple over Q, one index class, and commuting
+# maps of dimension 2 (BiDer 2, Sym 0).
+RESTRICTED_TABLES = {
+    "sl2_sqrt2": lambda: restrict_scalars(catalog("sl2"), 2),
+    "sl2_i": lambda: restrict_scalars(catalog("sl2"), -1),
+    "sl3_sqrt3": lambda: restrict_scalars(catalog("sl3"), 3),
 }

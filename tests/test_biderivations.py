@@ -29,6 +29,7 @@ from liebider.biderivations import (
     two_step_properties,
 )
 from liebider.biderivations import (
+    _derivation_kernels,
     _entries_at,
     _lift,
     _primitive_derivations,
@@ -607,6 +608,7 @@ def test_checkers_share_no_solver_code():
         "bracket", "_map_rows", "_condition_one_rows", "_symmetry_rows",
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
         "kernel_beside", "_components", "_bracket_parts",
+        "commuting_map_space", "skew_commuting_map_space", "_lift",
     }
     # `validate` returns the cached verdict of `_jacobi_scan`, which scans.
     for checker in (biderivation_violation, liebider.liealg._jacobi_scan):
@@ -657,6 +659,63 @@ def test_tang_gate_on_sl_n(n):
         changed = Biderivation(tuple(mats))
         violation = _assert_scans_agree(alg, changed)
         assert violation is not None
+
+
+def test_tang_gate_on_dense_sl4():
+    # sl(4) on a dense rational basis whose constants share a 155-bit
+    # denominator: complete, so every mode is lifted from V+ = 0 and V-.
+    alg = oracles.change_basis(oracles.sl_n(4), oracles.unit_upper(15))
+    assert alg._int_table[0].bit_length() == 155
+    assert biderivation_space(alg).dim == 1
+    assert constrained_biderivation_space(alg, "symmetric").dim == 0
+    skew = constrained_biderivation_space(alg, "skew")
+    assert skew.space == Subspace.span([inner_biderivation(alg, [1]).flatten()], 15 ** 3)
+
+
+_CORRESPONDENCE_TABLES = dict(
+    oracles.ORACLE_TABLES,
+    **oracles.RESTRICTED_TABLES,
+    **{f"borel({n})": (lambda n=n: oracles.borel_n(n)) for n in (3, 4, 5)},
+    sl4=lambda: oracles.sl_n(4),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_CORRESPONDENCE_TABLES))
+def test_correspondence_matches_the_derivation_basis(name, monkeypatch):
+    # On a complete algebra each mode is lifted from the commuting and
+    # skew-commuting maps without a symmetry row; it must equal the kept
+    # Der-basis path, called directly.  Other inputs take that path.
+    alg = _CORRESPONDENCE_TABLES[name]()
+    n = alg.dim
+    der = derivation_space(alg)
+    complete = is_complete(alg).complete
+    expected = {
+        mode: _lift(*_derivation_kernels(alg, der, mode), n)
+        for mode in (None, "symmetric", "skew")
+    }
+    signs = []
+
+    def counted(at, n, d, sign):
+        signs.append(sign)
+        return _solver_rows(at, n, d, sign)
+
+    monkeypatch.setattr(liebider.biderivations, "_symmetry_rows", counted)
+    assert biderivation_space(alg).space == expected[None]
+    for mode in ("symmetric", "skew"):
+        assert constrained_biderivation_space(alg, mode).space == expected[mode], mode
+    assert signs == ([] if complete else [-1, 1, -1, 1])
+
+
+@pytest.mark.parametrize("name", sorted(oracles.RESTRICTED_TABLES))
+def test_restricted_scalars_have_two_skew_biderivations(name):
+    # One index class, so the component projections give one commuting map,
+    # but multiplication by s is a second: BiDer = Skew has dimension 2.
+    alg = oracles.RESTRICTED_TABLES[name]()
+    assert len(alg._components) == 1
+    assert commuting_map_space(alg).dim == 2
+    assert biderivation_space(alg).dim == 2
+    assert constrained_biderivation_space(alg, "symmetric").dim == 0
+    assert constrained_biderivation_space(alg, "skew").dim == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -207,26 +207,18 @@ def test_integer_rows_match_fraction_rows(name, monkeypatch):
     assert vdecomp.compute_V(alg) == v
 
 
-def _unit_upper(n):
-    """Unit upper-triangular change of basis with 1/(a+b+1) above the
-    diagonal: rational, so the new constants have denominators."""
-    return Matrix.from_rows(
-        [[F(1) if a == b else F(int(a < b), a + b + 1) for b in range(n)] for a in range(n)]
-    )
-
-
 _CERTIFY_TABLES = dict(
     oracles.ORACLE_TABLES,
     # ORACLE_TABLES holds every plain catalog name, abelian(3) and twostep(6,1)
     **{name: (lambda name=name: catalog(name)) for name in (
         "abelian(0)", "abelian(1)", "twostep(7,2)")},
     **{f"borel({n})": (lambda n=n: oracles.borel_n(n)) for n in (3, 4, 5)},
-    sl3_rational=lambda: oracles.change_basis(catalog("sl3"), _unit_upper(8)),
+    sl3_rational=lambda: oracles.change_basis(catalog("sl3"), oracles.unit_upper(8)),
 )
 
 
 def _counting_map_rows(monkeypatch):
-    """Record every call of `_map_rows` that `derivation_space` makes."""
+    """Record every call of `_map_rows` that the solvers of `derivations` make."""
     calls = []
     original = liebider.derivations._map_rows
 
@@ -255,9 +247,26 @@ def test_certified_derivations_match_elimination(name, monkeypatch):
         assert certified is alg._ad_split[0]
 
 
+_SKEW_COMMUTING_TABLES = dict(
+    _CERTIFY_TABLES, **oracles.RESTRICTED_TABLES, sl4=lambda: oracles.sl_n(4)
+)
+
+
+@pytest.mark.parametrize("name", sorted(_SKEW_COMMUTING_TABLES))
+def test_semisimple_inputs_have_no_skew_commuting_maps(name, monkeypatch):
+    # V+ = 0 is certified, without a row, exactly where Der(L) = ad(L) is
+    # (`_semisimple`), and equals the exact kernel everywhere.
+    alg = _SKEW_COMMUTING_TABLES[name]()
+    exact = kernel_of_rows(_map_rows(alg, 0, 1, 1), alg.dim * alg.dim)
+    calls = _counting_map_rows(monkeypatch)
+    assert skew_commuting_map_space(alg) == exact
+    assert (calls == []) == killing_form(alg).semisimple, calls
+
+
 def test_broken_table_never_takes_the_certificate(monkeypatch):
     # On a table that fails the Jacobi identity a nondegenerate Killing form
-    # proves nothing: Der(L) comes from every row with no known part.
+    # proves nothing: Der(L) and the skew-commuting maps come from every row,
+    # Der(L) with no known part.
     alg = catalog("sl2")
     calls = _counting_map_rows(monkeypatch)
     broken = 0
@@ -271,6 +280,10 @@ def test_broken_table_never_takes_the_certificate(monkeypatch):
         del calls[:]
         assert derivation_space(table) == kernel_of_rows(_map_rows(table, 1, -1, -1), 9)
         assert calls == [(1, -1, -1)], key
+        del calls[:]
+        skew = skew_commuting_map_space(table)
+        assert skew == kernel_of_rows(_map_rows(table, 0, 1, 1), 9)
+        assert calls == [(0, 1, 1)], key
     assert broken >= 3
 
 

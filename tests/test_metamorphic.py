@@ -45,11 +45,19 @@ def _random_change(n, rng):
             return Matrix.from_rows(rows)
 
 
-@pytest.mark.parametrize(
-    "name", ["sl2", "so3", "L22", "heisenberg3", "sl2_plus_sl2", "twostep(6,1)"]
-)
+_INPUTS = {
+    **{
+        name: (lambda name=name: catalog(name, seed=3))
+        for name in ("sl2", "so3", "sl3", "L22", "heisenberg3", "sl2_plus_sl2",
+                     "twostep(6,1)")
+    },
+    "borel(4)": lambda: oracles.borel_n(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
 def test_change_of_basis_keeps_invariants(name):
-    alg = catalog(name, seed=3)
+    alg = _INPUTS[name]()
     rng = random.Random(name)
     moved = oracles.change_basis(alg, _random_change(alg.dim, rng))
     assert moved._int_table[0] > 1

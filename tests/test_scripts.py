@@ -87,3 +87,23 @@ def test_bench_pairs_rounds_and_bounds_on_canned_results():
     higher = {"wall_s": dict(bounds["wall_s"], better="higher")}
     assert bench["summarize"](pairs, higher)["wall_s"]["within_bound"] is False
     assert "ratio" not in bench["summarize"](pairs)["wall_s"]
+
+
+def test_bench_pairs_rss_fit_on_canned_results():
+    """The line of peak_rss_mb over rounds through both sides' runs, and
+    each side's median residual from it; equal rounds give a flat line."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    # parent (10, 30 MB), (20, 35 MB); change 2 MB above it at equal rounds
+    pairs = [
+        _canned_pair(1, 1, (10, 10), (30.0, 32.0)),
+        _canned_pair(1, 1, (20, 20), (35.0, 37.0)),
+    ]
+    assert bench["summarize"](pairs)["peak_rss_fit"] == {
+        "intercept_mb": 26.0, "mb_per_round": 0.5,
+        "parent_residual_mb": -1.0, "change_residual_mb": 1.0,
+    }
+    flat = [_canned_pair(1, 1, (9, 9), (30.0, 34.0))]
+    assert bench["summarize"](flat)["peak_rss_fit"] == {
+        "intercept_mb": 32.0, "mb_per_round": 0.0,
+        "parent_residual_mb": -2.0, "change_residual_mb": 2.0,
+    }

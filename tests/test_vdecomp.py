@@ -216,6 +216,37 @@ def test_vdecomp_command_computes_each_invariant_once(
     }
 
 
+@pytest.mark.parametrize(
+    "name, code, signs",
+    [
+        # complete, not semisimple: the correspondence reuses V+ and V-
+        ("L22", 0, [(0, 1, 1), (0, 1, -1), (1, -1, -1)]),
+        # semisimple: V+ = 0 and Der(L) = ad(L) need no row
+        ("sl2_plus_sl2", 0, [(0, 1, -1)]),
+        ("heisenberg3", 1, [(0, 1, 1), (0, 1, -1), (1, -1, -1)]),
+    ],
+)
+def test_vdecomp_command_builds_each_map_system_once(
+    name, code, signs, tmp_path, monkeypatch, capsys
+):
+    from liebider import cli, derivations
+    from liebider.documents import algebra_to_document, serialize_document
+
+    calls = []
+    original = derivations._map_rows
+
+    def counted(alg, a, b, c):
+        calls.append((a, b, c))
+        return original(alg, a, b, c)
+
+    monkeypatch.setattr(derivations, "_map_rows", counted)
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
+    assert cli.run_command(["vdecomp", str(path)]) == code
+    capsys.readouterr()
+    assert calls == signs
+
+
 def test_semisimple_v_basis_is_blockwise_scalar():
     alg = catalog("sl2_plus_sl2")
     vspace = compute_V(alg)
