@@ -12,28 +12,25 @@ coefficients b_ij^k are flattened with k outermost: b_ij^k sits at position
 k*n^2 + i*n + j.
 
 Condition (2) says that every left partial map B(e_i, -) is a derivation.
-The solver therefore computes a basis D_1, ..., D_d of Der(L) first and
-writes B(e_i, -) = sum_s x_is D_s, so condition (2) holds by construction
-and there are n*d unknowns x_is instead of n^3.  Condition (1) needs no rows
-of its own.  The swap B^t(x, y) = B(y, x) turns condition (1) for B^t into
-condition (2) for B and back, so it maps biderivations to biderivations,
-and B = (B + B^t)/2 + (B - B^t)/2 gives BiDer = Sym (+) Skew.  A symmetric
-or skew B whose left partial maps are derivations has right partial maps
-B(-, z) = +-B(z, -), which are derivations too.  So the symmetric and the
-skew biderivations are the kernels of the symmetry rows
-b_ij^k -+ b_ji^k = 0 (i <= j) alone, and the full space is spanned by both.
-When the Jacobi identity holds, the brackets pi_C [x, y] on the ideals C
-of `LieAlgebra._components` are known skew biderivations, so the skew
-kernel starts from them and stops once the rank proves there are no others
-(`linalg.kernel_beside`).
-On a complete algebra (Z(L) = 0 and Der(L) = ad(L)) no symmetry row is
-built.  There every B(x, -) is inner, ad_{phi(x)} with phi(x) unique and
-linear in x, so B(x, y) = [phi(x), y]; B is symmetric exactly when phi is
-skew-commuting (phi^T in V+) and skew exactly when phi is commuting
-(phi^T in V-), and by the Jacobi identity every such phi gives a
-biderivation.  So Sym and Skew are the lifts of
-`derivations.skew_commuting_map_space` and `commuting_map_space`: the same
-canonical spans as the symmetry kernels, so every output is unchanged.
+The solver therefore writes B(e_i, -) = sum_s x_is D_s over a family of
+derivations D_1, ..., D_d that spans Der(L), so condition (2) holds by
+construction and there are n*d unknowns x_is instead of n^3.  Condition (1)
+needs no rows of its own.  The swap B^t(x, y) = B(y, x) turns condition (1)
+for B^t into condition (2) for B and back, so it maps biderivations to
+biderivations, and B = (B + B^t)/2 + (B - B^t)/2 gives BiDer = Sym (+) Skew.
+A symmetric or skew B whose left partial maps are derivations has right
+partial maps B(-, z) = +-B(z, -), which are derivations too.  So the
+symmetric and the skew biderivations are the kernels of the symmetry rows
+b_ij^k -+ b_ji^k = 0 (i <= j) alone (`derivations._symmetry_rows`), and the
+full space is spanned by both.
+On a complete algebra (Z(L) = 0 and Der(L) = ad(L)) the family is
+S * ad_{e_s}: every B(x, -) is inner, ad_{phi(x)} with phi(x) unique and
+linear in x, so B(x, y) = [phi(x), y] and x_is = phi[s, i].  B is symmetric
+exactly when phi is skew-commuting (phi^T in V+) and skew exactly when phi
+is commuting (phi^T in V-), and by the Jacobi identity every such phi gives
+a biderivation.  So the kernels are `derivations.skew_commuting_map_space`
+and `commuting_map_space`, solved once per algebra.  On any other input
+the family is the canonical basis of Der(L) (`_primitive_derivations`).
 The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
 each kernel vector is scaled by the lcm of its denominators and its
 coordinates are summed sparse, straight into elimination) and
@@ -63,7 +60,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .liealg import LieAlgebra, _leibniz_residual, structure_matrices, validate
+from .liealg import LieAlgebra, _leibniz_residual, structure_matrices
 from .linalg import (
     ZERO,
     Matrix,
@@ -73,11 +70,13 @@ from .linalg import (
     _Reducer,
     as_vector,
     commutator,
-    kernel_beside,
+    kernel_of_rows,
 )
 from .derivations import (
     CenterNonzero,
     NotInner,
+    _adjoint_family,
+    _symmetry_rows,
     ad_preimage,
     commuting_map_space,
     derivation_space,
@@ -190,88 +189,29 @@ class BiderivationSpace(NamedTuple):
 # Constraint assembly
 
 
-def _primitive_derivations(der: Subspace) -> list[list[int]]:
-    """Canonical basis D_1, ..., D_d of Der(L), each a primitive integer vector."""
+def _primitive_derivations(der: Subspace) -> list[dict[int, int]]:
+    """Canonical basis D_1, ..., D_d of Der(L), each kept sparse as
+    {k*n + j: D_s[k, j]} and scaled by the lcm D of its denominators.  The
+    pivot entry 1 becomes D, and each prime power of D is the full
+    denominator of some entry, so the integer vector is primitive."""
     out = []
     for vec in der.basis:
         den = math.lcm(*(v.denominator for v in vec))
-        ints = [v.numerator * (den // v.denominator) for v in vec]
-        g = math.gcd(*ints)
-        out.append([v // g for v in ints])
+        out.append({p: v.numerator * den // v.denominator for p, v in enumerate(vec) if v})
     return out
 
 
-def _entries_at(
-    ders: list[list[int]], nn: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """For each matrix position p = a*n + b, the nonzero pairs (s, D_s[p])."""
-    return [
-        tuple((s, der[p]) for s, der in enumerate(ders) if der[p])
-        for p in range(nn)
-    ]
-
-
-def _symmetry_rows(
-    at: list[tuple[tuple[int, int], ...]], n: int, d: int, sign: int
-) -> Iterator[dict[int, int]]:
-    """b_ij^k + sign * b_ji^k = 0 for all k and i <= j, in the x_is.
-
-    ``at`` comes from `_entries_at`; column i*d + s holds x_is, and
-    b_ij^k = sum_s x_is D_s[k, j].  Sign -1 gives the symmetric rows, whose
-    diagonal ones vanish; sign +1 gives the skew rows, whose diagonal ones
-    force b_ii^k = 0.  Rows are ordered by (k, i, j); zero rows are skipped.
-    """
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                row = {i * d + s: v for s, v in at[k * n + j]}
-                for s, v in at[k * n + i]:
-                    col = j * d + s
-                    row[col] = row.get(col, 0) + sign * v
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
-
-
-def _bracket_parts(alg: LieAlgebra, der: Subspace, ders: list[list[int]]) -> Subspace:
-    """The skew biderivations pi_C [x, y] in the x_is, one per ideal C of
-    `LieAlgebra._components` with a nonzero bracket.
-
-    pi_C [x, y] = [pi_C x, y] = [x, pi_C y], so both partial maps are inner
-    derivations and B(e_i, -) is ad_{e_i} for i in C, else 0.  The caller
-    certifies that ad(L) lies in the span of the D_s; each D_s is 0 at the
-    other pivots p_t of the canonical ``der``, so
-    ad_{e_i} = sum_s (ad_{e_i})[p_s] / D_s[p_s] * D_s, with
-    (ad_{e_i})[k*n + j] = c_ij^k at p_s = k*n + j.
-    """
-    n, d = alg.dim, len(ders)
-    parts = []
-    for block in alg._components:
-        x = [ZERO] * (n * d)
-        for i in block:
-            for s, p in enumerate(der.pivots):
-                k, j = divmod(p, n)
-                c = dict(alg.pair_terms(i, j)).get(k)
-                if c:
-                    x[i * d + s] = c / ders[s][p]
-        if any(x):
-            parts.append(x)
-    return Subspace.span(parts, n * d)
-
-
-def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
+def _lift(xs: list[Vector], family: list[dict[int, int]], n: int) -> Subspace:
     """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is.
 
-    Coordinates follow b_ij^k = sum_s x_is D_s[k, j].  Each x is scaled by
-    the lcm of its denominators, which leaves its span unchanged, so the
+    Coordinates follow b_ij^k = sum_s x_is D_s[k, j], with x_is at column
+    s*n + i and D_s the sparse ``family[s]``.  Each x is scaled by the lcm
+    of its denominators, which leaves its span unchanged, so the
     coordinates are summed as integers and go to elimination sparse.
     """
     nn = n * n
-    d = len(ders)
     # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
-    spread = [
-        [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
-    ]
+    spread = [[(p // n * nn + p % n, v) for p, v in mat.items()] for mat in family]
     red = _Reducer(n * nn)
     for x in xs:
         terms = [(col, v) for col, v in enumerate(x) if v]
@@ -279,7 +219,7 @@ def _lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
         flat: dict[int, int] = {}
         get = flat.get
         for col, v in terms:
-            i, s = divmod(col, d)
+            s, i = divmod(col, n)
             coeff, shift = v.numerator * (den // v.denominator), i * n
             for pos, dv in spread[s]:
                 pos += shift
@@ -333,9 +273,9 @@ def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
     return _biderivations_over(alg, derivation_space(alg))
 
 
-# Signs of the symmetry rows each mode solves (see `_symmetry_rows`), and
-# the maps phi whose B(x, y) = [phi(x), y] span each sign's kernel on a
-# complete algebra (see `_correspondence_kernels`).
+# Signs of the symmetry rows each mode solves (see
+# `derivations._symmetry_rows`), and the maps phi whose B(x, y) = [phi(x), y]
+# span each sign's kernel on a complete algebra.
 _SIGNS = {None: (-1, 1), "symmetric": (-1,), "skew": (1,)}
 _MAP_SPACES = {-1: skew_commuting_map_space, 1: commuting_map_space}
 
@@ -345,69 +285,25 @@ def _biderivations_over(
 ) -> BiderivationSpace:
     """Biderivations in ``mode`` (None: all) for a caller that holds Der(L).
 
-    When Z(L) = 0 and ``der`` is ad(L), the algebra is complete and the
-    kernels come from the maps phi of the correspondence
-    (`_correspondence_kernels`); otherwise from the symmetry rows over the
-    canonical basis of ``der`` (`_derivation_kernels`).  Both give the
-    vectors x_is of B(e_i, -) = sum_s x_is D_s for a family D_s whose lift
-    is the same canonical span in Q^(n^3), which `_checked` re-verifies.
+    When Z(L) = 0 and ``der`` is ad(L), the algebra is complete: the family
+    is `_adjoint_family` and each kernel is a map space of the
+    correspondence.  Otherwise the family is the canonical basis of
+    ``der`` and each kernel is solved from its symmetry rows.  The kernel
+    vectors x_is of B(e_i, -) = sum_s x_is D_s are lifted into Q^(n^3),
+    where `_checked` re-verifies them.
     """
+    n = alg.dim
     inner, _, centre = alg._ad_split
     if not centre.dim and der == inner:
-        xs, ders = _correspondence_kernels(alg, mode)
+        family = _adjoint_family(alg)
+        xs = [phi for sign in _SIGNS[mode] for phi in _MAP_SPACES[sign](alg).basis]
     else:
-        xs, ders = _derivation_kernels(alg, der, mode)
-    return _checked(alg, _lift(xs, ders, alg.dim), mode)
-
-
-def _correspondence_kernels(
-    alg: LieAlgebra, mode: Optional[BiderSymmetryMode]
-) -> tuple[list[Vector], list[list[int]]]:
-    """(x_ir, D_r) of the biderivations B(x, y) = [phi(x), y] in ``mode``
-    of a complete algebra (see the module docstring).
-
-    B(e_i, -) = sum_r phi[r, i] ad_{e_r}, so the D_r are the integer
-    adjoint matrices S * ad_{e_r}, read off `LieAlgebra._int_table`, and
-    x_ir = phi[r, i]; the scale S leaves the span `_lift` takes unchanged.
-    """
-    n = alg.dim
-    ads = [[0] * (n * n) for _ in range(n)]
-    for (r, j), terms in alg._int_table[1].items():
-        for k, c in terms:
-            ads[r][k * n + j] = c
-    # phi[r, i] sits at r*n + i, and x_ir at column i*n + r
-    xs = [
-        tuple(phi[r * n + i] for i in range(n) for r in range(n))
-        for sign in _SIGNS[mode]
-        for phi in _MAP_SPACES[sign](alg).basis
-    ]
-    return xs, ads
-
-
-def _derivation_kernels(
-    alg: LieAlgebra, der: Subspace, mode: Optional[BiderSymmetryMode]
-) -> tuple[list[Vector], list[list[int]]]:
-    """(x_is, D_s): one kernel of the symmetry rows per sign ``mode``
-    needs, over the canonical basis D_s of ``der``.
-
-    Every caller's ``der`` contains ad(L) when the Jacobi identity holds
-    (it is Der(L), or ad(L) on a complete algebra), so the skew kernel then
-    starts from the certified `_bracket_parts`; the symmetric one, and the
-    skew one off Jacobi, start from the zero space (`kernel_beside`).
-    """
-    n = alg.dim
-    ders = _primitive_derivations(der)
-    d = len(ders)
-    at = _entries_at(ders, n * n)
-    xs: list[Vector] = []
-    for sign in _SIGNS[mode]:
-        known = (
-            _bracket_parts(alg, der, ders)
-            if sign > 0 and validate(alg) is None
-            else Subspace.zero(n * d)
-        )
-        xs.extend(kernel_beside(known, _symmetry_rows(at, n, d, sign), n * d).basis)
-    return xs, ders
+        family = _primitive_derivations(der)
+        xs = []
+        for sign in _SIGNS[mode]:
+            rows = _symmetry_rows(family, n, sign)
+            xs.extend(kernel_of_rows(rows, n * len(family)).basis)
+    return _checked(alg, _lift(xs, family, n), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +519,16 @@ def constrained_biderivation_space(
     """Biderivations that are symmetric (B(x,y) = B(y,x)) or skew
     (B(x,y) = -B(y,x)) as bilinear maps.
 
-    The unknowns are the x_is of B(e_i, -) = sum_s x_is D_s over the
-    canonical basis of Der(L), so condition (2) holds by construction.  The
-    only rows are b_ij^k - b_ji^k = 0 (symmetric, n^2 (n - 1) / 2 rows) or
+    The unknowns are the x_is of B(e_i, -) = sum_s x_is D_s over a family
+    that spans Der(L), so condition (2) holds by construction.  The only
+    rows are b_ij^k - b_ji^k = 0 (symmetric, n^2 (n - 1) / 2 rows) or
     b_ij^k + b_ji^k = 0 (skew, n^2 (n + 1) / 2 rows; the diagonal ones force
     b_ii^k = 0) for all k and i <= j, less those that vanish in the x_is.
-    Condition (1) follows: B(-, z) = +-B(z, -) is a derivation.  A complete
-    algebra needs no row (see `_biderivations_over`).  Every basis
-    element is re-verified against both defining conditions and its
-    symmetry; a failure raises InternalInconsistency.
+    Condition (1) follows: B(-, z) = +-B(z, -) is a derivation.  On a
+    complete algebra the kernel is the skew-commuting or the commuting map
+    space (see `_biderivations_over`).  Every basis element is re-verified
+    against both defining conditions and its symmetry; a failure raises
+    InternalInconsistency.
     """
     if mode not in ("symmetric", "skew"):
         raise ValueError(f"unknown symmetry mode: {mode!r}")

@@ -2,19 +2,21 @@
 
 Derivations (D[x, y] = [Dx, y] + [x, Dy]), commuting maps
 ([f(x), y] = [x, f(y)]) and skew-commuting maps ([f(x), y] = -[x, f(y)])
-are the kernels of one family of conditions
-a f([x, y]) + b [f(x), y] + c [x, f(y)] = 0, with (a, b, c) = (1, -1, -1),
-(0, 1, -1) and (0, 1, 1).  The unknowns are the n^2 entries of f, flattened
-row-major (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition
-is symmetric or antisymmetric in (x, y), so one row per basis pair i <= j
-and output coordinate suffices; zero rows are dropped.  Every row is built
-in integers from the scaled bracket table of `liealg`
-(`LieAlgebra._int_table` and `_int_ad`), so it is S times (up to sign) the
-Fraction row and has the same kernel.  `biderivations` solves over the
-derivation space, and `vdecomp` reads V+ and V- off the commuting and
-skew-commuting spaces.  The inner derivations, the completeness report
-(trivial center and every derivation inner) and the adjoint preimages all
-read `LieAlgebra._ad_split`, one span that gives Z(L), ad(L) and ad^-1.
+are kernels of sparse rows in the n^2 entries of f, flattened row-major
+(entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition is
+symmetric or antisymmetric in (x, y), so one row per basis pair i <= j and
+output coordinate suffices; zero rows are dropped.  Every row is built in
+integers from the scaled bracket table of `liealg` (`LieAlgebra._int_table`
+and `_int_ad`), so it is S times (up to sign) the Fraction row and has the
+same kernel.  Der(L) reads `_derivation_rows`.  A commuting f is the phi of
+a skew biderivation B(x, y) = [phi(x), y], and a skew-commuting f that of a
+symmetric one, so both map spaces read the symmetry rows
+b_ij^k +- b_ji^k = 0 of `_symmetry_rows` over the adjoint family
+S * ad_{e_s}.  `biderivations` runs the same builder over a Der(L) basis,
+and `vdecomp` reads V+ and V- off the two map spaces.  The inner
+derivations, the completeness report (trivial center and every derivation
+inner) and the adjoint preimages all read `LieAlgebra._ad_split`, one span
+that gives Z(L), ad(L) and ad^-1.
 Two systems start from a certified part of their kernel and stop once the
 rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
 Jacobi identity holds, and the commuting maps from the projections onto
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import wraps
 from typing import Callable, Iterator, NamedTuple
 
-from .liealg import LieAlgebra, validate
+from .liealg import LieAlgebra, _adjoint_family, validate
 from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
 from .liealg import center as center_space
 
@@ -45,10 +47,8 @@ class NotInner(ValueError):
     """The given matrix is not the adjoint of any element."""
 
 
-def _map_rows(
-    alg: LieAlgebra, a: int, b: int, c: int
-) -> Iterator[dict[int, int]]:
-    """Rows of a f([e_i, e_j]) + b [f(e_i), e_j] + c [e_i, f(e_j)] = 0, times S.
+def _derivation_rows(alg: LieAlgebra) -> Iterator[dict[int, int]]:
+    """Rows of f([e_i, e_j]) - [f(e_i), e_j] - [e_i, f(e_j)] = 0, times S.
 
     One row per pair i <= j and output coordinate r, ordered by (i, j, r);
     zero rows are dropped.  Entries are integers read off
@@ -60,22 +60,53 @@ def _map_rows(
     empty = ()
     for i in range(n):
         for j in range(i, n):
-            pair = table.get((i, j), empty) if a else empty
+            pair = table.get((i, j), empty)
             for r in range(n):
                 row: dict[int, int] = {}
                 # f([e_i, e_j])_r = sum_t c_ij^t f[r, t]
                 for t, coeff in pair:
-                    col = r * n + t
-                    row[col] = row.get(col, 0) + a * coeff
-                # [f(e_i), e_j]_r = -sum_t c_jt^r f[t, i]
+                    row[r * n + t] = coeff
+                # -[f(e_i), e_j]_r = sum_t c_jt^r f[t, i]
                 for t, coeff in ad.get((j, r), empty):
                     col = t * n + i
-                    row[col] = row.get(col, 0) - b * coeff
-                # [e_i, f(e_j)]_r = sum_t c_it^r f[t, j]
+                    row[col] = row.get(col, 0) + coeff
+                # -[e_i, f(e_j)]_r = -sum_t c_it^r f[t, j]
                 for t, coeff in ad.get((i, r), empty):
                     col = t * n + j
-                    row[col] = row.get(col, 0) + c * coeff
+                    row[col] = row.get(col, 0) - coeff
                 row = {k: v for k, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def _symmetry_rows(
+    family: list[dict[int, int]], n: int, sign: int
+) -> Iterator[dict[int, int]]:
+    """Rows of b_ij^k + sign * b_ji^k = 0 for i <= j in the x_is of
+    B(e_i, -) = sum_s x_is D_s, with D_s = ``family[s]`` = {k*n + j: D_s[k, j]}.
+
+    x_is sits at column s*n + i.  Rows are ordered by (i, j, k); zero rows
+    are dropped.  Over `liealg._adjoint_family`, x_is is phi[s, i] of
+    B(x, y) = [phi(x), y], so sign -1 (symmetric B) gives the
+    skew-commuting and sign +1 (skew B) the commuting maps phi.
+    """
+    # at[j][k]: the pairs (s*n, D_s[k, j])
+    at: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for s, mat in enumerate(family):
+        for p, v in mat.items():
+            k, j = divmod(p, n)
+            at[j][k].append((s * n, v))
+    for i in range(n):
+        for j in range(i, n):
+            left, right = at[j], at[i]
+            for k in range(n):
+                row: dict[int, int] = {}
+                for s, v in left[k]:
+                    row[s + i] = v
+                for s, v in right[k]:
+                    col = s + j
+                    row[col] = row.get(col, 0) + sign * v
+                row = {c: v for c, v in row.items() if v}
                 if row:
                     yield row
 
@@ -126,7 +157,7 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     if _semisimple(alg):
         return alg._ad_split[0]
     known = alg._ad_split[0] if validate(alg) is None else Subspace.zero(nn)
-    return kernel_beside(known, _map_rows(alg, 1, -1, -1), nn)
+    return kernel_beside(known, _derivation_rows(alg), nn)
 
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:
@@ -170,7 +201,7 @@ def commuting_map_space(alg: LieAlgebra) -> Subspace:
             vec[a * alg.dim + a] = 1
         projections.append(vec)
     known = Subspace.span(projections, nn)
-    return kernel_beside(known, _map_rows(alg, 0, 1, -1), nn)
+    return kernel_beside(known, _symmetry_rows(_adjoint_family(alg), alg.dim, 1), nn)
 
 
 @_per_algebra
@@ -188,7 +219,7 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
     nn = alg.dim * alg.dim
     if _semisimple(alg):
         return Subspace.zero(nn)
-    return kernel_of_rows(_map_rows(alg, 0, 1, 1), nn)
+    return kernel_of_rows(_symmetry_rows(_adjoint_family(alg), alg.dim, -1), nn)
 
 
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:

@@ -46,6 +46,7 @@ from .linalg import (
     as_vector,
     split_span,
     _frac,
+    _Reducer,
 )
 
 ConstantKey = tuple[int, int, int]  # (i, j, k) with i < j, zero-based
@@ -106,13 +107,13 @@ class LieAlgebra(_LieAlgebraFields):
     @cached_property
     def _ad_split(self) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
         """(ad(L), a u with ad_u equal to each of its basis rows, Z(L)):
-        `split_span` at n^2 of the span of the rows (S * ad_{e_i}, S * e_i)."""
+        `split_span` at n^2 of the span of the rows (S * ad_{e_i}, S * e_i),
+        each fed sparse to one `_Reducer`."""
         n, nn, scale = self.dim, self.dim * self.dim, self._int_table[0]
-        rows = [[0] * (nn + i) + [scale] + [0] * (n - 1 - i) for i in range(n)]
-        for (i, r), terms in self._int_ad.items():
-            for t, c in terms:
-                rows[i][r * n + t] = c
-        return split_span(Subspace.span(rows, nn + n), nn)
+        red = _Reducer(nn + n)
+        for i, ad in enumerate(_adjoint_family(self)):
+            red.add({**ad, nn + i: scale})
+        return split_span(Subspace._from_reducer(red, nn + n), nn)
 
     @cached_property
     def _jacobi(self) -> Optional["JacobiViolation"]:
@@ -257,6 +258,17 @@ def adjoint_matrix(alg: LieAlgebra, x: Sequence[Scalar]) -> Matrix:
     xv = as_vector(x)
     cols = [bracket(alg, xv, alg.basis_element(j)) for j in range(n)]
     return Matrix(n, n, tuple(tuple(cols[j][r] for j in range(n)) for r in range(n)))
+
+
+def _adjoint_family(alg: LieAlgebra) -> list[dict[int, int]]:
+    """The integer adjoint matrices S * ad_{e_s}, each kept sparse as
+    {k*n + j: S c_sj^k}, read off `LieAlgebra._int_table`."""
+    n = alg.dim
+    family: list[dict[int, int]] = [{} for _ in range(n)]
+    for (s, j), terms in alg._int_table[1].items():
+        for k, c in terms:
+            family[s][k * n + j] = c
+    return family
 
 
 def structure_matrices(alg: LieAlgebra) -> tuple[Matrix, ...]:

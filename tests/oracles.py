@@ -56,6 +56,7 @@ from liebider.liealg import (
     LieAlgebra,
     adjoint_matrix,
     bracket,
+    direct_sum,
     lie_algebra,
 )
 from liebider.linalg import ZERO, Matrix, Subspace, Vector, kernel_of_rows
@@ -250,23 +251,22 @@ def v_dims(alg: LieAlgebra) -> tuple[int, int, int]:
     )
 
 
-def fraction_lift(xs: list[Vector], ders: list[list[int]], n: int) -> Subspace:
+def fraction_lift(
+    xs: list[Vector], family: list[dict[int, int]], n: int
+) -> Subspace:
     """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is, summed
-    as dense `Fraction` flats with b_ij^k = sum_s x_is D_s[k, j]."""
+    as dense `Fraction` flats with b_ij^k = sum_s x_is D_s[k, j], x_is at
+    column s*n + i and D_s = ``family[s]`` = {k*n + j: D_s[k, j]}."""
     nn = n * n
-    d = len(ders)
-    # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
-    spread = [
-        [(p // n * nn + p % n, v) for p, v in enumerate(der) if v] for der in ders
-    ]
     vectors = []
     for x in xs:
         flat = [ZERO] * (n * nn)
         for col, coeff in enumerate(x):
             if coeff:
-                i, s = divmod(col, d)
-                for pos, v in spread[s]:
-                    flat[pos + i * n] += coeff * v
+                s, i = divmod(col, n)
+                for p, v in family[s].items():
+                    k, j = divmod(p, n)
+                    flat[k * nn + i * n + j] += coeff * v
         vectors.append(flat)
     return Subspace.span(vectors, n * nn)
 
@@ -627,6 +627,9 @@ ORACLE_TABLES = {
     "twostep(6,1)": lambda: catalog("twostep(6,1)", seed=3),
     "sl2_plus_sl2_dense": dense_basis_sl2_plus_sl2,
     "sl2_scaled": scaled_sl2,
+    # valid but not complete (nonzero center), each with two ideals
+    "sl2_plus_abelian1": lambda: direct_sum(catalog("sl2"), catalog("abelian(1)")),
+    "sl2_plus_heisenberg3": lambda: direct_sum(catalog("sl2"), catalog("heisenberg3")),
 }
 
 # Restrictions of scalars: simple over Q, one index class, and commuting

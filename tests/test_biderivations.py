@@ -28,15 +28,11 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
-from liebider.biderivations import (
-    _derivation_kernels,
-    _entries_at,
-    _lift,
-    _primitive_derivations,
-)
+from liebider.biderivations import _lift, _primitive_derivations
 import liebider.derivations
 from liebider.derivations import (
-    _map_rows,
+    _adjoint_family,
+    _derivation_rows,
     commuting_map_space,
     derivation_space,
     is_complete,
@@ -605,10 +601,11 @@ def test_checkers_share_no_solver_code():
         return found
 
     solver_names = {
-        "bracket", "_map_rows", "_condition_one_rows", "_symmetry_rows",
+        "bracket", "_derivation_rows", "_condition_one_rows", "_symmetry_rows",
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
-        "kernel_beside", "_components", "_bracket_parts",
-        "commuting_map_space", "skew_commuting_map_space", "_lift",
+        "kernel_beside", "_components", "_adjoint_family",
+        "_primitive_derivations", "commuting_map_space",
+        "skew_commuting_map_space", "_lift",
     }
     # `validate` returns the cached verdict of `_jacobi_scan`, which scans.
     for checker in (biderivation_violation, liebider.liealg._jacobi_scan):
@@ -672,6 +669,9 @@ def test_tang_gate_on_dense_sl4():
     assert skew.space == Subspace.span([inner_biderivation(alg, [1]).flatten()], 15 ** 3)
 
 
+# the solver's rows in the x_is; `_symmetry_rows` above is the n^3 oracle's
+_solver_rows = liebider.derivations._symmetry_rows
+
 _CORRESPONDENCE_TABLES = dict(
     oracles.ORACLE_TABLES,
     **oracles.RESTRICTED_TABLES,
@@ -680,30 +680,51 @@ _CORRESPONDENCE_TABLES = dict(
 )
 
 
+def _over_derivation_basis(alg, der, mode):
+    """The biderivations in ``mode`` solved from the symmetry rows over the
+    canonical basis of ``der``, the path of every input that is not
+    complete."""
+    n = alg.dim
+    family = _primitive_derivations(der)
+    xs = [
+        x
+        for sign in {None: (-1, 1), "symmetric": (-1,), "skew": (1,)}[mode]
+        for x in kernel_of_rows(_solver_rows(family, n, sign), n * len(family)).basis
+    ]
+    return _lift(xs, family, n)
+
+
 @pytest.mark.parametrize("name", sorted(_CORRESPONDENCE_TABLES))
 def test_correspondence_matches_the_derivation_basis(name, monkeypatch):
-    # On a complete algebra each mode is lifted from the commuting and
-    # skew-commuting maps without a symmetry row; it must equal the kept
-    # Der-basis path, called directly.  Other inputs take that path.
+    # On a complete algebra each mode is lifted from the commuting (+1) and
+    # skew-commuting (-1) maps, each system built once per algebra and the
+    # skew-commuting one not at all when L is semisimple; it must equal the
+    # Der-basis path.  Other inputs take that path, one system per sign
+    # and mode.
     alg = _CORRESPONDENCE_TABLES[name]()
-    n = alg.dim
     der = derivation_space(alg)
     complete = is_complete(alg).complete
     expected = {
-        mode: _lift(*_derivation_kernels(alg, der, mode), n)
+        mode: _over_derivation_basis(alg, der, mode)
         for mode in (None, "symmetric", "skew")
     }
     signs = []
 
-    def counted(at, n, d, sign):
+    def counted(family, n, sign):
         signs.append(sign)
-        return _solver_rows(at, n, d, sign)
+        return _solver_rows(family, n, sign)
 
     monkeypatch.setattr(liebider.biderivations, "_symmetry_rows", counted)
+    monkeypatch.setattr(liebider.derivations, "_symmetry_rows", counted)
     assert biderivation_space(alg).space == expected[None]
     for mode in ("symmetric", "skew"):
         assert constrained_biderivation_space(alg, mode).space == expected[mode], mode
-    assert signs == ([] if complete else [-1, 1, -1, 1])
+    if not complete:
+        assert signs == [-1, 1, -1, 1]
+    elif killing_form(alg).semisimple:
+        assert signs == [1]
+    else:
+        assert signs == [-1, 1]
 
 
 @pytest.mark.parametrize("name", sorted(oracles.RESTRICTED_TABLES))
@@ -744,8 +765,6 @@ def _read_every_row(rows, ncols):
     return Subspace(ncols, tuple(v[:-1] for v in wide.basis[:-1]), wide.pivots[:-1])
 
 
-# the solver's rows in the x_is; `_symmetry_rows` above is the n^3 oracle's
-_solver_rows = liebider.biderivations._symmetry_rows
 
 _STOP_TABLES = dict(
     oracles.ORACLE_TABLES,
@@ -762,18 +781,18 @@ def test_early_stop_keeps_every_kernel(name):
     alg = _STOP_TABLES[name]()
     n = alg.dim
     der = derivation_space(alg)
-    for coeffs, space in (
-        ((1, -1, -1), der),
-        ((0, 1, -1), commuting_map_space(alg)),
-        ((0, 1, 1), skew_commuting_map_space(alg)),
+    adjoint = _adjoint_family(alg)
+    for rows, space in (
+        (_derivation_rows(alg), der),
+        (_solver_rows(adjoint, n, 1), commuting_map_space(alg)),
+        (_solver_rows(adjoint, n, -1), skew_commuting_map_space(alg)),
     ):
-        assert space == _read_every_row(_map_rows(alg, *coeffs), n * n), coeffs
-    ders = _primitive_derivations(der)
-    d = len(ders)
-    at = _entries_at(ders, n * n)
+        assert space == _read_every_row(rows, n * n)
+    family = _primitive_derivations(der)
+    d = len(family)
     for mode, sign in (("symmetric", -1), ("skew", 1)):
-        xs = _read_every_row(_solver_rows(at, n, d, sign), n * d).basis
-        expected = _lift(list(xs), ders, n)
+        xs = _read_every_row(_solver_rows(family, n, sign), n * d).basis
+        expected = _lift(list(xs), family, n)
         assert constrained_biderivation_space(alg, mode).space == expected, mode
 
 
@@ -782,38 +801,55 @@ def test_known_parts_end_elimination_early(monkeypatch):
     # so its elimination stops before the last row (226 of 235 rows in the
     # present order); sl(4) is semisimple, so Der(L) = ad(L) is certified
     # without building a row; twostep(7,2) has outer derivations, so every
-    # row is read.  The ideals of sl2 (+) sl2 give the two projections and
-    # the two brackets pi_C [x, y].
+    # row is read.  The ideals of sl2 (+) sl2 give the two projections, all
+    # of its commuting maps (sign +1), so that system stops early too, and
+    # its skew biderivations are lifted from them without another row.
     counts = []
 
-    def counted(alg, a, b, c):
-        rows = list(_map_rows(alg, a, b, c))
-        seen = [0, len(rows)]
-        counts.append(seen)
-        for row in rows:
-            seen[0] += 1
-            yield row
+    def counting(build, label):
+        def counted(*args):
+            rows = list(build(*args))
+            seen = [label(*args), 0, len(rows)]
+            counts.append(seen)
+            for row in rows:
+                seen[1] += 1
+                yield row
 
-    monkeypatch.setattr(liebider.derivations, "_map_rows", counted)
+        return counted
+
+    monkeypatch.setattr(
+        liebider.derivations,
+        "_derivation_rows",
+        counting(_derivation_rows, lambda alg: "der"),
+    )
+    monkeypatch.setattr(
+        liebider.derivations,
+        "_symmetry_rows",
+        counting(_solver_rows, lambda family, n, sign: sign),
+    )
     derivation_space(oracles.borel_n(4))
-    read, total = counts.pop()
-    assert read < total == 235
+    system, read, total = counts.pop()
+    assert system == "der" and read < total == 235
     derivation_space(oracles.sl_n(4))
     assert counts == []
     derivation_space(catalog("twostep(7,2)"))
-    read, total = counts.pop()
-    assert read == total
+    system, read, total = counts.pop()
+    assert system == "der" and read == total
     alg = catalog("sl2_plus_sl2")
     assert alg._components == ((0, 1, 2), (3, 4, 5))
     assert commuting_map_space(alg).dim == 2
+    system, read, total = counts.pop()
+    assert system == 1 and read < total
     assert constrained_biderivation_space(alg, "skew").dim == 2
+    assert counts == []
 
 
 def test_known_parts_only_under_jacobi():
-    # ad(L) lies in Der(L), and pi_C [x, y] is a biderivation, exactly when
-    # the Jacobi identity holds.  On tables that fail it (built by
-    # `lie_algebra`, which runs no Jacobi check) Der(L) and the skew kernel
-    # must come from the rows alone.
+    # ad(L) lies in Der(L) exactly when the Jacobi identity holds.  On
+    # tables that fail it (built by `lie_algebra`, which runs no Jacobi
+    # check) Der(L) must come from the rows alone.  The projections onto
+    # the ideals commute with any antisymmetric table, so the skew
+    # biderivations still equal the Der-basis path.
     broken = 0
     for name, make in oracles.ORACLE_TABLES.items():
         alg = make()
@@ -830,14 +866,11 @@ def test_known_parts_only_under_jacobi():
                         broken += 1
                         der = derivation_space(table)
                         assert der == kernel_of_rows(
-                            _map_rows(table, 1, -1, -1), n * n
+                            _derivation_rows(table), n * n
                         ), (name, (i, j, k))
-                        ders = _primitive_derivations(der)
-                        d = len(ders)
-                        rows = _solver_rows(_entries_at(ders, n * n), n, d, 1)
-                        xs = kernel_of_rows(rows, n * d).basis
                         skew = constrained_biderivation_space(table, "skew")
-                        assert skew.space == _lift(list(xs), ders, n), (name, (i, j, k))
+                        expected = _over_derivation_basis(table, der, "skew")
+                        assert skew.space == expected, (name, (i, j, k))
     assert broken > 70
 
 
@@ -851,24 +884,23 @@ def test_integer_lift_matches_fraction_lift(name):
     # integer lift is not 1.
     alg = _LIFT_TABLES[name]()
     n = alg.dim
-    ders = _primitive_derivations(derivation_space(alg))
-    d = len(ders)
-    at = _entries_at(ders, n * n)
+    family = _primitive_derivations(derivation_space(alg))
+    d = len(family)
     kernels = {
-        sign: kernel_of_rows(_solver_rows(at, n, d, sign), n * d).basis
+        sign: kernel_of_rows(_solver_rows(family, n, sign), n * d).basis
         for sign in (-1, 1)
     }
     rng = random.Random(f"lift {name}")
     for mode, signs in (("all", (-1, 1)), ("symmetric", (-1,)), ("skew", (1,))):
         xs = [x for sign in signs for x in kernels[sign]]
-        assert _lift(xs, ders, n) == oracles.fraction_lift(xs, ders, n), mode
+        assert _lift(xs, family, n) == oracles.fraction_lift(xs, family, n), mode
         mixed = []
         for _ in range(3 if xs else 0):
             coeffs = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in xs]
             mixed.append(
                 tuple(sum(c * x[col] for c, x in zip(coeffs, xs)) for col in range(n * d))
             )
-        assert _lift(mixed, ders, n) == oracles.fraction_lift(mixed, ders, n), mode
+        assert _lift(mixed, family, n) == oracles.fraction_lift(mixed, family, n), mode
 
 
 def _abelian2_map(*positions):
@@ -895,6 +927,6 @@ def test_checked_refuses_the_wrong_symmetry(monkeypatch, name, make, mode):
     element = make(alg)
     assert biderivation_violation(alg, element) is None
     lifted = Subspace.span([element.flatten()], alg.dim ** 3)
-    monkeypatch.setattr(liebider.biderivations, "_lift", lambda xs, ders, n: lifted)
+    monkeypatch.setattr(liebider.biderivations, "_lift", lambda xs, family, n: lifted)
     with pytest.raises(InternalInconsistency, match=f"is not {mode}$"):
         constrained_biderivation_space(alg, mode)

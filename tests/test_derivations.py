@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import liebider.derivations
 import liebider.liealg
 from liebider import cli, vdecomp
 from liebider.catalog import catalog
 from liebider.derivations import (
     CenterNonzero,
     NotInner,
-    _map_rows,
+    _adjoint_family,
+    _derivation_rows,
+    _symmetry_rows,
     ad_preimage,
     commuting_map_space,
     derivation_space,
@@ -178,18 +179,21 @@ def _outcome(fn, *args):
 def test_integer_rows_match_fraction_rows(name, monkeypatch):
     # Every system is built from the integer table, each row S times (up to
     # sign) its Fraction row, so every result is equal to the Fraction one.
+    # Over the adjoint family the symmetry rows of sign -+1 are those of the
+    # (skew-)commuting maps, in the same order.
     alg = oracles.ORACLE_TABLES[name]()
     n = alg.dim
     scale = alg._int_table[0]
-    for coeffs, space in (
-        ((1, -1, -1), derivation_space),
-        ((0, 1, -1), commuting_map_space),
-        ((0, 1, 1), skew_commuting_map_space),
+    family = _adjoint_family(alg)
+    for coeffs, built, space in (
+        ((1, -1, -1), _derivation_rows(alg), derivation_space),
+        ((0, 1, -1), _symmetry_rows(family, n, 1), commuting_map_space),
+        ((0, 1, 1), _symmetry_rows(family, n, -1), skew_commuting_map_space),
     ):
         rows = list(oracles.fraction_map_rows(alg, *coeffs))
-        assert list(_map_rows(alg, *coeffs)) == [
+        assert list(built) == [
             {col: scale * v for col, v in row.items()} for row in rows
-        ]
+        ], coeffs
         assert space(alg) == kernel_of_rows(rows, n * n)
     assert center(alg) == kernel_of_rows(oracles.fraction_center_rows(alg), n)
     assert inner_derivation_space(alg) == oracles.dense_inner_derivation_space(alg)
@@ -217,31 +221,18 @@ _CERTIFY_TABLES = dict(
 )
 
 
-def _counting_map_rows(monkeypatch):
-    """Record every call of `_map_rows` that the solvers of `derivations` make."""
-    calls = []
-    original = liebider.derivations._map_rows
-
-    def counted(alg, a, b, c):
-        calls.append((a, b, c))
-        return original(alg, a, b, c)
-
-    monkeypatch.setattr(liebider.derivations, "_map_rows", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(_CERTIFY_TABLES))
-def test_certified_derivations_match_elimination(name, monkeypatch):
+def test_certified_derivations_match_elimination(name, built_systems):
     # Der(L) = ad(L) is certified, without a row, exactly on the valid tables
     # with a nondegenerate Killing form (dim 0 included: its form is
     # vacuously nondegenerate); every result equals the exact elimination.
     alg = _CERTIFY_TABLES[name]()
     nn = alg.dim * alg.dim
     assert validate(alg) is None
-    exact = kernel_beside(alg._ad_split[0], _map_rows(alg, 1, -1, -1), nn)
-    calls = _counting_map_rows(monkeypatch)
+    exact = kernel_beside(alg._ad_split[0], _derivation_rows(alg), nn)
     certified = derivation_space(alg)
     assert certified == exact
+    calls = built_systems
     assert (calls == []) == killing_form(alg).semisimple, calls
     if not calls:
         assert certified is alg._ad_split[0]
@@ -253,22 +244,24 @@ _SKEW_COMMUTING_TABLES = dict(
 
 
 @pytest.mark.parametrize("name", sorted(_SKEW_COMMUTING_TABLES))
-def test_semisimple_inputs_have_no_skew_commuting_maps(name, monkeypatch):
+def test_semisimple_inputs_have_no_skew_commuting_maps(name, built_systems):
     # V+ = 0 is certified, without a row, exactly where Der(L) = ad(L) is
     # (`_semisimple`), and equals the exact kernel everywhere.
     alg = _SKEW_COMMUTING_TABLES[name]()
-    exact = kernel_of_rows(_map_rows(alg, 0, 1, 1), alg.dim * alg.dim)
-    calls = _counting_map_rows(monkeypatch)
+    exact = kernel_of_rows(
+        _symmetry_rows(_adjoint_family(alg), alg.dim, -1), alg.dim * alg.dim
+    )
     assert skew_commuting_map_space(alg) == exact
+    calls = built_systems
     assert (calls == []) == killing_form(alg).semisimple, calls
 
 
-def test_broken_table_never_takes_the_certificate(monkeypatch):
+def test_broken_table_never_takes_the_certificate(built_systems):
     # On a table that fails the Jacobi identity a nondegenerate Killing form
     # proves nothing: Der(L) and the skew-commuting maps come from every row,
     # Der(L) with no known part.
     alg = catalog("sl2")
-    calls = _counting_map_rows(monkeypatch)
+    calls = built_systems
     broken = 0
     for key in [(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)]:
         constants = dict(alg.constants)
@@ -278,12 +271,12 @@ def test_broken_table_never_takes_the_certificate(monkeypatch):
             continue
         broken += 1
         del calls[:]
-        assert derivation_space(table) == kernel_of_rows(_map_rows(table, 1, -1, -1), 9)
-        assert calls == [(1, -1, -1)], key
+        assert derivation_space(table) == kernel_of_rows(_derivation_rows(table), 9)
+        assert calls == ["der"], key
         del calls[:]
         skew = skew_commuting_map_space(table)
-        assert skew == kernel_of_rows(_map_rows(table, 0, 1, 1), 9)
-        assert calls == [(0, 1, 1)], key
+        assert skew == kernel_of_rows(_symmetry_rows(_adjoint_family(table), 3, -1), 9)
+        assert calls == [-1], key
     assert broken >= 3
 
 

@@ -220,31 +220,25 @@ def test_vdecomp_command_computes_each_invariant_once(
     "name, code, signs",
     [
         # complete, not semisimple: the correspondence reuses V+ and V-
-        ("L22", 0, [(0, 1, 1), (0, 1, -1), (1, -1, -1)]),
+        ("L22", 0, [-1, 1, "der"]),
         # semisimple: V+ = 0 and Der(L) = ad(L) need no row
-        ("sl2_plus_sl2", 0, [(0, 1, -1)]),
-        ("heisenberg3", 1, [(0, 1, 1), (0, 1, -1), (1, -1, -1)]),
+        ("sl2_plus_sl2", 0, [1]),
+        ("heisenberg3", 1, [-1, 1, "der"]),
     ],
 )
 def test_vdecomp_command_builds_each_map_system_once(
-    name, code, signs, tmp_path, monkeypatch, capsys
+    name, code, signs, tmp_path, built_systems, capsys
 ):
-    from liebider import cli, derivations
+    # "der" marks the derivation rows, a sign the symmetry rows of the
+    # skew-commuting (-1) or the commuting (+1) maps.
+    from liebider import cli
     from liebider.documents import algebra_to_document, serialize_document
 
-    calls = []
-    original = derivations._map_rows
-
-    def counted(alg, a, b, c):
-        calls.append((a, b, c))
-        return original(alg, a, b, c)
-
-    monkeypatch.setattr(derivations, "_map_rows", counted)
     path = tmp_path / "alg.json"
     path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
     assert cli.run_command(["vdecomp", str(path)]) == code
     capsys.readouterr()
-    assert calls == signs
+    assert built_systems == signs
 
 
 def test_semisimple_v_basis_is_blockwise_scalar():
