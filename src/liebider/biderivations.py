@@ -23,21 +23,23 @@ partial maps B(-, z) = +-B(z, -), which are derivations too.  So the
 symmetric and the skew biderivations are the kernels of the symmetry rows
 b_ij^k -+ b_ji^k = 0 (i <= j) alone (`derivations._symmetry_rows`), and the
 full space is spanned by both.
-On a complete algebra (Z(L) = 0 and Der(L) = ad(L)) the family is
-S * ad_{e_s}: every B(x, -) is inner, ad_{phi(x)} with phi(x) unique and
-linear in x, so B(x, y) = [phi(x), y] and x_is = phi[s, i].  B is symmetric
-exactly when phi is skew-commuting (phi^T in V+) and skew exactly when phi
-is commuting (phi^T in V-), and by the Jacobi identity every such phi gives
-a biderivation.  So the kernels are `derivations.skew_commuting_map_space`
-and `commuting_map_space`, solved once per algebra.  On any other input
-the family is the canonical basis of Der(L) (`_primitive_derivations`).
+On a complete algebra (`derivations.is_complete`: Z(L) = 0 and
+Der(L) = ad(L)) the family is S * ad_{e_s}: every B(x, -) is inner,
+ad_{phi(x)} with phi(x) unique and linear in x, so B(x, y) = [phi(x), y]
+and x_is = phi[s, i].  B is symmetric exactly when phi is skew-commuting
+(phi^T in V+) and skew exactly when phi is commuting (phi^T in V-), and by
+the Jacobi identity every such phi gives a biderivation.  So the kernels
+are `derivations.skew_commuting_map_space` and `commuting_map_space`,
+solved once per algebra.  On any other input the family is the canonical
+basis of Der(L) (`_primitive_derivations`).
 The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
 each kernel vector is scaled by the lcm of its denominators and its
 coordinates are summed sparse, straight into elimination) and
-canonicalised; the CLI renders its reports from these canonical rows.
-Every basis element is re-checked by `biderivation_violation`, and in a
-mode its symmetry is checked in place on its canonical row.  The checker
-shares no assembly code with the solver: it scans both conditions on the
+canonicalised.  `Biderivation.from_flat` slices each canonical row into
+its coordinate matrices, which the checks and the CLI read.  Every basis
+element is re-checked by `biderivation_violation`, and in a mode
+`classify_symmetry` must return that mode.  The checker shares no
+assembly code with the solver: it scans both conditions on the
 n^2 (n - 1) basis triples that can fail first, in integers, over the
 bracket table scaled by the lcm S of its denominators and the nonzero
 values of B scaled by the lcm D of theirs.  Condition (2) of B is
@@ -172,16 +174,9 @@ class BiderivationSpace(NamedTuple):
         return self.space.dim
 
     def basis_elements(self) -> tuple[Biderivation, ...]:
-        """The canonical basis as coordinate matrices, sliced from its rows."""
-        n = self.algebra_dim
+        """The canonical basis as coordinate matrices (`Biderivation.from_flat`)."""
         return tuple(
-            Biderivation(
-                tuple(
-                    Matrix(n, n, tuple(v[r : r + n] for r in range(k, k + n * n, n)))
-                    for k in range(0, n * n * n, n * n)
-                )
-            )
-            for v in self.space.basis
+            Biderivation.from_flat(v, self.algebra_dim) for v in self.space.basis
         )
 
 
@@ -233,30 +228,20 @@ def _checked(
 ) -> BiderivationSpace:
     """Re-verify every canonical basis element with the independent checker.
 
-    In a mode, each nonzero b_ij^k of an element must also equal +-b_ji^k,
-    read in place in its canonical row (a zero b_ij^k is checked from its
-    mirror's side).  A failure means the solver and the checker disagree
-    and raises InternalInconsistency.
+    In a mode, `classify_symmetry` must also return the mode for each
+    element.  A failure means the solver and the checker disagree and
+    raises InternalInconsistency.
     """
-    n = alg.dim
-    nn = n * n
-    sign = -1 if mode == "skew" else 1
-    result = BiderivationSpace(n, space)
-    for vec, element in zip(space.basis, result.basis_elements()):
+    result = BiderivationSpace(alg.dim, space)
+    for element in result.basis_elements():
         violation = biderivation_violation(alg, element)
         if violation is not None:
             raise InternalInconsistency(
                 f"kernel basis element fails condition ({violation.condition}) "
                 f"at triple {violation.triple}"
             )
-        if mode is None:
-            continue
-        for p, v in enumerate(vec):
-            if v:
-                i, j = divmod(p % nn, n)
-                # b_ji^k sits at k*n^2 + j*n + i
-                if vec[p + (j - i) * (n - 1)] != sign * v:
-                    raise InternalInconsistency(f"kernel basis element is not {mode}")
+        if mode is not None and classify_symmetry(element) != mode:
+            raise InternalInconsistency(f"kernel basis element is not {mode}")
     return result
 
 
@@ -270,7 +255,7 @@ def biderivation_space(alg: LieAlgebra) -> BiderivationSpace:
     2*n^4 x n^3 system.  Every basis element is re-verified against both
     defining conditions; a failure raises InternalInconsistency.
     """
-    return _biderivations_over(alg, derivation_space(alg))
+    return _biderivations_over(alg, None)
 
 
 # Signs of the symmetry rows each mode solves (see
@@ -281,24 +266,23 @@ _MAP_SPACES = {-1: skew_commuting_map_space, 1: commuting_map_space}
 
 
 def _biderivations_over(
-    alg: LieAlgebra, der: Subspace, mode: Optional[BiderSymmetryMode] = None
+    alg: LieAlgebra, mode: Optional[BiderSymmetryMode]
 ) -> BiderivationSpace:
-    """Biderivations in ``mode`` (None: all) for a caller that holds Der(L).
+    """Biderivations in ``mode`` (None: all).
 
-    When Z(L) = 0 and ``der`` is ad(L), the algebra is complete: the family
-    is `_adjoint_family` and each kernel is a map space of the
-    correspondence.  Otherwise the family is the canonical basis of
-    ``der`` and each kernel is solved from its symmetry rows.  The kernel
-    vectors x_is of B(e_i, -) = sum_s x_is D_s are lifted into Q^(n^3),
-    where `_checked` re-verifies them.
+    On a complete algebra (`is_complete`) the family is `_adjoint_family`
+    and each kernel is a map space of the correspondence.  Otherwise the
+    family is the canonical basis of Der(L) and each kernel is solved from
+    its symmetry rows.  The kernel vectors x_is of
+    B(e_i, -) = sum_s x_is D_s are lifted into Q^(n^3), where `_checked`
+    re-verifies them.
     """
     n = alg.dim
-    inner, _, centre = alg._ad_split
-    if not centre.dim and der == inner:
+    if is_complete(alg).complete:
         family = _adjoint_family(alg)
         xs = [phi for sign in _SIGNS[mode] for phi in _MAP_SPACES[sign](alg).basis]
     else:
-        family = _primitive_derivations(der)
+        family = _primitive_derivations(derivation_space(alg))
         xs = []
         for sign in _SIGNS[mode]:
             rows = _symmetry_rows(family, n, sign)
@@ -510,6 +494,28 @@ def symmetric_skew_split(cand: Biderivation) -> tuple[Biderivation, Biderivation
     return Biderivation(plus), Biderivation(minus)
 
 
+def classify_symmetry(cand: Biderivation) -> str:
+    """"symmetric", "skew", "zero" (both) or "mixed" (neither): compare each
+    nonzero b_ij^k with b_ji^k (symmetric) and -b_ji^k (skew).  A pair of
+    zeros agrees with both, so only the nonzero entries are read."""
+    entries = {
+        (k, i, j): v
+        for k, m in enumerate(cand.mats)
+        for i, row in enumerate(m.data)
+        for j, v in enumerate(row)
+        if v
+    }
+    symmetric = all(entries.get((k, j, i)) == v for (k, i, j), v in entries.items())
+    skew = all(entries.get((k, j, i)) == -v for (k, i, j), v in entries.items())
+    if symmetric and not skew:
+        return "symmetric"
+    if skew and not symmetric:
+        return "skew"
+    if symmetric and skew:
+        return "zero"
+    return "mixed"
+
+
 BiderSymmetryMode = Literal["symmetric", "skew"]
 
 
@@ -532,7 +538,7 @@ def constrained_biderivation_space(
     """
     if mode not in ("symmetric", "skew"):
         raise ValueError(f"unknown symmetry mode: {mode!r}")
-    return _biderivations_over(alg, derivation_space(alg), mode)
+    return _biderivations_over(alg, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .biderivations import (
-    Biderivation,
     BiderViolation,
     NotBiderivation,
     NotComplete,
     bider_bracket_closure,
     biderivation_space,
     biderivation_violation,
+    classify_symmetry,
     constrained_biderivation_space,
     extract_phi_psi,
 )
@@ -52,7 +52,6 @@ from .liealg import (
     lower_central_series,
     validate,
 )
-from .linalg import Vector
 from .vdecomp import verify_direct_sum
 
 
@@ -183,15 +182,6 @@ def _report(
 # arguments and returns (results, exit_code)
 
 
-def _grid(flat: Vector, start: int, n: int) -> list[list[str]]:
-    """The n x n matrix stored row-major in ``flat`` from ``start`` on, as
-    the strings of `documents.matrix_strs`."""
-    return [
-        [str(v) if v else "0" for v in flat[r : r + n]]
-        for r in range(start, start + n * n, n)
-    ]
-
-
 def _cmd_info(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     series = lower_central_series(alg)
     kf = killing_form(alg)
@@ -219,7 +209,8 @@ def _cmd_info(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_derivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     der = derivation_space(alg)
     inner = inner_derivation_space(alg)
-    basis = [_grid(v, 0, alg.dim) for v in der.basis]
+    n = alg.dim
+    basis = [[vector_strs(v[r : r + n]) for r in range(0, n * n, n)] for v in der.basis]
     return {
         "derivation_dim": der.dim,
         "inner_dim": inner.dim,
@@ -232,11 +223,7 @@ def _cmd_biderivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict,
         space = biderivation_space(alg)
     else:
         space = constrained_biderivation_space(alg, args.mode)
-    n = alg.dim
-    nn = n * n
-    basis = [
-        [_grid(v, k, n) for k in range(0, n * nn, nn)] for v in space.space.basis
-    ]
+    basis = [[matrix_strs(m) for m in b.mats] for b in space.basis_elements()]
     return {"dim": space.dim, "mode": args.mode, "basis": basis}, 0
 
 
@@ -245,25 +232,6 @@ def _cmd_check_bider(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, i
     if violation is None:
         return {"ok": True, "violation": None}, 0
     return {"ok": False, "violation": _bider_violation_fields(violation)}, 1
-
-
-def _classify_symmetry(cand: Biderivation) -> str:
-    """Compare each b_ij^k with b_ji^k (symmetric) and -b_ji^k (skew), i <= j."""
-    pairs = [
-        (row[j], m.data[j][i])
-        for m in cand.mats
-        for i, row in enumerate(m.data)
-        for j in range(i, len(row))
-    ]
-    symmetric = all(a == b for a, b in pairs)
-    skew = all(a == -b for a, b in pairs)
-    if symmetric and not skew:
-        return "symmetric"
-    if skew and not symmetric:
-        return "skew"
-    if symmetric and skew:
-        return "zero"
-    return "mixed"
 
 
 def _cmd_phi_psi(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
@@ -279,7 +247,7 @@ def _cmd_phi_psi(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     return {
         "phi": matrix_strs(pair.phi),
         "psi": matrix_strs(pair.psi),
-        "classification": _classify_symmetry(args.candidate),
+        "classification": classify_symmetry(args.candidate),
     }, 0
 
 
@@ -298,16 +266,10 @@ def _cmd_vdecomp(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     code = 0 if report.is_direct_sum else 1
     corr = report.correspondence
     if corr is not None:
-        results["correspondence"] = {
-            "bider_dim": corr.bider_dim,
-            "v_dim": corr.v_dim,
-            "dims_equal": corr.dims_equal,
-            "transposed_phis_in_v": corr.transposed_phis_in_v,
-            "semisimple": corr.semisimple,
-            "factor_count": corr.factor_count,
-            "semisimple_shape_ok": corr.semisimple_shape_ok,
-            "ok": corr.ok,
-        }
+        # V+ and V- are reported once, at the top level
+        fields = corr._asdict()
+        del fields["vplus_dim"], fields["vminus_dim"]
+        results["correspondence"] = fields
         if not corr.ok:
             code = 1
     return results, code

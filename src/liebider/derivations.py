@@ -16,7 +16,8 @@ S * ad_{e_s}.  `biderivations` runs the same builder over a Der(L) basis,
 and `vdecomp` reads V+ and V- off the two map spaces.  The inner
 derivations, the completeness report (trivial center and every derivation
 inner) and the adjoint preimages all read `LieAlgebra._ad_split`, one span
-that gives Z(L), ad(L) and ad^-1.
+that gives Z(L), ad(L) and ad^-1.  `is_complete` is the one place that
+decides completeness; `biderivations` and `vdecomp` read its verdict.
 Two systems start from a certified part of their kernel and stop once the
 rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
 Jacobi identity holds, and the commuting maps from the projections onto
@@ -25,8 +26,8 @@ nondegenerate Killing form (`_semisimple`), two systems need no
 elimination at all: by Cartan's criterion L is semisimple, so Der(L) is
 ad(L) itself (Zassenhaus's lemma), and there is no nonzero skew-commuting
 map (every biderivation is skew).  `vdecomp` and `biderivations` both read
-the commuting and skew-commuting maps, so each is solved once per algebra
-(`_per_algebra`).
+Der(L) and the commuting and skew-commuting maps, so each is solved once
+per algebra (`_per_algebra`).
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def _per_algebra(
     return once
 
 
+@_per_algebra
 def derivation_space(alg: LieAlgebra) -> Subspace:
     """Canonical subspace of Q^(n^2) of all derivations (row-major maps).
 
@@ -151,7 +153,8 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     derivation is inner (Zassenhaus), so ad(L) is returned without a single
     row: the very object that elimination would return.  Otherwise
     elimination stops once the rows read prove Der(L) = ad(L)
-    (`kernel_beside`); on an invalid table the known part is 0.
+    (`kernel_beside`); on an invalid table the known part is 0.  Solved
+    once per algebra.
     """
     nn = alg.dim * alg.dim
     if _semisimple(alg):

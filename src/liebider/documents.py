@@ -72,7 +72,7 @@ def parse_rational(text: Any, path: str) -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Lowest-terms string form, "p" or "p/q" with q > 0."""
-    return str(value)
+    return str(value) if value else "0"
 
 
 def vector_strs(vec: Vector) -> list[str]:

@@ -394,18 +394,14 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all [e_i, e_j] over pairs i < j."""
-    vectors = []
-    n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = alg.pair_terms(i, j)
-            if terms:
-                vec = [ZERO] * n
-                for k, c in terms:
-                    vec[k] = c
-                vectors.append(vec)
-    return Subspace.span(vectors, n)
+    """Span of all [e_i, e_j] over pairs i < j, one vector per pair with a
+    nonzero bracket, grouped from the sorted ``constants``."""
+    vectors: dict[tuple[int, int], list[Fraction]] = {}
+    for (i, j, k), c in alg.constants:
+        if (i, j) not in vectors:
+            vectors[i, j] = [ZERO] * alg.dim
+        vectors[i, j][k] = c
+    return Subspace.span(list(vectors.values()), alg.dim)
 
 
 class LowerCentralSeries(NamedTuple):

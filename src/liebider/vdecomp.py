@@ -24,13 +24,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .liealg import LieAlgebra, killing_form
 from .linalg import Matrix, Subspace, kernel_of_rows, split_span, subspace_combine
-from .derivations import (
-    commuting_map_space,
-    inner_derivation_space,
-    is_complete,
-    skew_commuting_map_space,
-)
-from .biderivations import NotComplete, _biderivations_over, _factor_phi_psi
+from .derivations import commuting_map_space, is_complete, skew_commuting_map_space
+from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
 
 
 class MatrixSubspace(NamedTuple):
@@ -185,13 +180,13 @@ def _correspondence(
 ) -> CorrespondenceReport:
     """dim BiDer = dim V and phi^T in V, for a complete algebra.
 
-    Completeness means Der(L) = ad(L) as canonical subspaces, so BiDer is
-    lifted from the commuting and skew-commuting maps that V+ and V- were
-    read from (solved once per algebra), without solving Der(L) again.  Its
-    basis is re-checked, so phi is factored without the premise checks of
-    `extract_phi_psi`.
+    On a complete algebra `biderivation_space` lifts BiDer from the
+    commuting and skew-commuting maps that V+ and V- were read from, and
+    reads Der(L) and the completeness verdict that `verify_direct_sum`
+    already solved (each once per algebra).  Its basis is re-checked, so
+    phi is factored without the premise checks of `extract_phi_psi`.
     """
-    space = _biderivations_over(alg, inner_derivation_space(alg))
+    space = biderivation_space(alg)
     in_v = all(
         v.matrices.contains(_factor_phi_psi(alg, element).phi.transpose())
         for element in space.basis_elements()

@@ -31,6 +31,9 @@ factorization check.  The tests require `==` between each package result
 and its `Fraction` oracle.
 
 `trace` and `is_zero` are the dense matrix helpers only tests use.
+`pair_scan_derived_subalgebra` is the scan of all n(n-1)/2 basis pairs
+through `LieAlgebra.pair_terms` that the package's grouping of
+``constants`` by pair replaced.
 
 `sl_n` builds sl(n) and `borel_n` its upper Borel subalgebra with the
 catalog's elementary-matrix builder `liebider.catalog._sl_constants`,
@@ -371,6 +374,21 @@ def dense_inner_derivation_space(alg: LieAlgebra) -> Subspace:
         [adjoint_matrix(alg, alg.basis_element(i)).flatten() for i in range(n)],
         n * n,
     )
+
+
+def pair_scan_derived_subalgebra(alg: LieAlgebra) -> Subspace:
+    """Span of all [e_i, e_j] over pairs i < j, scanned pair by pair."""
+    vectors = []
+    n = alg.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = alg.pair_terms(i, j)
+            if terms:
+                vec = [ZERO] * n
+                for k, c in terms:
+                    vec[k] = c
+                vectors.append(vec)
+    return Subspace.span(vectors, n)
 
 
 def dense_phi_psi_failure(

@@ -20,6 +20,7 @@ from liebider.biderivations import (
     bider_bracket_closure,
     biderivation_space,
     biderivation_violation,
+    classify_symmetry,
     constrained_biderivation_space,
     extract_phi_psi,
     inner_biderivation,
@@ -98,10 +99,14 @@ def test_assembly_shape_and_abelian_triviality(name):
 
 def test_solvers_reject_a_wrong_derivation_basis(monkeypatch):
     # With every map posing as a derivation, condition (2) is no longer
-    # built in, and the re-check must refuse the kernel in every mode.
+    # built in, and the re-check must refuse the kernel in every mode.  The
+    # fake Der(L) also reaches `is_complete`, so sl2 reads as not complete
+    # and the Der-basis path runs.
     alg = catalog("sl2")
     full = Subspace.full(alg.dim * alg.dim)
-    monkeypatch.setattr(liebider.biderivations, "derivation_space", lambda _alg: full)
+    for module in (liebider.derivations, liebider.biderivations):
+        monkeypatch.setattr(module, "derivation_space", lambda _alg: full)
+    assert not is_complete(alg).complete
     with pytest.raises(InternalInconsistency):
         biderivation_space(alg)
     for mode in ("symmetric", "skew"):
@@ -348,6 +353,50 @@ def test_split_parts_stay_biderivations():
             plus, minus = symmetric_skew_split(element)
             assert sym.contains(plus.flatten()), name
             assert skew.contains(minus.flatten()), name
+
+
+def test_classify_symmetry_names_each_case():
+    alg = catalog("abelian(2)")
+    symmetric = Biderivation(
+        (Matrix.from_rows([[1, 2], [2, 0]]), Matrix.from_rows([[0, 0], [0, 3]]))
+    )
+    skew = Biderivation(
+        (Matrix.from_rows([[0, 2], [-2, 0]]), Matrix.zeros(2, 2))
+    )
+    mixed = Biderivation(
+        (Matrix.from_rows([[0, 1], [0, 0]]), Matrix.zeros(2, 2))
+    )
+    # every bilinear map of an abelian algebra is a biderivation
+    for cand in (symmetric, skew, mixed):
+        assert is_biderivation(alg, cand)
+    assert classify_symmetry(symmetric) == "symmetric"
+    assert classify_symmetry(skew) == "skew"
+    assert classify_symmetry(mixed) == "mixed"
+    assert classify_symmetry(inner_biderivation(catalog("sl2"), [1])) == "skew"
+    assert classify_symmetry(Biderivation.zero(2)) == "zero"
+    assert classify_symmetry(Biderivation.zero(0)) == "zero"
+
+
+def _split_symmetry(cand: Biderivation) -> str:
+    """Reference for `classify_symmetry`: B is symmetric exactly when its
+    minus part B - B^t vanishes and skew exactly when its plus part does."""
+    plus, minus = symmetric_skew_split(cand)
+    symmetric = all(oracles.is_zero(m) for m in minus.mats)
+    skew = all(oracles.is_zero(m) for m in plus.mats)
+    return {
+        (True, False): "symmetric",
+        (False, True): "skew",
+        (True, True): "zero",
+        (False, False): "mixed",
+    }[symmetric, skew]
+
+
+@pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
+def test_classify_symmetry_matches_the_split(name):
+    alg = oracles.ORACLE_TABLES[name]()
+    for element in biderivation_space(alg).basis_elements():
+        for cand in (element, *symmetric_skew_split(element)):
+            assert classify_symmetry(cand) == _split_symmetry(cand), name
 
 
 def test_closure_verdicts():

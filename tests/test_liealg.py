@@ -164,6 +164,16 @@ def test_derived_subalgebra_examples():
     assert derived_subalgebra(l22()).basis == ((F(1), F(0)),)
 
 
+@pytest.mark.parametrize(
+    "name",
+    sorted(oracles.ORACLE_TABLES) + sorted(oracles.RESTRICTED_TABLES) + ["abelian(60)"],
+)
+def test_derived_subalgebra_matches_the_pair_scan(name):
+    tables = {**oracles.ORACLE_TABLES, **oracles.RESTRICTED_TABLES}
+    alg = tables[name]() if name in tables else catalog(name)
+    assert derived_subalgebra(alg) == oracles.pair_scan_derived_subalgebra(alg)
+
+
 def test_lower_central_series_examples():
     h3 = lower_central_series(heisenberg3())
     assert [t.dim for t in h3.terms] == [1, 0]

@@ -175,17 +175,25 @@ def test_correspondence_on_complete_algebras():
 def test_vdecomp_command_computes_each_invariant_once(
     name, code, tmp_path, monkeypatch, capsys
 ):
-    from liebider import biderivations, cli, vdecomp
+    # Counts computations, not calls: cached reads are free.  Dropping the
+    # Der(L) cache (`derivations._per_algebra` returning ``solve(alg)``
+    # without storing it) makes "derivation_space" read 2 on sl2_plus_sl2,
+    # once for the verdict of `is_complete` and once for the
+    # correspondence's biderivations.
+    from functools import cached_property, wraps
+
+    from liebider import biderivations, cli, derivations, liealg, vdecomp
     from liebider.documents import algebra_to_document, serialize_document
 
-    from liebider import derivations
-
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
     calls = {
-        "compute_V": 0, "compute_Vpm": 0, "is_complete": 0, "center": 0,
-        "derivation_space": 0,
+        "compute_V": 0, "compute_Vpm": 0, "derivation_space": 0, "_ad_split": 0,
+        "_killing_of": 0,
     }
 
     def counting(fn):
+        @wraps(fn)
         def wrapper(*args, **kwargs):
             calls[fn.__name__] += 1
             return fn(*args, **kwargs)
@@ -193,26 +201,23 @@ def test_vdecomp_command_computes_each_invariant_once(
         return wrapper
 
     for module, attr in [
-        (vdecomp, "compute_V"),
-        (vdecomp, "compute_Vpm"),
-        (vdecomp, "is_complete"),
-        (biderivations, "is_complete"),
-        (cli, "is_complete"),
-        (derivations, "center_space"),
-        (biderivations, "center_space"),
-        # vdecomp binds no derivation_space of its own
-        (derivations, "derivation_space"),
-        (biderivations, "derivation_space"),
-        (cli, "derivation_space"),
+        (vdecomp, "compute_V"), (vdecomp, "compute_Vpm"), (liealg, "_killing_of")
     ]:
         monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
-    path = tmp_path / "alg.json"
-    path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
+    # the undecorated Der(L) solve, behind the same per-algebra cache
+    der = derivations._per_algebra(counting(derivations.derivation_space.__wrapped__))
+    for module in (derivations, biderivations, cli):
+        monkeypatch.setattr(module, "derivation_space", der)
+    ad_split = cached_property(counting(liealg.LieAlgebra._ad_split.func))
+    ad_split.__set_name__(liealg.LieAlgebra, "_ad_split")
+    monkeypatch.setattr(liealg.LieAlgebra, "_ad_split", ad_split)
     assert cli.run_command(["vdecomp", str(path)]) == code
     capsys.readouterr()
     assert calls == {
-        "compute_V": 1, "compute_Vpm": 1, "is_complete": 1, "center": 1,
-        "derivation_space": 1,
+        "compute_V": 1, "compute_Vpm": 1, "derivation_space": 1, "_ad_split": 1,
+        # heisenberg3 has a center, so neither the Der(L) certificate nor
+        # the (absent) correspondence reads its Killing form
+        "_killing_of": 1 if name == "sl2_plus_sl2" else 0,
     }
 
 
