@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
@@ -163,21 +164,28 @@ class BiderViolation(NamedTuple):
     residual: Vector  # left-hand side minus right-hand side of the condition
 
 
-class BiderivationSpace(NamedTuple):
-    """The space of all biderivations as a canonical subspace of Q^(n^3)."""
-
+class _BiderivationSpaceFields(NamedTuple):
     algebra_dim: int
     space: Subspace
+
+
+class BiderivationSpace(_BiderivationSpaceFields):
+    """The space of all biderivations as a canonical subspace of Q^(n^3);
+    its fields sit in a NamedTuple base, as for `LieAlgebra`."""
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_elements(self) -> tuple[Biderivation, ...]:
-        """The canonical basis as coordinate matrices (`Biderivation.from_flat`)."""
+    @cached_property
+    def _elements(self) -> tuple[Biderivation, ...]:
         return tuple(
             Biderivation.from_flat(v, self.algebra_dim) for v in self.space.basis
         )
+
+    def basis_elements(self) -> tuple[Biderivation, ...]:
+        """The canonical basis as coordinate matrices, built once per space."""
+        return self._elements
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,15 @@ nondegenerate Killing form (`_semisimple`), two systems need no
 elimination at all: by Cartan's criterion L is semisimple, so Der(L) is
 ad(L) itself (Zassenhaus's lemma), and there is no nonzero skew-commuting
 map (every biderivation is skew).  `vdecomp` and `biderivations` both read
-Der(L) and the commuting and skew-commuting maps, so each is solved once
-per algebra (`_per_algebra`).
+Der(L), completeness and the two map spaces, so each is solved once per
+algebra (`liealg._per_algebra`).
 """
 
 from __future__ import annotations
 
-from functools import wraps
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .liealg import LieAlgebra, _adjoint_family, validate
+from .liealg import LieAlgebra, _adjoint_family, _per_algebra, killing_form, validate
 from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
 from .liealg import center as center_space
 
@@ -122,25 +121,8 @@ def _semisimple(alg: LieAlgebra) -> bool:
     return (
         validate(alg) is None
         and not alg._ad_split[2].dim
-        and alg._killing.semisimple
+        and killing_form(alg).semisimple
     )
-
-
-def _per_algebra(
-    solve: Callable[[LieAlgebra], Subspace]
-) -> Callable[[LieAlgebra], Subspace]:
-    """``solve`` run once per algebra, its value kept in the algebra's
-    ``__dict__`` beside the cached properties of `LieAlgebra`."""
-    key = f"_{solve.__name__}"
-
-    @wraps(solve)
-    def once(alg: LieAlgebra) -> Subspace:
-        cache = alg.__dict__
-        if key not in cache:
-            cache[key] = solve(alg)
-        return cache[key]
-
-    return once
 
 
 @_per_algebra
@@ -177,6 +159,7 @@ class CompletenessReport(NamedTuple):
     inner_dim: int
 
 
+@_per_algebra
 def is_complete(alg: LieAlgebra) -> CompletenessReport:
     c_dim = center_space(alg).dim
     der = derivation_space(alg)

@@ -20,21 +20,23 @@ at the API edge.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
-The verdict is scanned once per algebra (`LieAlgebra._jacobi`), and the
-solvers read it to certify that ad(L) lies in Der(L).  The Killing form is
-likewise computed once per algebra (`LieAlgebra._killing`).
-It visits only triples with a nonzero bracket among their pairs (on the
-others every term vanishes).  The Jacobi sum is condition (1) of a
+The scan visits only triples with a nonzero bracket among their pairs (on
+the others every term vanishes).  The Jacobi sum is condition (1) of a
 biderivation for the bracket itself, so the scan and the biderivation
 checker share one integer residual, `_leibniz_residual`.
+
+A table of the presentation (`_table`, `_int_table`, `_int_ad`, `_ad_split`,
+`_components`) is a cached property of `LieAlgebra`.  An invariant (`validate`,
+`killing_form`, Der(L), V, ...) is a public function under `_per_algebra`,
+computed once per algebra and read only by that name.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .linalg import (
     ZERO,
@@ -69,8 +71,8 @@ class LieAlgebra(_LieAlgebraFields):
 
     The fields live in a private NamedTuple base, which gives equality,
     hashing and immutability by value.  This subclass declares no
-    ``__slots__``, so instances have the ``__dict__`` that
-    `functools.cached_property` needs for the derived tables below.
+    ``__slots__``, so instances have the ``__dict__`` that keeps the
+    cached tables below and the invariants of `_per_algebra`.
     """
 
     @cached_property
@@ -116,17 +118,6 @@ class LieAlgebra(_LieAlgebraFields):
         return split_span(Subspace._from_reducer(red, nn + n), nn)
 
     @cached_property
-    def _jacobi(self) -> Optional["JacobiViolation"]:
-        """`validate`'s verdict, from one `_jacobi_scan` per algebra."""
-        return _jacobi_scan(self)
-
-    @cached_property
-    def _killing(self) -> "KillingForm":
-        """`killing_form`'s value, computed once per algebra and shared by
-        `info`, the V correspondence and the Der(L) = ad(L) certificate."""
-        return _killing_of(self)
-
-    @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """Classes of basis indices, each sorted, ordered by their least.
 
@@ -162,6 +153,24 @@ class LieAlgebra(_LieAlgebraFields):
                 return b
             start += size
         raise IndexError(f"basis index {index} out of range for dim {self.dim}")
+
+
+T = TypeVar("T")
+
+
+def _per_algebra(compute: Callable[[LieAlgebra], T]) -> Callable[[LieAlgebra], T]:
+    """``compute`` run once per algebra, its value kept as ``_<name>`` in
+    the algebra's ``__dict__`` beside the cached tables."""
+    key = f"_{compute.__name__}"
+
+    @wraps(compute)
+    def once(alg: LieAlgebra) -> T:
+        cache = alg.__dict__
+        if key not in cache:
+            cache[key] = compute(alg)
+        return cache[key]
+
+    return once
 
 
 class InvalidStructure(ValueError):
@@ -271,6 +280,7 @@ def _adjoint_family(alg: LieAlgebra) -> list[dict[int, int]]:
     return family
 
 
+@_per_algebra
 def structure_matrices(alg: LieAlgebra) -> tuple[Matrix, ...]:
     """The tuple (A_1, ..., A_n) with (A_k)_ij = c_ij^k; each A_k is
     skew-symmetric and [x, y]_k = x^T A_k y."""
@@ -326,25 +336,17 @@ def _jacobi_triples(
                 yield i, j, k
 
 
+@_per_algebra
 def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
     """Check the Jacobi identity on all basis triples i < j < k.
 
     Returns None when the table is a Lie algebra, otherwise the
     lexicographically first violating triple with its residual vector.
-    The verdict is scanned once per algebra (`LieAlgebra._jacobi`) and
-    shared by every caller: the CLI gate, the loaders and the solvers that
-    certify ad(L) inside Der(L) by it.
-    """
-    return alg._jacobi
-
-
-def _jacobi_scan(alg: LieAlgebra) -> Optional[JacobiViolation]:
-    """The scan behind `validate`.
-
     Antisymmetry holds by construction, so triples with repeats are exact,
     and only triples with a nonzero bracket among their pairs are scanned
     (`_jacobi_triples`).  Each residual is `_leibniz_residual` with the
-    table as B, in integers scaled by S^2.
+    table as B, in integers scaled by S^2.  The CLI gate, the loaders and
+    the solvers that certify ad(L) inside Der(L) share the verdict.
     """
     n = alg.dim
     scale, table = alg._int_table
@@ -449,13 +451,10 @@ class KillingForm(NamedTuple):
     semisimple: bool  # K nondegenerate
 
 
+@_per_algebra
 def killing_form(alg: LieAlgebra) -> KillingForm:
-    """The Killing form of ``alg``, computed once (`LieAlgebra._killing`)."""
-    return alg._killing
-
-
-def _killing_of(alg: LieAlgebra) -> KillingForm:
-    """The computation behind `killing_form`."""
+    """The Killing form of ``alg``, shared by `info`, the V correspondence
+    and the Der(L) = ad(L) certificate."""
     n = alg.dim
     scale, _ = alg._int_table
     ad = alg._int_ad

@@ -13,7 +13,8 @@ and they lie in V.  On complete algebras
 V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
 the biderivation space: the coordinate matrices of a biderivation with
 factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
-`verify_direct_sum` checks both with one V, V+, V- and completeness verdict.
+`verify_direct_sum` checks both with V, V+, V- and completeness, each solved
+once per algebra (`liealg._per_algebra`).
 
 Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .liealg import LieAlgebra, killing_form
+from .liealg import LieAlgebra, _per_algebra, killing_form
 from .linalg import Matrix, Subspace, kernel_of_rows, split_span, subspace_combine
 from .derivations import commuting_map_space, is_complete, skew_commuting_map_space
 from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
@@ -84,6 +85,7 @@ class VSpace(NamedTuple):
         return self.matrices.dim
 
 
+@_per_algebra
 def compute_V(alg: LieAlgebra) -> VSpace:
     """The space V = {M : exists Q with M A_i = A_i Q for all i}.
 
@@ -97,6 +99,7 @@ def compute_V(alg: LieAlgebra) -> VSpace:
     return VSpace(MatrixSubspace(n, space), witnesses)
 
 
+@_per_algebra
 def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     """(V+, V-): members of V with every M A_i symmetric resp. skew.
 

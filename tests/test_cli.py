@@ -175,6 +175,29 @@ def test_phi_psi_requires_complete(run, tmp_path):
     assert "error" in json.loads(out)["results"]
 
 
+@pytest.mark.parametrize("name", ["L22", "sl2_plus_sl2"])
+def test_biderivations_command_slices_each_element_once(name, run, tmp_path, monkeypatch):
+    # The checker and the renderer read one tuple of basis elements.
+    from liebider.biderivations import Biderivation
+
+    calls = []
+    from_flat = Biderivation.from_flat
+
+    def counted(values, n):
+        calls.append(n)
+        return from_flat(values, n)
+
+    monkeypatch.setattr(Biderivation, "from_flat", staticmethod(counted))
+    _, out, _ = run("catalog", name)
+    path = tmp_path / "alg.json"
+    path.write_text(out)
+    code, out, _ = run("biderivations", str(path), "--json")
+    assert code == 0
+    dim = json.loads(out)["results"]["dim"]
+    assert dim > 0
+    assert len(calls) == dim
+
+
 def test_vdecomp_command(run, tmp_path):
     _, out, _ = run("catalog", "sl2_plus_sl2")
     path = tmp_path / "ss.json"

@@ -1,10 +1,12 @@
 """Derivation spaces, completeness, commuting maps, adjoint preimages."""
 
 from fractions import Fraction
+from functools import wraps
 
 import pytest
 from hypothesis import given, strategies as st
 
+import liebider.derivations
 import liebider.liealg
 from liebider import cli, vdecomp
 from liebider.catalog import catalog
@@ -295,14 +297,18 @@ def test_broken_table_never_takes_the_certificate(built_systems):
 def test_killing_form_computed_once_per_algebra(
     name, command, code, expected, tmp_path, monkeypatch, capsys
 ):
+    # Counts computations: the undecorated form behind a fresh cache.
     calls = []
-    original = liebider.liealg._killing_of
+    original = killing_form.__wrapped__
 
+    @wraps(original)
     def counted(alg):
         calls.append(alg.dim)
         return original(alg)
 
-    monkeypatch.setattr(liebider.liealg, "_killing_of", counted)
+    cached = liebider.liealg._per_algebra(counted)
+    for module in (liebider.liealg, liebider.derivations, vdecomp, cli):
+        monkeypatch.setattr(module, "killing_form", cached)
     path = tmp_path / "alg.json"
     path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
     assert cli.run_command([command, str(path)]) == code

@@ -1,5 +1,8 @@
 """Lie algebra core: bracket, validation, invariant subspaces, sums."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,11 +10,14 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
+import liebider
+from liebider import derivations, vdecomp
 from liebider.catalog import abelian, catalog, heisenberg3, l22, sl2, so3
 from liebider.liealg import (
     InvalidStructure,
     LieAlgebra,
     _jacobi_triples,
+    _per_algebra,
     adjoint_matrix,
     bracket,
     center,
@@ -265,3 +271,71 @@ def test_two_step_condition_derived_in_center(name):
     c = center(alg)
     for v in derived.basis:
         assert c.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# Per-algebra invariants
+
+INVARIANTS = [
+    validate,
+    killing_form,
+    structure_matrices,
+    derivations.derivation_space,
+    derivations.is_complete,
+    derivations.commuting_map_space,
+    derivations.skew_commuting_map_space,
+    vdecomp.compute_V,
+    vdecomp.compute_Vpm,
+]
+# every `_per_algebra` wrapper runs this one code object
+ONCE = _per_algebra(lambda alg: alg).__code__
+
+
+def _slot_clashes(invariants) -> list[str]:
+    """Cache keys that are not ``_<name>``, that two invariants share, or
+    that a `LieAlgebra` attribute (a cached table, a field, a method) uses."""
+    clashes, seen = [], set()
+    for fn in invariants:
+        key = fn.__closure__[ONCE.co_freevars.index("key")].cell_contents
+        if key != f"_{fn.__name__}" or key in seen or hasattr(LieAlgebra, key):
+            clashes.append(key)
+        seen.add(key)
+    return clashes
+
+
+def test_per_algebra_slots_are_distinct():
+    found = {}
+    for info in pkgutil.iter_modules(liebider.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"liebider.{info.name}")
+        for value in vars(module).values():
+            if inspect.isfunction(value) and value.__code__ is ONCE:
+                found[id(value)] = value
+    assert {id(fn) for fn in INVARIANTS} <= set(found)
+    assert _slot_clashes(found.values()) == []
+
+    # the guard bites: `ad_split` would share the `_ad_split` table's slot
+    def ad_split(alg):
+        return alg
+
+    assert _slot_clashes([*found.values(), _per_algebra(ad_split)]) == ["_ad_split"]
+
+
+@pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize(
+    "make",
+    [l22, lambda: lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})],
+    ids=["L22", "jacobi-broken"],
+)
+def test_each_invariant_is_computed_once(invariant, make, computations):
+    alg = make()
+    with computations(invariant) as runs:
+        first = invariant(alg)
+        second = invariant(alg)
+    assert second is first
+    assert runs == {invariant.__name__: 1}
+    # a fresh, equal algebra computes it again
+    with computations(invariant) as runs:
+        assert invariant(make()) == first
+    assert runs == {invariant.__name__: 1}

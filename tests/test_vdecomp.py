@@ -175,11 +175,12 @@ def test_correspondence_on_complete_algebras():
 def test_vdecomp_command_computes_each_invariant_once(
     name, code, tmp_path, monkeypatch, capsys
 ):
-    # Counts computations, not calls: cached reads are free.  Dropping the
-    # Der(L) cache (`derivations._per_algebra` returning ``solve(alg)``
-    # without storing it) makes "derivation_space" read 2 on sl2_plus_sl2,
-    # once for the verdict of `is_complete` and once for the
-    # correspondence's biderivations.
+    # Counts computations, not calls: cached reads are free.  Each invariant
+    # is its undecorated function behind a fresh `liealg._per_algebra`.
+    # Dropping the cache (`_per_algebra` returning ``compute(alg)`` without
+    # storing it) makes "derivation_space" read 2 on sl2_plus_sl2, once for
+    # the verdict of `is_complete` and once for the correspondence's
+    # biderivations.
     from functools import cached_property, wraps
 
     from liebider import biderivations, cli, derivations, liealg, vdecomp
@@ -189,7 +190,7 @@ def test_vdecomp_command_computes_each_invariant_once(
     path.write_text(serialize_document(algebra_to_document(catalog(name), name)))
     calls = {
         "compute_V": 0, "compute_Vpm": 0, "derivation_space": 0, "_ad_split": 0,
-        "_killing_of": 0,
+        "killing_form": 0, "is_complete": 0,
     }
 
     def counting(fn):
@@ -200,14 +201,13 @@ def test_vdecomp_command_computes_each_invariant_once(
 
         return wrapper
 
-    for module, attr in [
-        (vdecomp, "compute_V"), (vdecomp, "compute_Vpm"), (liealg, "_killing_of")
-    ]:
-        monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
-    # the undecorated Der(L) solve, behind the same per-algebra cache
-    der = derivations._per_algebra(counting(derivations.derivation_space.__wrapped__))
-    for module in (derivations, biderivations, cli):
-        monkeypatch.setattr(module, "derivation_space", der)
+    modules = (liealg, derivations, biderivations, vdecomp, cli)
+    for attr in calls.keys() - {"_ad_split"}:
+        original = next(getattr(m, attr) for m in modules if hasattr(m, attr))
+        cached = liealg._per_algebra(counting(original.__wrapped__))
+        for module in modules:
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, cached)
     ad_split = cached_property(counting(liealg.LieAlgebra._ad_split.func))
     ad_split.__set_name__(liealg.LieAlgebra, "_ad_split")
     monkeypatch.setattr(liealg.LieAlgebra, "_ad_split", ad_split)
@@ -217,8 +217,20 @@ def test_vdecomp_command_computes_each_invariant_once(
         "compute_V": 1, "compute_Vpm": 1, "derivation_space": 1, "_ad_split": 1,
         # heisenberg3 has a center, so neither the Der(L) certificate nor
         # the (absent) correspondence reads its Killing form
-        "_killing_of": 1 if name == "sl2_plus_sl2" else 0,
+        "killing_form": 1 if name == "sl2_plus_sl2" else 0,
+        "is_complete": 1,
     }
+
+
+@pytest.mark.parametrize("name", ["L22", "sl2_plus_sl2"])
+def test_correspondence_after_direct_sum_recomputes_nothing(name, computations):
+    from liebider.derivations import is_complete
+
+    alg = catalog(name)
+    first = verify_direct_sum(alg).correspondence
+    with computations(compute_V, compute_Vpm, is_complete) as runs:
+        assert bider_V_correspondence(alg) == first
+    assert runs == {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0}
 
 
 @pytest.mark.parametrize(
