@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --seed 1601 \\
         --pairs 5 --workloads solve:10 verify query --out BENCH_15.json \\
-        --title "what the change does" --claim "solve wall_s lower"
+        --title "what the change does" --claim solve:wall_s
 
 Each checkout runs its own ``perfbench/run.py --trace 0`` for the
 ``run_seconds`` of the parent's ``BENCHMARK.json``, one run at a time.  A
@@ -27,6 +27,11 @@ with them: a faster change runs more rounds in the same seconds.  So
 and each side's median residual from it: the line is the runner's growth
 with each round, and the residuals compare the program's own memory at
 equal rounds.
+``--claim WORKLOAD:METRIC`` names the gain the change claims, on an
+end-to-end metric; ``claim`` then records ``claim_met`` by the rule for a
+gain: the change reads better in at least nine tenths of the pairs (ties
+count for neither), and its median is better than the parent's by more than
+the spread q3 - q1 of the parent's runs.
 The file is rewritten after every pair, so an interrupted run keeps what
 it has.
 """
@@ -105,6 +110,27 @@ def summarize(pairs: list[dict], bounds: dict[str, dict] | None = None) -> dict[
     return summary
 
 
+def judge_claim(pairs: list[dict], metric: str, better: str) -> dict:
+    """Whether the change's gain on ``metric`` holds over ``pairs``: better
+    in at least nine tenths of them, and a median gap wider than the
+    parent's q3 - q1 (from the rounded quartiles the summary records)."""
+    sign = 1 if better == "lower" else -1
+    values = {
+        side: [p[side]["result"]["metrics"][metric]["value"] for p in pairs]
+        for side in SIDES
+    }
+    won = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+    parent, change = quartiles(values["parent"]), quartiles(values["change"])
+    gap = round(sign * (parent["median"] - change["median"]), 6)
+    spread = round(parent["q3"] - parent["q1"], 6)
+    return {
+        "change_better_in": f"{won}/{len(pairs)}",
+        "median_gap": gap,
+        "parent_spread": spread,
+        "claim_met": 10 * won >= 9 * len(pairs) and gap > spread,
+    }
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its untraced rounds and its result line."""
     proc = subprocess.run(
@@ -152,7 +178,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--title", default="",
                         help="what the change does, for the \"change\" key")
-    parser.add_argument("--claim", default=None, help="the gain the change claims")
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                        help="the end-to-end metric on which the change claims a gain")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
@@ -164,6 +191,12 @@ def main(argv=None) -> int:
         name, _, count = entry.partition(":")
         plan.append((name, int(count) if count else args.pairs))
     last_seed = args.seed + sum(count for _, count in plan) - 1
+    claim = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in dict(plan) or metric not in bounds:
+            parser.error(f"--claim {args.claim}: not a workload run and an end-to-end metric")
+        claim = {"workload": workload, "metric": metric, "better": bounds[metric]["better"]}
     doc = {
         "change": args.title,
         "command": f"python3 perfbench/run.py --workload W --seed N "
@@ -175,7 +208,7 @@ def main(argv=None) -> int:
             "first in even-numbered pairs (0, 2, ...) and the change first in "
             "odd ones; runs one at a time"
         ),
-        "claim": args.claim,
+        "claim": claim,
         "workloads": {},
     }
     checkouts = {"parent": args.parent, "change": args.change}
@@ -190,6 +223,8 @@ def main(argv=None) -> int:
             pairs.append(pair)
             seed += 1
             doc["workloads"][name] = {"summary": summarize(pairs, bounds), "pairs": pairs}
+            if claim is not None and claim["workload"] == name:
+                claim.update(judge_claim(pairs, claim["metric"], claim["better"]))
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle, indent=1)
                 handle.write("\n")

@@ -69,12 +69,6 @@ def _read_file(path: str) -> str:
         raise _InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
-def _load_algebra(path: str) -> tuple[LieAlgebra, dict]:
-    """Parse an algebra file unvalidated; returns it and its document echo."""
-    alg, name = load_algebra_document(_read_file(path))
-    return alg, algebra_to_document(alg, name)
-
-
 def _violation_fields(v: JacobiViolation) -> dict:
     return {"triple": [v.i, v.j, v.k], "residual": vector_strs(v.residual)}
 
@@ -396,8 +390,9 @@ def run_command(argv: Sequence[str]) -> int:
             return code
         _help, handler, reads_candidate = _COMMANDS[args.command]
         # Parsed without the Jacobi check: this is the one gate for every command.
-        alg, echo = _load_algebra(args.file)
-        inputs: dict = {"algebra": echo}
+        alg, name = load_algebra_document(_read_file(args.file))
+        # only a JSON report prints the inputs
+        inputs = {"algebra": algebra_to_document(alg, name)} if args.json else {}
         violation = validate(alg)
         if violation is not None:
             results = {"valid": False, "violation": _violation_fields(violation)}
@@ -405,7 +400,8 @@ def run_command(argv: Sequence[str]) -> int:
         else:
             if reads_candidate:
                 args.candidate = parse_biderivation(_read_file(args.bfile), alg)
-                inputs["biderivation"] = biderivation_to_document(args.candidate)
+                if args.json:
+                    inputs["biderivation"] = biderivation_to_document(args.candidate)
             results, code = handler(alg, args)
         sys.stdout.write(emit_report(_report(args.command, inputs, results), mode))
         return code

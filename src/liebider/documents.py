@@ -5,9 +5,12 @@ table), BiderivationDocument (a candidate matrix tuple), and ReportDocument
 (command output).  All rational values travel as strings in lowest terms
 ("p" or "p/q" with positive q); nothing is ever a float.  Serialization is
 canonical: sorted keys, two-space indent, trailing newline, so identical
-inputs yield byte-identical documents.  `load_algebra_document` checks the
-shape of a table but not the Jacobi identity; `parse_algebra` alone raises
-JacobiError, and the CLI reports a broken table through `validate`.
+inputs yield byte-identical documents.  `serialize_document` is the one
+serializer; it writes that text itself, the same bytes as `json.dumps` with
+``indent=2, sort_keys=True``.  `load_algebra_document` checks the shape of a
+table but not the Jacobi identity (a coefficient, or a sum of coefficients
+of one index, must also print); `parse_algebra` alone raises JacobiError,
+and the CLI reports a broken table through `validate`.
 """
 
 from __future__ import annotations
@@ -83,8 +86,62 @@ def matrix_strs(mat: Matrix) -> list[list[str]]:
     return [[rational_str(v) for v in row] for row in mat.data]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of ``doc``, byte for byte
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, written without
+    `json`'s pure-Python indenting encoder.  Values are dicts with string
+    keys, lists, tuples, strings, ints, bools and None; any other type
+    (a float, a Fraction) raises TypeError."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value``; ``newline`` breaks a line to the
+    indent of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        if not value:
+            out.append("[]")
+            return
+        try:  # a list of strings: every rational vector and matrix row
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(value):  # `_quote` raises TypeError on a key not a str
+            out.append(sep + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +207,16 @@ def load_algebra_document(text: str) -> tuple[LieAlgebra, str]:
                 )
             coeff = parse_rational(term.get("coeff"), f"{tpath}.coeff")
             key = (left, right, index)
-            constants[key] = constants.get(key, Fraction(0)) + coeff
+            if key in constants:  # a repeated index: the sum must print too
+                coeff += constants[key]
+                try:
+                    rational_str(coeff)
+                except ValueError:
+                    raise ParseError(
+                        f"{tpath}.coeff", "sum with an earlier term of this index "
+                        "has more digits than the interpreter converts",
+                    ) from None
+            constants[key] = coeff
     factors = doc.get("factors")
     if factors is not None:
         _expect(

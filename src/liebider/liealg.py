@@ -10,13 +10,14 @@ and direct sums.
 One integer table feeds every linear system and every checker in the
 package.  `LieAlgebra._int_table` holds S * c_ij^k for every ordered pair,
 with S the lcm of the constant denominators, and `LieAlgebra._int_ad`
-indexes the same integers as the rows of S * ad_{e_i}.  The Killing form,
-the systems of `derivations` and `vdecomp`, the Jacobi scan and the
-biderivation and phi/psi checks all read them, and `LieAlgebra._ad_split`
-solves ad: L -> Der(L) once from them for Z(L), ad(L) and ad^-1.  A row
-scaled by +-S has the same kernel as its Fraction row, so every result is
-exact and unchanged.  The Fraction table serves `bracket` and `pair_terms`
-at the API edge.
+indexes the same integers as the rows of S * ad_{e_i}.  The Killing form
+(K_ij summed only over the entries (r, t) of ad whose transpose (t, r) is
+nonzero too), the systems of `derivations` and `vdecomp`, the Jacobi scan
+and the biderivation and phi/psi checks all read them, and
+`LieAlgebra._ad_split` solves ad: L -> Der(L) once from them for Z(L),
+ad(L) and ad^-1.  A row scaled by +-S has the same kernel as its Fraction
+row, so every result is exact and unchanged.  The Fraction table serves
+`bracket` and `pair_terms` at the API edge.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
@@ -456,22 +457,23 @@ def killing_form(alg: LieAlgebra) -> KillingForm:
     """The Killing form of ``alg``, shared by `info`, the V correspondence
     and the Der(L) = ad(L) certificate."""
     n = alg.dim
-    scale, _ = alg._int_table
-    ad = alg._int_ad
-    # ads[i][(r, t)] = S (ad_{e_i})_rt = S c_it^r
-    ads = [
-        {(r, t): c for r in range(n) for t, c in ad.get((i, r), ())}
-        for i in range(n)
-    ]
-    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr, summed in integers scaled by S^2
-    den = scale * scale
-    rows = tuple(
-        tuple(
-            Fraction(sum(c * ads[j].get((t, r), 0) for (r, t), c in ads[i].items()), den)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    # entries[(r, t)] = ((i, S c_it^r), ...): the nonzero (ad_{e_i})_rt
+    entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (i, r), terms in alg._int_ad.items():
+        for t, c in terms:
+            entries.setdefault((r, t), []).append((i, c))
+    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr in integers scaled by S^2; an
+    # entry (r, t) adds to it only when its transpose (t, r) is nonzero too
+    grid = [[0] * n for _ in range(n)]
+    for (r, t), column in entries.items():
+        partner = entries.get((t, r))
+        if partner:
+            for i, a in column:
+                row = grid[i]
+                for j, b in partner:
+                    row[j] += a * b
+    den = alg._int_table[0] ** 2
+    rows = tuple(tuple(Fraction(v, den) for v in row) for row in grid)
     rank = Subspace.span(rows, n).dim
     return KillingForm(Matrix(n, n, rows), rank, rank == n)
 

@@ -13,8 +13,8 @@ and they lie in V.  On complete algebras
 V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
 the biderivation space: the coordinate matrices of a biderivation with
 factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
-`verify_direct_sum` checks both with V, V+, V- and completeness, each solved
-once per algebra (`liealg._per_algebra`).
+`verify_direct_sum` checks both with V, V+, V- and completeness; each of
+them, and its report, is computed once per algebra (`liealg._per_algebra`).
 
 Matrices are flattened row-major (entry (a, b) at a*n + b) throughout.
 """
@@ -159,6 +159,7 @@ class DirectSumReport(NamedTuple):
     correspondence: Optional[CorrespondenceReport]
 
 
+@_per_algebra
 def verify_direct_sum(alg: LieAlgebra) -> DirectSumReport:
     """Decide V = V+ (+) V-; on a complete algebra also the correspondence."""
     v = compute_V(alg)

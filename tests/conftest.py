@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import sys
 
 import pytest
@@ -40,12 +41,13 @@ def built_systems(monkeypatch):
 def computations():
     """``computations(f, g, ...)`` opens a context that yields
     {name: runs} of the undecorated body (``__wrapped__``) of each named
-    `liealg._per_algebra` invariant.  Runs are read by code object under
-    `sys.setprofile`, so the invariants and their caches run unpatched."""
+    `liealg._per_algebra` invariant, or of each named plain function.  Runs
+    are read by code object under `sys.setprofile`, so the functions and
+    the caches run unpatched."""
 
     @contextlib.contextmanager
     def counting(*invariants):
-        codes = {fn.__wrapped__.__code__: fn.__name__ for fn in invariants}
+        codes = {inspect.unwrap(fn).__code__: fn.__name__ for fn in invariants}
         runs = dict.fromkeys(codes.values(), 0)
 
         def profile(frame, event, arg):

@@ -132,6 +132,32 @@ def test_check_bider_accepts_zero(run, l22_file, tmp_path):
     assert json.loads(out)["results"]["ok"] is True
 
 
+def test_only_json_reports_build_the_input_echo(
+    run, l22_file, classic_pair_file, monkeypatch
+):
+    from liebider import cli
+
+    built = []
+
+    def counted(name):
+        echo = getattr(cli, name)
+
+        def build(*args):
+            built.append(name)
+            return echo(*args)
+
+        return build
+
+    for name in ("algebra_to_document", "biderivation_to_document"):
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out, _ = run("check-bider", l22_file, classic_pair_file)
+    assert code == 1 and out.startswith("command: check-bider")
+    assert built == []
+    code, out, _ = run("check-bider", l22_file, classic_pair_file, "--json")
+    assert code == 1 and set(json.loads(out)["inputs"]) == {"algebra", "biderivation"}
+    assert sorted(built) == ["algebra_to_document", "biderivation_to_document"]
+
+
 def test_phi_psi_command(run, sl2_file, tmp_path):
     # the inner biderivation with lambda = 1/2
     from liebider.biderivations import inner_biderivation
@@ -337,6 +363,18 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
     ]}))
     code, _, err = run("info", str(long_coeff))
     assert code == 2 and "error" in err
+    # two terms of one index whose coefficients fit but whose sum does not
+    long_sum = tmp_path / "long_sum.json"
+    long_sum.write_text(json.dumps({"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [
+            {"index": 0, "coeff": "1/" + "7" * 4000},
+            {"index": 0, "coeff": "1/" + "3" * 3999 + "1"},
+        ]}
+    ]}))
+    for argv in (["info"], ["info", "--json"], ["validate", "--json"], ["derivations"]):
+        code, out, err = run(*argv, str(long_sum))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: brackets[0].result[1].coeff: "), argv
     long_dim = tmp_path / "long_dim.json"
     long_dim.write_text('{"dim": 1' + "0" * 4399 + "}")
     code, _, err = run("info", str(long_dim))

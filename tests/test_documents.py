@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liebider.catalog import catalog
 from liebider.biderivations import Biderivation
@@ -154,6 +155,34 @@ def test_algebra_round_trip_for_catalog():
         assert parsed_name == name
         # byte-identical re-serialization
         assert serialize_document(algebra_to_document(parsed, parsed_name)) == text
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.text()
+    | st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+)
+
+
+def _documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=100)
+@given(_documents(_JSON_LEAVES))
+def test_serialize_document_is_canonical_json(doc):
+    assert serialize_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@given(_documents(_JSON_LEAVES), st.floats() | st.fractions())
+def test_serialize_document_rejects_floats_and_fractions(doc, bad):
+    for wrapped in (bad, [doc, bad], {"a": doc, "b": {"c": (bad,)}}):
+        with pytest.raises(TypeError):
+            serialize_document(wrapped)
 
 
 def test_parse_biderivation_and_dim_mismatch():

@@ -32,6 +32,7 @@ from liebider.liealg import (
 from liebider.linalg import Matrix, Subspace
 
 import oracles
+import test_metamorphic
 
 F = Fraction
 
@@ -212,9 +213,23 @@ def test_killing_form_examples():
     assert killing_form(catalog("sl2_plus_sl2")).semisimple
 
 
-@pytest.mark.parametrize("name", ["sl3", "sl2_plus_sl2", "L22", "twostep(6,1)"])
+_KILLING_INPUTS = {
+    **oracles.ORACLE_TABLES,
+    **{
+        f"{name}_dense": (lambda name=name: test_metamorphic.dense_basis(name))
+        for name in test_metamorphic.INPUTS
+    },
+    "twostep(6,1)_seed0": lambda: catalog("twostep(6,1)"),
+    "jacobi-broken": lambda: lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KILLING_INPUTS))
 def test_killing_form_matches_dense_traces(name):
-    alg = catalog(name)
+    """K_ij = trace(ad_i ad_j) from dense adjoint products, on every oracle
+    table, every metamorphic input on its dense basis and a table that
+    breaks the Jacobi identity."""
+    alg = _KILLING_INPUTS[name]()
     n = alg.dim
     ads = [adjoint_matrix(alg, alg.basis_element(i)) for i in range(n)]
     dense = Matrix.from_rows(
@@ -286,6 +301,7 @@ INVARIANTS = [
     derivations.skew_commuting_map_space,
     vdecomp.compute_V,
     vdecomp.compute_Vpm,
+    vdecomp.verify_direct_sum,
 ]
 # every `_per_algebra` wrapper runs this one code object
 ONCE = _per_algebra(lambda alg: alg).__code__

@@ -45,7 +45,7 @@ def _random_change(n, rng):
             return Matrix.from_rows(rows)
 
 
-_INPUTS = {
+INPUTS = {
     **{
         name: (lambda name=name: catalog(name, seed=3))
         for name in ("sl2", "so3", "sl3", "L22", "heisenberg3", "sl2_plus_sl2",
@@ -55,10 +55,14 @@ _INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_INPUTS))
+def dense_basis(name):
+    """The input ``name`` on the random rational basis of random.Random(name)."""
+    alg = INPUTS[name]()
+    return oracles.change_basis(alg, _random_change(alg.dim, random.Random(name)))
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
 def test_change_of_basis_keeps_invariants(name):
-    alg = _INPUTS[name]()
-    rng = random.Random(name)
-    moved = oracles.change_basis(alg, _random_change(alg.dim, rng))
+    moved = dense_basis(name)
     assert moved._int_table[0] > 1
-    assert _invariants(moved) == _invariants(alg)
+    assert _invariants(moved) == _invariants(INPUTS[name]())

@@ -107,3 +107,28 @@ def test_bench_pairs_rss_fit_on_canned_results():
         "intercept_mb": 32.0, "mb_per_round": 0.0,
         "parent_residual_mb": -2.0, "change_residual_mb": 2.0,
     }
+
+
+def test_bench_pairs_claim_on_canned_results():
+    """A gain holds when the change is better in nine tenths of the pairs,
+    ties counting for neither, and its median gap exceeds the parent's
+    q3 - q1."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    judge = bench["judge_claim"]
+    parent = [10, 11, 12, 10, 11, 12, 10, 11, 12, 11]
+    pairs = [_canned_pair(p, p - 5) for p in parent[:9]] + [_canned_pair(11, 11)]
+    # parent q1 10.25, median 11, q3 11.75; change median 6; one tie
+    assert judge(pairs, "wall_s", "lower") == {
+        "change_better_in": "9/10", "median_gap": 5.0,
+        "parent_spread": 1.5, "claim_met": True,
+    }
+    two_ties = pairs[:8] + [_canned_pair(12, 12), _canned_pair(11, 11)]
+    assert judge(two_ties, "wall_s", "lower")["change_better_in"] == "8/10"
+    assert judge(two_ties, "wall_s", "lower")["claim_met"] is False
+    # better in 10/10, but by less than the parent's spread
+    close = [_canned_pair(p, p - 1) for p in parent]
+    assert judge(close, "wall_s", "lower")["change_better_in"] == "10/10"
+    assert judge(close, "wall_s", "lower")["claim_met"] is False
+    # a metric where higher is better reads the same pairs the other way
+    assert judge(pairs, "wall_s", "higher")["change_better_in"] == "0/10"
+    assert judge(pairs, "wall_s", "higher")["claim_met"] is False

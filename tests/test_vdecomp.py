@@ -224,13 +224,22 @@ def test_vdecomp_command_computes_each_invariant_once(
 
 @pytest.mark.parametrize("name", ["L22", "sl2_plus_sl2"])
 def test_correspondence_after_direct_sum_recomputes_nothing(name, computations):
+    from liebider.biderivations import _factor_phi_psi, biderivation_space
     from liebider.derivations import is_complete
 
     alg = catalog(name)
     first = verify_direct_sum(alg).correspondence
-    with computations(compute_V, compute_Vpm, is_complete) as runs:
+    counted = (compute_V, compute_Vpm, is_complete, biderivation_space, _factor_phi_psi)
+    with computations(*counted) as runs:
         assert bider_V_correspondence(alg) == first
-    assert runs == {"compute_V": 0, "compute_Vpm": 0, "is_complete": 0}
+    assert runs == {
+        "compute_V": 0, "compute_Vpm": 0, "is_complete": 0,
+        "biderivation_space": 0, "_factor_phi_psi": 0,
+    }
+    # the first report did factor every basis element
+    with computations(*counted) as runs:
+        verify_direct_sum(catalog(name))
+    assert runs["biderivation_space"] == 1 and runs["_factor_phi_psi"] == first.bider_dim
 
 
 @pytest.mark.parametrize(
