@@ -89,6 +89,16 @@ ALGEBRA_COMMANDS = [
 
 BIDER_COMMANDS = [["phi-psi"], ["check-bider"]]
 
+# Every coefficient of this table prints, but its Jacobi residual 1/(a b) at
+# (0, 1, 2) has more digits than the interpreter converts to a string.
+A, B = "1" + "3" * 3000, "7" * 3000 + "1"
+LONG_RESIDUAL = {"dim": 3, "brackets": [
+    {"left": 0, "right": 1, "result": [
+        {"index": 0, "coeff": "1/" + A}, {"index": 1, "coeff": B},
+    ]},
+    {"left": 0, "right": 2, "result": [{"index": 2, "coeff": "1/" + B}]},
+]}
+
 # Malformed input files, written next to the algebra files.
 ERROR_FILES = {
     "garbage.json": b"{oops",
@@ -97,6 +107,7 @@ ERROR_FILES = {
     "bad_coeff.json": json.dumps({"dim": 2, "brackets": [
         {"left": 0, "right": 1, "result": [{"index": 0, "coeff": "1/0"}]}
     ]}).encode(),
+    "long_residual.json": json.dumps(LONG_RESIDUAL).encode(),
     "dim2.bider.json": json.dumps({"dim": 2, "mats": [[["0"] * 2] * 2] * 2}).encode(),
     "bad_entry.bider.json": json.dumps({"dim": 3, "mats": [[["x"] * 3] * 3] * 3}).encode(),
 }
@@ -108,6 +119,8 @@ ERROR_COMMANDS = {
     "latin_algebra": ["info", "latin.json"],
     "no_dim_algebra": ["info", "no_dim.json"],
     "bad_coeff_algebra": ["info", "bad_coeff.json"],
+    "long_residual_algebra": ["validate", "long_residual.json"],
+    "long_residual_algebra_json": ["validate", "long_residual.json", "--json"],
     "missing_candidate": ["check-bider", "sl2.json", "missing.json"],
     "garbage_candidate": ["phi-psi", "sl2.json", "garbage.json"],
     "latin_candidate": ["check-bider", "sl2.json", "latin.json"],

@@ -36,15 +36,16 @@ The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
 each kernel vector is scaled by the lcm of its denominators and its
 coordinates are summed sparse, straight into elimination) and
 canonicalised.  `Biderivation.from_flat` slices each canonical row into
-its coordinate matrices, which the checks and the CLI read.  Every basis
-element is re-checked by `biderivation_violation`, and in a mode
-`classify_symmetry` must return that mode.  The checker shares no
-assembly code with the solver: it scans both conditions on the
-n^2 (n - 1) basis triples that can fail first, in integers, over the
-bracket table scaled by the lcm S of its denominators and the nonzero
-values of B scaled by the lcm D of theirs.  Condition (2) of B is
-condition (1) of the swap B^t, so one residual (`liealg._leibniz_residual`,
-which the Jacobi scan shares) serves both.
+its coordinate matrices, which the CLI prints; the checks read B's nonzero
+values once, in the integer layout of the bracket table
+(`Biderivation._int_values`).  Every basis element is re-checked by
+`biderivation_violation`, and in a mode `classify_symmetry` must return
+that mode.  The checker shares no assembly code with the solver: it scans
+both conditions on the n^2 (n - 1) basis triples that can fail first, in
+integers, over the bracket table scaled by the lcm S of its denominators
+and `_int_values`.  Condition (2) of B is condition (1) of the swap B^t, so
+one residual (`liealg._leibniz_residual`, which the Jacobi scan shares)
+serves both.
 The tests compare every mode against the direct system of 2*n^4 rows in the
 n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
 checker against the dense `Fraction` scan it replaced
@@ -52,7 +53,7 @@ checker against the dense `Fraction` scan it replaced
 
 On complete algebras every biderivation factors as
 B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
-by adjoint preimages.
+by adjoint preimages and checked on every basis pair through `_bilinear`.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Literal, NamedTuple, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
-from .liealg import LieAlgebra, _leibniz_residual, structure_matrices
+from .liealg import IntTable, LieAlgebra, _bilinear, _leibniz_residual, _scaled_table
 from .linalg import (
     ZERO,
     Matrix,
@@ -87,7 +88,7 @@ from .derivations import (
     skew_commuting_map_space,
 )
 from .liealg import center as center_space
-from .liealg import derived_subalgebra
+from .liealg import derived_subalgebra, structure_matrices
 
 
 class NotComplete(ValueError):
@@ -117,14 +118,29 @@ class InternalInconsistency(RuntimeError):
     """A solver produced an object that fails its own defining equations."""
 
 
-class Biderivation(NamedTuple):
-    """Coordinate matrices (B_1, ..., B_n) of a bilinear map L x L -> L."""
-
+class _BiderivationFields(NamedTuple):
     mats: tuple[Matrix, ...]
+
+
+class Biderivation(_BiderivationFields):
+    """Coordinate matrices (B_1, ..., B_n) of a bilinear map L x L -> L;
+    its fields sit in a NamedTuple base, as for `LieAlgebra`."""
 
     @property
     def dim(self) -> int:
         return len(self.mats)
+
+    @cached_property
+    def _int_values(self) -> tuple[int, IntTable]:
+        """(D, (i, j) -> ((k, D * b_ij^k), ...)) as `LieAlgebra._int_table`:
+        the one scan of ``mats`` for nonzero entries."""
+        return _scaled_table(
+            ((i, j), k, v)
+            for k, mat in enumerate(self.mats)
+            for i, row in enumerate(mat.data)
+            for j, v in enumerate(row)
+            if v
+        )
 
     @staticmethod
     def from_flat(values: Sequence[Scalar], n: int) -> "Biderivation":
@@ -144,12 +160,11 @@ class Biderivation(NamedTuple):
         """B(x, y); coordinate k equals x^T B_k y, summed over nonzero x_i, y_j."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element length does not match the map dimension")
+        den, values = self._int_values
         xs = [(i, xi) for i, xi in enumerate(as_vector(x)) if xi]
         ys = [(j, yj) for j, yj in enumerate(as_vector(y)) if yj]
-        return tuple(
-            sum((xi * yj * mat.data[i][j] for i, xi in xs for j, yj in ys), ZERO)
-            for mat in self.mats
-        )
+        acc = _bilinear(values, xs, ys)
+        return tuple(acc[k] / den if k in acc else ZERO for k in range(self.dim))
 
     @staticmethod
     def zero(n: int) -> "Biderivation":
@@ -314,26 +329,15 @@ def biderivation_violation(
     has i < j, that of (2) j < k: only those triples are scanned.
 
     Both conditions run through `liealg._leibniz_residual`, over the
-    bracket table read as S * c_ij^k and the nonzero b_ij^k read as
-    D * b_ij^k with D the lcm of their denominators; only the failing
-    triple's residual is divided back into Fractions.
+    bracket table read as S * c_ij^k and B read as D * b_ij^k
+    (`Biderivation._int_values`); only the failing triple's residual is
+    divided back into Fractions.
     """
     n = alg.dim
     if cand.dim != n:
         raise ValueError("biderivation dimension does not match the algebra")
     scale, table = alg._int_table
-    nonzero = [
-        (i, j, k, v)
-        for k, mat in enumerate(cand.mats)
-        for i, row in enumerate(mat.data)
-        for j, v in enumerate(row)
-        if v
-    ]
-    den = math.lcm(*(v.denominator for _, _, _, v in nonzero))
-    # values[(i, j)]: [(k, D * b_ij^k), ...], the nonzero coordinates of B(e_i, e_j)
-    values: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j, k, v in nonzero:
-        values.setdefault((i, j), []).append((k, v.numerator * (den // v.denominator)))
+    den, values = cand._int_values
     # condition (2) of B at (i, j, k) is condition (1) of B^t at (j, k, i)
     swapped = {(j, i): terms for (i, j), terms in values.items()}
     scans = chain(
@@ -465,28 +469,23 @@ def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
         ) from exc
     phi = Matrix(n, n, tuple(tuple(phi_cols[i][r] for i in range(n)) for r in range(n)))
     psi = Matrix(n, n, tuple(tuple(psi_cols[i][r] for i in range(n)) for r in range(n)))
-    # S B(e_i, e_j) = S [phi(e_i), e_j] = S [e_i, psi(e_j)] on every basis
-    # pair, summed over the integer table
+    # D S B(e_i, e_j) = D S [phi(e_i), e_j] = D S [e_i, psi(e_j)] on every
+    # basis pair, summed over the integer table
     scale, table = alg._int_table
-
-    def scaled_bracket(terms: Iterator[tuple[tuple[int, int], Fraction]]):
-        acc: dict[int, Fraction] = {}
-        for pair, u in terms:
-            for r, c in table.get(pair, ()):
-                acc[r] = acc.get(r, 0) + u * c
-        return {r: v for r, v in acc.items() if v}
-
+    den, values = cand._int_values
+    phis = [[(t, u) for t, u in enumerate(col) if u] for col in phi_cols]
+    psis = [[(t, u) for t, u in enumerate(col) if u] for col in psi_cols]
     for i in range(n):
         for j in range(n):
-            expected = {
-                r: scale * m.data[i][j] for r, m in enumerate(cand.mats) if m.data[i][j]
-            }
-            left = scaled_bracket(((t, j), u) for t, u in enumerate(phi_cols[i]) if u)
-            right = scaled_bracket(((i, t), u) for t, u in enumerate(psi_cols[j]) if u)
-            if left != expected or right != expected:
-                raise InternalInconsistency(
-                    f"phi/psi factorization fails on basis pair ({i}, {j})"
-                )
+            expected = {r: scale * v for r, v in values.get((i, j), ())}
+            for got in (
+                _bilinear(table, phis[i], ((j, den),)),
+                _bilinear(table, ((i, den),), psis[j]),
+            ):
+                if {r: v for r, v in got.items() if v} != expected:
+                    raise InternalInconsistency(
+                        f"phi/psi factorization fails on basis pair ({i}, {j})"
+                    )
     return PhiPsiPair(phi, psi)
 
 
@@ -503,25 +502,18 @@ def symmetric_skew_split(cand: Biderivation) -> tuple[Biderivation, Biderivation
 
 
 def classify_symmetry(cand: Biderivation) -> str:
-    """"symmetric", "skew", "zero" (both) or "mixed" (neither): compare each
-    nonzero b_ij^k with b_ji^k (symmetric) and -b_ji^k (skew).  A pair of
-    zeros agrees with both, so only the nonzero entries are read."""
-    entries = {
-        (k, i, j): v
-        for k, m in enumerate(cand.mats)
-        for i, row in enumerate(m.data)
-        for j, v in enumerate(row)
-        if v
-    }
-    symmetric = all(entries.get((k, j, i)) == v for (k, i, j), v in entries.items())
-    skew = all(entries.get((k, j, i)) == -v for (k, i, j), v in entries.items())
-    if symmetric and not skew:
-        return "symmetric"
-    if skew and not symmetric:
-        return "skew"
-    if symmetric and skew:
-        return "zero"
-    return "mixed"
+    """"symmetric", "skew", "zero" (both) or "mixed" (neither): compare the
+    nonzero values of each B(e_i, e_j) with those of B(e_j, e_i)
+    (symmetric) and of -B(e_j, e_i) (skew), read off
+    `Biderivation._int_values`.  A pair of zeros agrees with both."""
+    _, values = cand._int_values
+    symmetric = all(values.get((j, i)) == terms for (i, j), terms in values.items())
+    skew = all(
+        values.get((j, i)) == tuple((k, -v) for k, v in terms)
+        for (i, j), terms in values.items()
+    )
+    kinds = {(True, True): "zero", (True, False): "symmetric", (False, True): "skew"}
+    return kinds.get((symmetric, skew), "mixed")
 
 
 BiderSymmetryMode = Literal["symmetric", "skew"]

@@ -11,7 +11,9 @@ dispatch.  Each passes one Jacobi gate first: a broken table gets
 
 Exit codes: 0 on success/pass, 1 on a mathematical failure (a violated
 condition, a Jacobi-invalid table, a failed direct sum, non-closure), 2 on
-input errors (malformed documents, unknown names, usage problems).
+input errors (malformed documents, unknown names, usage problems, a report
+value too long to print), which write one ``error:`` line to stderr and
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .derivations import derivation_space, inner_derivation_space, is_complete
 from .documents import (
     DimMismatch,
     ParseError,
+    TooManyDigits,
+    _bracket_entries,
     algebra_to_document,
     biderivation_to_document,
     matrix_strs,
@@ -272,15 +276,10 @@ def _cmd_vdecomp(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_bracket_closure(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict, int]:
     report = bider_bracket_closure(alg)
     if report.closed:
-        brackets: list[dict] = []
-        for (a, b, k), c in sorted(report.constants.items()):
-            if not brackets or (brackets[-1]["left"], brackets[-1]["right"]) != (a, b):
-                brackets.append({"left": a, "right": b, "result": []})
-            brackets[-1]["result"].append({"coeff": str(c), "index": k})
         return {
             "closed": True,
             "bider_dim": report.bider_dim,
-            "induced_brackets": brackets,
+            "induced_brackets": _bracket_entries(sorted(report.constants.items())),
             "witness_pair": None,
         }, 0
     a, b, _comm = report.witness
@@ -405,7 +404,7 @@ def run_command(argv: Sequence[str]) -> int:
             results, code = handler(alg, args)
         sys.stdout.write(emit_report(_report(args.command, inputs, results), mode))
         return code
-    except (_InputError, ParseError, DimMismatch) as exc:
+    except (_InputError, ParseError, DimMismatch, TooManyDigits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

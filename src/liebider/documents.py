@@ -7,10 +7,12 @@ table), BiderivationDocument (a candidate matrix tuple), and ReportDocument
 canonical: sorted keys, two-space indent, trailing newline, so identical
 inputs yield byte-identical documents.  `serialize_document` is the one
 serializer; it writes that text itself, the same bytes as `json.dumps` with
-``indent=2, sort_keys=True``.  `load_algebra_document` checks the shape of a
-table but not the Jacobi identity (a coefficient, or a sum of coefficients
-of one index, must also print); `parse_algebra` alone raises JacobiError,
-and the CLI reports a broken table through `validate`.
+``indent=2, sort_keys=True``.  `rational_str` prints every rational value,
+or raises TooManyDigits past the interpreter's digit limit (CLI exit 2).
+`load_algebra_document` checks the shape of a table but not the Jacobi
+identity (a coefficient, or a sum of coefficients of one index, must also
+print); `parse_algebra` alone raises JacobiError, and the CLI reports a
+broken table through `validate`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterable
 
 from .biderivations import Biderivation
 from .liealg import InvalidStructure, JacobiViolation, LieAlgebra, lie_algebra, validate
@@ -54,6 +56,10 @@ class DimMismatch(ValueError):
     """Biderivation document shape is inconsistent with the algebra."""
 
 
+class TooManyDigits(ValueError):
+    """A value too long for the interpreter's int/str conversion to print."""
+
+
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -74,8 +80,11 @@ def parse_rational(text: Any, path: str) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    """Lowest-terms string form, "p" or "p/q" with q > 0."""
-    return str(value) if value else "0"
+    """Lowest-terms "p" or "p/q" with q > 0; TooManyDigits if too long to print."""
+    try:
+        return str(value) if value else "0"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise TooManyDigits("a value has more digits than the interpreter prints") from None
 
 
 def vector_strs(vec: Vector) -> list[str]:
@@ -211,10 +220,9 @@ def load_algebra_document(text: str) -> tuple[LieAlgebra, str]:
                 coeff += constants[key]
                 try:
                     rational_str(coeff)
-                except ValueError:
+                except TooManyDigits as exc:
                     raise ParseError(
-                        f"{tpath}.coeff", "sum with an earlier term of this index "
-                        "has more digits than the interpreter converts",
+                        f"{tpath}.coeff", f"sum with an earlier term: {exc}"
                     ) from None
             constants[key] = coeff
     factors = doc.get("factors")
@@ -240,24 +248,21 @@ def parse_algebra(text: str) -> LieAlgebra:
     return alg
 
 
+def _bracket_entries(constants: Iterable) -> list[dict]:
+    """The ``brackets`` list of a document from sorted ((i, j, k), c) entries."""
+    brackets: list[dict] = []
+    for (i, j, k), c in constants:
+        if not brackets or (brackets[-1]["left"], brackets[-1]["right"]) != (i, j):
+            brackets.append({"left": i, "right": j, "result": []})
+        brackets[-1]["result"].append({"coeff": rational_str(c), "index": k})
+    return brackets
+
+
 def algebra_to_document(alg: LieAlgebra, name: str = "") -> dict:
     """Canonical AlgebraDocument of an algebra (sorted bracket entries)."""
-    grouped: dict[tuple[int, int], list[dict]] = {}
-    for (i, j, k), c in alg.constants:
-        grouped.setdefault((i, j), []).append(
-            {"coeff": rational_str(c), "index": k}
-        )
-    brackets = [
-        {
-            "left": i,
-            "right": j,
-            "result": sorted(terms, key=lambda t: t["index"]),
-        }
-        for (i, j), terms in sorted(grouped.items())
-    ]
     doc: dict = {
         "basis": list(alg.basis_names),
-        "brackets": brackets,
+        "brackets": _bracket_entries(alg.constants),
         "dim": alg.dim,
         "name": name,
     }

@@ -7,17 +7,17 @@ provides the bracket, adjoint matrices, the structure-matrix tuple
 A_k = (c_ij^k)_ij, the center, the lower central series, the Killing form,
 and direct sums.
 
-One integer table feeds every linear system and every checker in the
-package.  `LieAlgebra._int_table` holds S * c_ij^k for every ordered pair,
-with S the lcm of the constant denominators, and `LieAlgebra._int_ad`
-indexes the same integers as the rows of S * ad_{e_i}.  The Killing form
-(K_ij summed only over the entries (r, t) of ad whose transpose (t, r) is
-nonzero too), the systems of `derivations` and `vdecomp`, the Jacobi scan
-and the biderivation and phi/psi checks all read them, and
-`LieAlgebra._ad_split` solves ad: L -> Der(L) once from them for Z(L),
-ad(L) and ad^-1.  A row scaled by +-S has the same kernel as its Fraction
-row, so every result is exact and unchanged.  The Fraction table serves
-`bracket` and `pair_terms` at the API edge.
+One integer layout holds every bilinear map T on basis pairs:
+(D, (i, j) -> ((k, D * T(e_i, e_j)_k), ...)), D the lcm of the denominators
+(`_scaled_table`), summed at (x, y) by `_bilinear`.  `LieAlgebra._int_table`
+holds the bracket so (D = S), `biderivations.Biderivation._int_values` a
+biderivation, and `LieAlgebra._int_ad` regroups the bracket as the rows of
+S * ad_{e_i}.  The bracket, the Killing form (over the entries (r, t) of ad
+whose transpose (t, r) is nonzero too), the systems of `derivations` and
+`vdecomp`, the Jacobi scan and the biderivation and phi/psi checks read
+them, and `_ad_split` solves ad once from them for Z(L), ad(L) and ad^-1.
+A row scaled by +-S has the same kernel as its Fraction row, so every result
+is exact.  `pair_terms` reads ``constants``, the oracles' Fraction reference.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
@@ -26,7 +26,7 @@ the others every term vanishes).  The Jacobi sum is condition (1) of a
 biderivation for the bracket itself, so the scan and the biderivation
 checker share one integer residual, `_leibniz_residual`.
 
-A table of the presentation (`_table`, `_int_table`, `_int_ad`, `_ad_split`,
+A table of the presentation (`_int_table`, `_int_ad`, `_ad_split`,
 `_components`) is a cached property of `LieAlgebra`.  An invariant (`validate`,
 `killing_form`, Der(L), V, ...) is a public function under `_per_algebra`,
 computed once per algebra and read only by that name.
@@ -35,8 +35,10 @@ computed once per algebra and read only by that name.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import chain
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .linalg import (
@@ -53,6 +55,34 @@ from .linalg import (
 )
 
 ConstantKey = tuple[int, int, int]  # (i, j, k) with i < j, zero-based
+# (i, j) -> ((k, D * T(e_i, e_j)_k), ...): a bilinear map T on basis pairs
+IntTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+
+def _scaled_table(values: Iterator) -> tuple[int, IntTable]:
+    """(D, table) of the map T with nonzero values ((i, j), k, T(e_i, e_j)_k),
+    D the lcm of their denominators (1 for integers, which are regrouped);
+    each pair keeps the order of ``values``."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for _, _, v in values))
+    raw: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pair, k, v in values:
+        raw.setdefault(pair, []).append((k, v.numerator * (den // v.denominator)))
+    return den, {pair: tuple(terms) for pair, terms in raw.items()}
+
+
+def _bilinear(table: IntTable, xs: Sequence, ys: Sequence) -> dict[int, Scalar]:
+    """D * T(x, y) as a sparse {k: value}, from the nonzero coordinates
+    (i, x_i) of x and (j, y_j) of y; a value that cancels stays as a zero."""
+    acc: dict[int, Scalar] = {}
+    for i, xi in xs:
+        for j, yj in ys:
+            terms = table.get((i, j))
+            if terms:
+                w = xi * yj
+                for k, c in terms:
+                    acc[k] = acc.get(k, 0) + w * c
+    return acc
 
 
 class _LieAlgebraFields(NamedTuple):
@@ -77,35 +107,20 @@ class LieAlgebra(_LieAlgebraFields):
     """
 
     @cached_property
-    def _table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """(i, j) -> ((k, c_ij^k), ...) for all ordered pairs i != j."""
-        raw: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j, k), c in self.constants:
-            raw.setdefault((i, j), []).append((k, c))
-            raw.setdefault((j, i), []).append((k, -c))
-        return {pair: tuple(terms) for pair, terms in raw.items()}
+    def _int_table(self) -> tuple[int, IntTable]:
+        """(S, (i, j) -> ((k, S * c_ij^k), ...)) for all ordered pairs
+        i != j, with S the lcm of the constant denominators."""
+        return _scaled_table(chain.from_iterable(
+            (((i, j), k, c), ((j, i), k, -c)) for (i, j, k), c in self.constants
+        ))
 
     @cached_property
-    def _int_table(
-        self,
-    ) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
-        """(S, (i, j) -> ((k, S * c_ij^k), ...)) with S the lcm of the
-        constant denominators, so every entry is an integer."""
-        scale = math.lcm(*(c.denominator for _, c in self.constants))
-        return scale, {
-            pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
-            for pair, terms in self._table.items()
-        }
-
-    @cached_property
-    def _int_ad(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    def _int_ad(self) -> IntTable:
         """(i, r) -> ((t, S * c_it^r), ...): the nonzero entries of row r of
-        S * ad_{e_i}, read off `_int_table`."""
-        raw: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (i, j), terms in self._int_table[1].items():
-            for k, c in terms:
-                raw.setdefault((i, k), []).append((j, c))
-        return {key: tuple(terms) for key, terms in raw.items()}
+        S * ad_{e_i}, regrouped from `_int_table`."""
+        return _scaled_table(
+            ((i, k), j, c) for (i, j), terms in self._int_table[1].items() for k, c in terms
+        )[1]
 
     @cached_property
     def _ad_split(self) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
@@ -137,10 +152,13 @@ class LieAlgebra(_LieAlgebraFields):
         return tuple(sorted(tuple(sorted(b)) for b in unique))
 
     def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """Nonzero coordinates of [e_i, e_j] as ((k, c), ...)."""
-        if i == j:
-            return ()
-        return self._table.get((i, j), ())
+        """Nonzero coordinates of [e_i, e_j] as ((k, c), ...), read off the
+        sorted ``constants`` (not the integer table)."""
+        (a, b), sign = ((i, j), 1) if i < j else ((j, i), -1)
+        # ((a, b),) sorts before the keys (a, b, k), ((a, b, n),) after them
+        lo = bisect_left(self.constants, ((a, b),))
+        hi = bisect_left(self.constants, ((a, b, self.dim),), lo)
+        return tuple((k, sign * c) for (_, _, k), c in self.constants[lo:hi])
 
     def basis_element(self, i: int) -> Vector:
         return tuple(ONE if t == i else ZERO for t in range(self.dim))
@@ -245,21 +263,11 @@ def bracket(alg: LieAlgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector
     """[x, y] by bilinear extension; coordinate k equals x^T A_k y."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("element length does not match algebra dimension")
-    xv = as_vector(x)
-    yv = as_vector(y)
-    out = [ZERO] * alg.dim
-    for i, xi in enumerate(xv):
-        if not xi:
-            continue
-        for j, yj in enumerate(yv):
-            if not yj:
-                continue
-            terms = alg.pair_terms(i, j)
-            if terms:
-                w = xi * yj
-                for k, c in terms:
-                    out[k] += w * c
-    return tuple(out)
+    scale, table = alg._int_table
+    xs = [(i, xi) for i, xi in enumerate(as_vector(x)) if xi]
+    ys = [(j, yj) for j, yj in enumerate(as_vector(y)) if yj]
+    acc = _bilinear(table, xs, ys)
+    return tuple(acc[k] / scale if k in acc else ZERO for k in range(alg.dim))
 
 
 def adjoint_matrix(alg: LieAlgebra, x: Sequence[Scalar]) -> Matrix:
@@ -397,14 +405,11 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all [e_i, e_j] over pairs i < j, one vector per pair with a
-    nonzero bracket, grouped from the sorted ``constants``."""
-    vectors: dict[tuple[int, int], list[Fraction]] = {}
-    for (i, j, k), c in alg.constants:
-        if (i, j) not in vectors:
-            vectors[i, j] = [ZERO] * alg.dim
-        vectors[i, j][k] = c
-    return Subspace.span(list(vectors.values()), alg.dim)
+    """Span of all [e_i, e_j] over pairs i < j, one vector S [e_i, e_j] per
+    pair with a nonzero bracket, read off `LieAlgebra._int_table`."""
+    n = alg.dim
+    brackets = [dict(terms) for (i, j), terms in alg._int_table[1].items() if i < j]
+    return Subspace.span([[b.get(k, 0) for k in range(n)] for b in brackets], n)
 
 
 class LowerCentralSeries(NamedTuple):
@@ -458,10 +463,9 @@ def killing_form(alg: LieAlgebra) -> KillingForm:
     and the Der(L) = ad(L) certificate."""
     n = alg.dim
     # entries[(r, t)] = ((i, S c_it^r), ...): the nonzero (ad_{e_i})_rt
-    entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (i, r), terms in alg._int_ad.items():
-        for t, c in terms:
-            entries.setdefault((r, t), []).append((i, c))
+    entries = _scaled_table(
+        ((r, t), i, c) for (i, r), terms in alg._int_ad.items() for t, c in terms
+    )[1]
     # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr in integers scaled by S^2; an
     # entry (r, t) adds to it only when its transpose (t, r) is nonzero too
     grid = [[0] * n for _ in range(n)]

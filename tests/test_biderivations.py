@@ -654,7 +654,7 @@ def test_checkers_share_no_solver_code():
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
         "kernel_beside", "_components", "_adjoint_family",
         "_primitive_derivations", "commuting_map_space",
-        "skew_commuting_map_space", "_lift",
+        "skew_commuting_map_space", "_lift", "_bilinear",
     }
     # `validate` is cached per algebra; its undecorated body scans.
     for checker in (biderivation_violation, liebider.liealg.validate.__wrapped__):

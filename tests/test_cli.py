@@ -375,6 +375,31 @@ def test_input_errors_exit_two(run, tmp_path, capsys):
         code, out, err = run(*argv, str(long_sum))
         assert code == 2 and out == "", argv
         assert err.startswith("error: brackets[0].result[1].coeff: "), argv
+    # every coefficient prints, but the Jacobi residual 1/(a b) at (0, 1, 2)
+    # has more digits than the interpreter converts: exit 2, not a traceback
+    a, b = "1" + "3" * 3000, "7" * 3000 + "1"
+    long_residual = tmp_path / "long_residual.json"
+    long_residual.write_text(json.dumps({"dim": 3, "brackets": [
+        {"left": 0, "right": 1, "result": [
+            {"index": 0, "coeff": "1/" + a}, {"index": 1, "coeff": b},
+        ]},
+        {"left": 0, "right": 2, "result": [{"index": 2, "coeff": "1/" + b}]},
+    ]}))
+    zero_candidate = tmp_path / "zero3.bider.json"
+    zero_candidate.write_text(json.dumps({"dim": 3, "mats": [[["0"] * 3] * 3] * 3}))
+    for cmd in (
+        ["validate"], ["info"], ["derivations"], ["biderivations"],
+        ["biderivations", "--symmetric"], ["biderivations", "--skew"], ["vdecomp"],
+        ["bracket-closure"], ["check-bider", str(zero_candidate)],
+        ["phi-psi", str(zero_candidate)],
+    ):
+        for fmt in ([], ["--json"]):
+            argv = [cmd[0], str(long_residual), *cmd[1:], *fmt]
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                "error: a value has more digits than the interpreter prints\n"
+            ), argv
     long_dim = tmp_path / "long_dim.json"
     long_dim.write_text('{"dim": 1' + "0" * 4399 + "}")
     code, _, err = run("info", str(long_dim))

@@ -74,9 +74,24 @@ def test_constructor_normalizes_and_validates():
 
 
 def test_bracket_matches_structure_matrices():
-    for name in ALL_NAMES:
-        alg = catalog(name)
+    """`bracket` (the integer table, divided by S) and `pair_terms` (the
+    sorted constants) against the dense structure matrices, also where
+    S > 1 and where the Jacobi identity fails."""
+    tables = {name: (lambda name=name: catalog(name)) for name in ALL_NAMES}
+    tables["sl2_scaled"] = oracles.scaled_sl2
+    tables["sl2_plus_sl2_dense"] = oracles.dense_basis_sl2_plus_sl2
+    tables["jacobi_broken"] = lambda: lie_algebra(
+        3, {(0, 1, 2): 1, (0, 2, 0): F(1, 3), (1, 2, 1): F(-2, 7)}
+    )
+    assert validate(tables["jacobi_broken"]()) is not None
+    for name, make in tables.items():
+        alg = make()
         mats = structure_matrices(alg)
+        n = alg.dim
+        for i in range(n):
+            for j in range(n):
+                entries = tuple((k, m[i][j]) for k, m in enumerate(mats) if m[i][j])
+                assert alg.pair_terms(i, j) == entries, (name, i, j)
         for x in _rand_elements(alg, seed=1):
             for y in _rand_elements(alg, seed=2):
                 via_table = bracket(alg, x, y)
@@ -87,7 +102,8 @@ def test_bracket_matches_structure_matrices():
                     )
                     for mat in mats
                 )
-                assert via_table == via_mats
+                assert via_table == via_mats, name
+                assert all(type(v) is F for v in via_table), name
 
 
 def test_bracket_examples_sl2():

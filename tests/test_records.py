@@ -22,8 +22,14 @@ from liebider.vdecomp import verify_direct_sum
 
 def _sl2_with_tables():
     alg = catalog("sl2")
-    alg._int_ad  # caches _table and _int_table on the way
+    alg._int_ad  # caches _int_table on the way
     return alg
+
+
+def _inner_with_values():
+    cand = inner_biderivation(catalog("sl2"), [Fraction(2, 3)])
+    cand._int_values  # cached in the instance __dict__
+    return cand
 
 
 # name: (factory, a field to reassign, pinned repr or None)
@@ -44,6 +50,7 @@ RECORDS = {
     "Biderivation": (
         lambda: inner_biderivation(catalog("sl2"), [Fraction(2, 3)]), "mats", None
     ),
+    "BiderivationCached": (_inner_with_values, "mats", None),
     "BiderivationSpace": (lambda: biderivation_space(catalog("L22")), "space", None),
     "JacobiViolation": (
         lambda: validate(lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})),
