@@ -76,6 +76,31 @@ JACOBI_BROKEN = lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})
 # The complete algebras above; phi-psi and check-bider run on lambda = 2.
 COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3", "sl2_scaled"}
 
+
+def _entry_changed(alg):
+    """The inner biderivation with lambda = 2 and b_01^0 raised by 1: it
+    fails condition (1)."""
+    flat = list(inner_biderivation(alg, [2]).flatten())
+    flat[1] += 1
+    return Biderivation.from_flat(flat, alg.dim)
+
+
+def _projected(alg):
+    """B(x, y) = [x, P(y)] with P the projection onto the first coordinate:
+    every B(-, z) is a derivation, so it satisfies condition (1) and fails
+    condition (2)."""
+    n = alg.dim
+    flat = [0] * n**3
+    for i in range(n):
+        for k, c in alg.pair_terms(i, 0):
+            flat[k * n * n + i * n] = c
+    return Biderivation.from_flat(flat, n)
+
+
+# Candidates that check-bider and phi-psi must reject, by algebra: each file
+# is labelled with the algebra's stem and the suffix.
+REJECTED = {"sl3": [("entry_changed", _entry_changed), ("projected", _projected)]}
+
 ALGEBRA_COMMANDS = [
     ["validate"],
     ["info"],
@@ -167,25 +192,27 @@ def write_snapshot(outdir: pathlib.Path) -> int:
         for name, stem, alg in tables:
             alg_file = pathlib.Path(tmp, f"{stem}.json")
             alg_file.write_text(serialize_document(algebra_to_document(alg, name)))
-            jobs = [(cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]
-            cand = None
+            jobs = [(stem, cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]
+            cands = []
             if name in COMPLETE:
                 factors = alg.factors if alg.factors is not None else (alg.dim,)
-                cand = inner_biderivation(alg, [2] * len(factors))
+                cands.append((stem, inner_biderivation(alg, [2] * len(factors))))
             elif alg is JACOBI_BROKEN:
-                cand = Biderivation.from_flat([0] * alg.dim**3, alg.dim)
-            if cand is not None:
-                bider_file = pathlib.Path(tmp, f"{stem}.bider.json")
+                cands.append((stem, Biderivation.from_flat([0] * alg.dim**3, alg.dim)))
+            cands += [(f"{stem}_{suffix}", make(alg)) for suffix, make in REJECTED.get(name, ())]
+            for cand_stem, cand in cands:
+                bider_file = pathlib.Path(tmp, f"{cand_stem}.bider.json")
                 bider_file.write_text(
                     serialize_document(biderivation_to_document(cand))
                 )
                 jobs += [
-                    (cmd, [str(alg_file), str(bider_file)]) for cmd in BIDER_COMMANDS
+                    (cand_stem, cmd, [str(alg_file), str(bider_file)])
+                    for cmd in BIDER_COMMANDS
                 ]
-            for cmd, files in jobs:
+            for label_stem, cmd, files in jobs:
                 for fmt in ("text", "json"):
                     flags = [*cmd[1:], *(["--json"] if fmt == "json" else [])]
-                    label = ".".join([stem, *(c.lstrip("-") for c in cmd), fmt])
+                    label = ".".join([label_stem, *(c.lstrip("-") for c in cmd), fmt])
                     out = _run([cmd[0], *files, *flags])
                     (outdir / f"{label}.txt").write_text(out)
                     count += 1

@@ -40,12 +40,11 @@ its coordinate matrices, which the CLI prints; the checks read B's nonzero
 values once, in the integer layout of the bracket table
 (`Biderivation._int_values`).  Every basis element is re-checked by
 `biderivation_violation`, and in a mode `classify_symmetry` must return
-that mode.  The checker shares no assembly code with the solver: it scans
-both conditions on the n^2 (n - 1) basis triples that can fail first, in
-integers, over the bracket table scaled by the lcm S of its denominators
-and `_int_values`.  Condition (2) of B is condition (1) of the swap B^t, so
-one residual (`liealg._leibniz_residual`, which the Jacobi scan shares)
-serves both.
+that mode.  The checker shares no assembly code with the solver: it sums
+both conditions in integers, over the nonzero products of the bracket table
+(scaled by the lcm S of its denominators) and of `_int_values` alone.
+Condition (2) of B is condition (1) of the swap B^t, so one residual
+(`liealg._leibniz_residual`, which the Jacobi scan shares) serves both.
 The tests compare every mode against the direct system of 2*n^4 rows in the
 n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
 checker against the dense `Fraction` scan it replaced
@@ -61,7 +60,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Literal, NamedTuple, Optional, Sequence
 
 from .liealg import IntTable, LieAlgebra, _bilinear, _leibniz_residual, _scaled_table
@@ -323,32 +321,22 @@ def biderivation_violation(
     """First violated defining condition, or None when B is a biderivation.
 
     Triples are scanned condition outermost, then (i, j, k) lexicographic,
-    and the scan stops at the first failure, which is returned.  Swapping
-    i and j negates the residual of (1), and swapping j and k negates that
-    of (2), so the diagonal residuals are 0 and the first failure of (1)
-    has i < j, that of (2) j < k: only those triples are scanned.
-
-    Both conditions run through `liealg._leibniz_residual`, over the
-    bracket table read as S * c_ij^k and B read as D * b_ij^k
-    (`Biderivation._int_values`); only the failing triple's residual is
-    divided back into Fractions.
+    and the first failure is returned.  Swapping i and j negates the
+    residual of (1) and swapping j and k that of (2), so the first failure
+    of (1) has i < j and that of (2) j < k.  Both are read off
+    `liealg._leibniz_residual`, summed over the nonzero products of the
+    table (as S * c_ij^k) and of B (as D * b_ij^k, `Biderivation._int_values`)
+    one slice of i at a time: condition (2) of B at (i, j, k) is condition
+    (1) of the swap B^t at (j, k, i), summed with i outermost.  Only the
+    failing residual is divided back into Fractions.
     """
     n = alg.dim
     if cand.dim != n:
         raise ValueError("biderivation dimension does not match the algebra")
-    scale, table = alg._int_table
-    den, values = cand._int_values
-    # condition (2) of B at (i, j, k) is condition (1) of B^t at (j, k, i)
+    (scale, table), (den, values) = alg._int_table, cand._int_values
     swapped = {(j, i): terms for (i, j), terms in values.items()}
-    scans = chain(
-        ((1, (i, j, k), values, (i, j, k))
-         for i in range(n) for j in range(i + 1, n) for k in range(n)),
-        ((2, (i, j, k), swapped, (j, k, i))
-         for i in range(n) for j in range(n) for k in range(j + 1, n)),
-    )
-    for condition, triple, vals, (a, b, c) in scans:
-        acc = _leibniz_residual(table, vals, a, b, c)
-        if any(acc.values()):
+    for condition, vals, outer in ((1, values, 0), (2, swapped, 2)):
+        for triple, acc in _leibniz_residual(table, vals, n, outer):
             residual = tuple(Fraction(acc.get(r, 0), scale * den) for r in range(n))
             return BiderViolation(condition, triple, residual)
     return None
@@ -456,8 +444,7 @@ def extract_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
 def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
     """`extract_phi_psi` for a caller that has established its premises."""
     n = alg.dim
-    phi_cols = []
-    psi_cols = []
+    phi_cols, psi_cols = [], []
     try:
         for i in range(n):
             row_map, column_map = _partial_maps(cand, i)
@@ -467,21 +454,21 @@ def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
         raise InternalInconsistency(
             "partial map of a biderivation is not inner on a complete algebra"
         ) from exc
-    phi = Matrix(n, n, tuple(tuple(phi_cols[i][r] for i in range(n)) for r in range(n)))
-    psi = Matrix(n, n, tuple(tuple(psi_cols[i][r] for i in range(n)) for r in range(n)))
-    # D S B(e_i, e_j) = D S [phi(e_i), e_j] = D S [e_i, psi(e_j)] on every
-    # basis pair, summed over the integer table
+    phi, psi = (Matrix(n, n, tuple(zip(*cols))) for cols in (phi_cols, psi_cols))
+    # D S P B(e_i, e_j) = D S P [phi(e_i), e_j] = D S P [e_i, psi(e_j)] on
+    # every basis pair, in integers over the table: `_scaled_table` holds
+    # P phi(e_i) at (0, i) and P psi(e_j) at (1, j), P their lcm denominator
     scale, table = alg._int_table
     den, values = cand._int_values
-    phis = [[(t, u) for t, u in enumerate(col) if u] for col in phi_cols]
-    psis = [[(t, u) for t, u in enumerate(col) if u] for col in psi_cols]
+    big, maps = _scaled_table(
+        ((side, i), t, u) for side, cols in enumerate((phi_cols, psi_cols))
+        for i, col in enumerate(cols) for t, u in enumerate(col) if u
+    )
     for i in range(n):
         for j in range(n):
-            expected = {r: scale * v for r, v in values.get((i, j), ())}
-            for got in (
-                _bilinear(table, phis[i], ((j, den),)),
-                _bilinear(table, ((i, den),), psis[j]),
-            ):
+            expected = {r: scale * big * v for r, v in values.get((i, j), ())}
+            for got in (_bilinear(table, maps.get((0, i), ()), ((j, den),)),
+                        _bilinear(table, ((i, den),), maps.get((1, j), ()))):
                 if {r: v for r, v in got.items() if v} != expected:
                     raise InternalInconsistency(
                         f"phi/psi factorization fails on basis pair ({i}, {j})"

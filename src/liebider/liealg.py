@@ -21,10 +21,9 @@ is exact.  `pair_terms` reads ``constants``, the oracles' Fraction reference.
 
 Validation checks the Jacobi identity exactly on all basis triples; nothing
 else in the package assumes a valid table, but every documented result does.
-The scan visits only triples with a nonzero bracket among their pairs (on
-the others every term vanishes).  The Jacobi sum is condition (1) of a
-biderivation for the bracket itself, so the scan and the biderivation
-checker share one integer residual, `_leibniz_residual`.
+The Jacobi sum is condition (1) of a biderivation for the bracket itself, so
+the scan and the biderivation checker share one residual, `_leibniz_residual`,
+summed over the nonzero products of the two tables alone, a slice at a time.
 
 A table of the presentation (`_int_table`, `_int_ad`, `_ad_split`,
 `_components`) is a cached property of `LieAlgebra`.  An invariant (`validate`,
@@ -318,81 +317,95 @@ class JacobiViolation(NamedTuple):
     residual: Vector  # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
 
 
-def _jacobi_triples(
-    n: int, table: Mapping[tuple[int, int], object]
-) -> Iterator[tuple[int, int, int]]:
-    """Triples i < j < k, in lexicographic order, with a nonzero bracket
-    among [e_i, e_j], [e_j, e_k] and [e_i, e_k].
-
-    On every other triple all three terms of the Jacobi sum vanish, so an
-    algebra with P nonzero brackets costs O(P * n) triples, not C(n, 3).
-    """
-    edges = sorted(pair for pair in table if pair[0] < pair[1])
-    above: dict[int, list[int]] = {}
-    for a, b in edges:
-        above.setdefault(a, []).append(b)
-    last = edges[-1][0] if edges else -1
-    for i in range(last + 1):
-        row = above.get(i, [])
-        linked = set(row)
-        # past max(row) and last, [e_i, e_j], [e_i, e_k] and [e_j, e_k] all vanish
-        for j in range(i + 1, max(row[-1] if row else -1, last) + 1):
-            if j in linked:
-                ks: Sequence[int] = range(j + 1, n)
-            else:
-                ks = sorted({k for k in row if k > j}.union(above.get(j, ())))
-            for k in ks:
-                yield i, j, k
-
-
 @_per_algebra
 def validate(alg: LieAlgebra) -> Optional[JacobiViolation]:
     """Check the Jacobi identity on all basis triples i < j < k.
 
     Returns None when the table is a Lie algebra, otherwise the
-    lexicographically first violating triple with its residual vector.
-    Antisymmetry holds by construction, so triples with repeats are exact,
-    and only triples with a nonzero bracket among their pairs are scanned
-    (`_jacobi_triples`).  Each residual is `_leibniz_residual` with the
-    table as B, in integers scaled by S^2.  The CLI gate, the loaders and
-    the solvers that certify ad(L) inside Der(L) share the verdict.
+    lexicographically first violating triple with its residual vector
+    (triples with repeats hold by antisymmetry): `_leibniz_residual` with
+    the table as B, in integers scaled by S^2.  The CLI gate, the loaders
+    and the certificates of ad(L) in Der(L) share the verdict.
     """
-    n = alg.dim
-    scale, table = alg._int_table
-    for i, j, k in _jacobi_triples(n, table):
-        acc = _leibniz_residual(table, table, i, j, k)
-        if any(acc.values()):
-            den = scale * scale
-            return JacobiViolation(
-                i, j, k, tuple(Fraction(acc.get(r, 0), den) for r in range(n))
-            )
+    (scale, table), n = alg._int_table, alg.dim
+    for triple, acc in _leibniz_residual(table, table, n):
+        residual = tuple(Fraction(acc.get(r, 0), scale * scale) for r in range(n))
+        return JacobiViolation(*triple, residual)
     return None
 
 
-def _leibniz_residual(
-    table: Mapping, values: Mapping, i: int, j: int, k: int
-) -> dict[int, int]:
-    """B([e_i, e_j], e_k) - [e_i, B(e_j, e_k)] - [B(e_i, e_k), e_j], the
-    residual of condition (1), as a sparse {r: coordinate} in integers.
+def _regroup(pairs: Mapping, rising: bool) -> tuple[dict, dict, dict]:
+    """(a, b) -> ((t, v), ...) grouped by a (a -> [(b, terms), ...]), by b
+    (b -> [(a, terms), ...]) and by coordinate (t -> [((a, b), v), ...], only
+    a < b if ``rising``), each list descending: a scan upwards stops early."""
+    groups: tuple[dict, dict, dict] = ({}, {}, {})
+    for pair in sorted(pairs, reverse=True):
+        (a, b), terms = pair, pairs[pair]
+        groups[0].setdefault(a, []).append((b, terms))
+        groups[1].setdefault(b, []).append((a, terms))
+        for t, v in terms if a < b or not rising else ():
+            groups[2].setdefault(t, []).append((pair, v))
+    return groups
 
-    ``table`` is the integer table of `LieAlgebra._int_table` and ``values``
-    maps (a, b) to the nonzero integer coordinates ((r, v), ...) of
-    B(e_a, e_b).  Only the checkers call it; no solver does.
+
+def _leibniz_residual(
+    table: Mapping, values: Mapping, n: int, outer: int = 0
+) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
+    """Each nonzero residual B([e_a, e_b], e_c) - [e_a, B(e_b, e_c)] -
+    [B(e_a, e_c), e_b] of condition (1) in integers, as ((o, u, w),
+    {r: coordinate}) with o the index at position ``outer`` (0 or 2) of
+    (a, b, c): the triples come lexicographically, a slice of o at a time.
+
+    ``table`` is `LieAlgebra._int_table`, ``values`` maps (a, b) to the
+    nonzero integer coordinates ((r, v), ...) of B(e_a, e_b).  A slice sums
+    the nonzero products alone, and only a < b (the residual is
+    antisymmetric in a, b), or o < u < w when B is the table itself (the
+    alternating Jacobi sum).  No solver calls it.
     """
-    acc: dict[int, int] = {}
-    # B([e_i, e_j], e_k) = sum_t c_ij^t B(e_t, e_k)
-    for t, c in table.get((i, j), ()):
-        for r, v in values.get((t, k), ()):
-            acc[r] = acc.get(r, 0) + c * v
-    # - [e_i, B(e_j, e_k)] = - sum_t b_jk^t [e_i, e_t]
-    for t, v in values.get((j, k), ()):
-        for r, c in table.get((i, t), ()):
-            acc[r] = acc.get(r, 0) - v * c
-    # - [B(e_i, e_k), e_j] = - sum_t b_ik^t [e_t, e_j]
-    for t, v in values.get((i, k), ()):
-        for r, c in table.get((t, j), ()):
-            acc[r] = acc.get(r, 0) - v * c
-    return acc
+    jacobi = values is table
+    loose = outer != 2 and not jacobi  # else only u < w
+    ct = _regroup(table, True)
+    bv = ct if jacobi else _regroup(values, False)
+    # Products c_ab^t B(e_t, e_c), -b_bc^t [e_a, e_t], -b_ac^t [e_t, e_b] as
+    # (sign, X, Y, first) in `_regroup`'s groupings: X at (o, e_p) or (e_p, o)
+    # gives t for Y at (e_t, q) or (q, e_t), and (u, w) = (p, q) if first else
+    # (q, p); if first is None, Y at (o, e_t) or (e_t, o) gives t for X(e_u, e_w).
+    plan = {
+        0: ((1, ct[0], bv[0], True), (-1, bv[2], ct[0], None), (-1, bv[0], ct[0], False)),
+        2: ((1, ct[2], bv[1], None), (-1, bv[1], ct[1], False), (-1, bv[1], ct[0], True)),
+    }[outer]
+    nn = n * n
+    for o in range(n):
+        lo = o if outer == 0 or jacobi else -1  # only u > lo
+        acc: dict[int, int] = {}
+        get = acc.get
+        for sign, x, y, first in plan:
+            if first is None:
+                for t, yterms in y.get(o, ()):
+                    for (u, w), xv in x.get(t, ()):
+                        if u <= lo:
+                            break
+                        base, coef = u * nn + w * n, sign * xv
+                        for r, yv in yterms:
+                            acc[base + r] = get(base + r, 0) + coef * yv
+                continue
+            pm, qm = (nn, n) if first else (n, nn)
+            for p, xterms in x.get(o, ()):
+                qlo, qhi = (-1 if loose else p, n) if first else (lo, n if loose else p)
+                if (p if first else qhi - 1) <= lo:  # and so for every later p
+                    break
+                for t, xv in xterms:
+                    coef = sign * xv
+                    for q, yterms in y.get(t, ()):
+                        if q <= qlo:
+                            break
+                        if q < qhi:
+                            base = p * pm + q * qm
+                            for r, yv in yterms:
+                                acc[base + r] = get(base + r, 0) + coef * yv
+        if any(acc.values()):
+            for m in sorted({key // n for key, v in acc.items() if v}):
+                yield (o, *divmod(m, n)), {r: v for r in range(n) if (v := get(m * n + r))}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ the elimination itself.
 `Fraction` scans that the package's integer scans replaced: the same triples
 in the same order, with brackets taken by `liebider.liealg.bracket`.  The
 tests require `==` between each scan and its dense oracle.
+`dense_leibniz_residual` is the residual of condition (1) at one triple, by
+the same dense brackets, against which the tests read every residual the
+package's accumulation over nonzero products returns.
 
 The `fraction_*` builders are the `Fraction` constraint rows that the
 package's integer rows replaced (the package reads every row off
@@ -533,6 +536,29 @@ def dense_jacobi_violation(alg: LieAlgebra) -> Optional[JacobiViolation]:
                 if any(residual):
                     return JacobiViolation(i, j, k, residual)
     return None
+
+
+def dense_leibniz_residual(
+    alg: LieAlgebra, cand: Biderivation, i: int, j: int, k: int
+) -> Vector:
+    """B([e_i, e_j], e_k) - [e_i, B(e_j, e_k)] - [B(e_i, e_k), e_j], the
+    residual of condition (1) at one triple, by dense brackets and the
+    coordinate matrices of B."""
+    n = alg.dim
+    basis = [alg.basis_element(t) for t in range(n)]
+
+    def b_of(x: Vector, y: Vector) -> Vector:
+        # B(x, y)_r = x^T B_r y
+        return tuple(
+            sum((x[p] * cand.mats[r][p][q] * y[q]
+                 for p in range(n) if x[p] for q in range(n) if y[q]), ZERO)
+            for r in range(n)
+        )
+
+    lhs = b_of(bracket(alg, basis[i], basis[j]), basis[k])
+    r1 = bracket(alg, basis[i], b_of(basis[j], basis[k]))
+    r2 = bracket(alg, b_of(basis[i], basis[k]), basis[j])
+    return tuple(a - b - c for a, b, c in zip(lhs, r1, r2))
 
 
 def trace(m: Matrix) -> Fraction:

@@ -625,6 +625,52 @@ def test_scans_match_dense_oracles_on_random_tables(table_and_candidate):
     _assert_scans_agree(alg, cand)
 
 
+def _with_entries(n, entries):
+    """The map whose only nonzero b_ij^k are ``entries``, {k*n^2 + i*n + j: b}."""
+    return Biderivation.from_flat([entries.get(p, 0) for p in range(n ** 3)], n)
+
+
+@pytest.mark.parametrize(
+    "name, entries, first_two, first_one",
+    [
+        ("sl2", {3: -1}, (1, 0, 1), (1, 2, 0)),
+        ("heisenberg3", {11: 1, 17: -1}, (0, 0, 1), (0, 1, 2)),
+    ],
+    ids=["sl2", "heisenberg3"],
+)
+def test_condition_one_is_reported_before_an_earlier_condition_two_failure(
+    name, entries, first_two, first_one
+):
+    alg = catalog(name)
+    cand = _with_entries(alg.dim, entries)
+    swapped = Biderivation(tuple(m.transpose() for m in cand.mats))
+    # condition (2) of B at (i, j, k) is condition (1) of B^t at (j, k, i)
+    i, j, k = first_two
+    assert any(oracles.dense_leibniz_residual(alg, swapped, j, k, i))
+    assert any(oracles.dense_leibniz_residual(alg, cand, *first_one))
+    assert first_two < first_one
+    violation = _assert_scans_agree(alg, cand)
+    assert (violation.condition, violation.triple) == (1, first_one)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    # b_22^0 = 1 makes (0, 1, 2) fail through the first product,
+    # c_01^2 B(e_2, e_2), which the scan sums first; (0, 1, 0) fails through
+    # the third product alone, -[B(e_0, e_0), e_1] with b_00^0 = 1, or the
+    # second alone, -[e_0, B(e_1, e_0)] with b_10^1 = 1
+    [{8: 1, 0: 1}, {8: 1, 12: 1}],
+    ids=["third", "second"],
+)
+def test_the_first_failing_triple_is_reported_whatever_product_reaches_it(entries):
+    alg = catalog("heisenberg3")
+    cand = _with_entries(alg.dim, entries)
+    assert any(oracles.dense_leibniz_residual(alg, cand, 0, 1, 2))
+    assert any(oracles.dense_leibniz_residual(alg, cand, 0, 1, 0))
+    violation = _assert_scans_agree(alg, cand)
+    assert (violation.condition, violation.triple) == (1, (0, 1, 0))
+
+
 def test_checkers_share_no_solver_code():
     def names(code):
         found = set(code.co_names)

@@ -4,19 +4,20 @@ import importlib
 import inspect
 import pkgutil
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
 import liebider
+from liebider.biderivations import Biderivation
 from liebider import derivations, vdecomp
 from liebider.catalog import abelian, catalog, heisenberg3, l22, sl2, so3
 from liebider.liealg import (
     InvalidStructure,
     LieAlgebra,
-    _jacobi_triples,
+    _leibniz_residual,
     _per_algebra,
     adjoint_matrix,
     bracket,
@@ -155,21 +156,62 @@ def test_validate_accepts_catalog_and_rejects_broken_table():
 
 
 @st.composite
-def _dim_and_pairs(draw):
-    n = draw(st.integers(0, 7))
-    candidates = list(combinations(range(n), 2))
-    return n, draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+def _sparse_table_and_values(draw):
+    """A sparse bracket table, Lie or not, and a sparse bilinear map."""
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3).filter(bool)
+    keys = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    alg = lie_algebra(n, {key: draw(coeff) for key in keys if not draw(st.integers(0, 3))})
+    flat = [draw(coeff) if not draw(st.integers(0, 5)) else 0 for _ in range(n ** 3)]
+    return alg, Biderivation.from_flat(flat, n)
 
 
-@given(_dim_and_pairs())
-def test_jacobi_triples_are_those_with_a_nonzero_bracket(case):
-    n, pairs = case
-    table = {pair: () for a, b in pairs for pair in ((a, b), (b, a))}
-    assert list(_jacobi_triples(n, table)) == [
-        (i, j, k)
-        for i, j, k in combinations(range(n), 3)
-        if {(i, j), (j, k), (i, k)} & pairs
-    ]
+@given(_sparse_table_and_values())
+def test_leibniz_residual_returns_the_failing_reached_triples(case):
+    alg, cand = case
+    n = alg.dim
+    scale, table = alg._int_table
+    # (B, (D, D * B), outer): B at both outer positions of the checker, and
+    # the Jacobi scan's B, the bracket itself, summed on o < u < w alone
+    scans = [(cand, cand._int_values, 0), (cand, cand._int_values, 2),
+             (Biderivation(structure_matrices(alg)), alg._int_table, 0)]
+    for bmap, (den, values), outer in scans:
+        triples_all = list(product(range(n), repeat=3))
+        dense = {t: oracles.dense_leibniz_residual(alg, bmap, *t) for t in triples_all}
+
+        def abc(o, u, w):
+            """(a, b, c) of the scan triple (o, u, w)."""
+            return (o, u, w) if outer == 0 else (u, w, o)
+
+        def reached(a, b, c):
+            """Whether a product of the residual at (a, b, c) is nonzero."""
+            return (
+                any((t, c) in values for t, _ in table.get((a, b), ()))
+                or any((a, t) in table for t, _ in values.get((b, c), ()))
+                or any((t, b) in table for t, _ in values.get((a, c), ()))
+            )
+
+        found = list(_leibniz_residual(table, values, n, outer))
+        triples = [triple for triple, _ in found]
+        for triple, acc in found:
+            assert reached(*abc(*triple))
+            assert {r: F(v, scale * den) for r, v in acc.items()} == {
+                r: x for r, x in enumerate(dense[abc(*triple)]) if x
+            }
+        scanned = [
+            t for t in triples_all
+            if abc(*t)[0] < abc(*t)[1] and (values is not table or t[0] < t[1] < t[2])
+        ]
+        assert triples == [t for t in scanned if any(dense[abc(*t)])]
+
+
+def test_leibniz_residual_of_an_abelian_table_is_empty():
+    n = 40
+    table = abelian(n)._int_table[1]
+    dense = Biderivation.from_flat([F(1)] * n ** 3, n)._int_values[1]
+    for outer in (0, 2):
+        assert list(_leibniz_residual(table, dense, n, outer)) == []
+    assert list(_leibniz_residual(table, table, n)) == []
 
 
 def test_center_examples():
