@@ -13,11 +13,13 @@ parent runs first in even-numbered pairs (0, 2, ...) of each workload and
 the change first in odd ones, so drift of the host's speed during a pair
 falls on both sides alike.
 
-The output records the machine, the method, each run's rounds and result
-line, and per workload the q1, median and q3 (inclusive quartiles) of each
-side's rounds per run and of each metric, with ``change_lower_in``, the
-number of pairs in which the change read lower (ties count for neither)
-out of all pairs.  Each end-to-end metric of the parent's
+The output records the machine, the method, ``src_lines`` (the lines of
+``src/**/*.py`` in the parent, in the change and their difference), each
+run's rounds and result line, and per workload the q1, median and q3
+(inclusive quartiles) of each side's rounds per run and of each metric,
+with ``change_lower_in``, the number of pairs in which the change read
+lower (ties count for neither) out of all pairs.  Each end-to-end metric
+of the parent's
 ``BENCHMARK.json`` also gets ``ratio``, the change median over the parent
 median, and ``within_bound``, whether the change is worse by no more than
 the metric's ``bound``.  The rounds matter because ``peak_rss_mb`` grows
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import re
 import statistics
@@ -148,6 +151,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {"rounds": int(rounds.group(1)), "result": json.loads(lines[-1])}
 
 
+def src_lines(checkout: str) -> int:
+    """Lines (newlines, as ``wc -l`` counts them) of ``src/**/*.py``."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in pathlib.Path(checkout, "src").rglob("*.py")
+    )
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -197,11 +207,14 @@ def main(argv=None) -> int:
         if workload not in dict(plan) or metric not in bounds:
             parser.error(f"--claim {args.claim}: not a workload run and an end-to-end metric")
         claim = {"workload": workload, "metric": metric, "better": bounds[metric]["better"]}
+    checkouts = {"parent": args.parent, "change": args.change}
+    lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
     doc = {
         "change": args.title,
         "command": f"python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds:g} --trace 0",
         "machine": machine(),
+        "src_lines": dict(lines, delta=lines["change"] - lines["parent"]),
         "method": (
             ", ".join(f"{count} pairs on {name}" for name, count in plan)
             + f", one seed per pair ({args.seed}-{last_seed}); the parent runs "
@@ -211,7 +224,6 @@ def main(argv=None) -> int:
         "claim": claim,
         "workloads": {},
     }
-    checkouts = {"parent": args.parent, "change": args.change}
     seed = args.seed
     for name, count in plan:
         pairs: list[dict] = []

@@ -6,14 +6,16 @@ are kernels of sparse rows in the n^2 entries of f, flattened row-major
 (entry (r, t) at r*n + t, so f(e_i) is column i).  Each condition is
 symmetric or antisymmetric in (x, y), so one row per basis pair i <= j and
 output coordinate suffices; zero rows are dropped.  Every row is built in
-integers from the scaled bracket table of `liealg` (`LieAlgebra._int_table`
-and `_int_ad`), so it is S times (up to sign) the Fraction row and has the
-same kernel.  Der(L) reads `_derivation_rows`.  A commuting f is the phi of
-a skew biderivation B(x, y) = [phi(x), y], and a skew-commuting f that of a
-symmetric one, so both map spaces read the symmetry rows
-b_ij^k +- b_ji^k = 0 of `_symmetry_rows` over the adjoint family
-S * ad_{e_s}.  `biderivations` runs the same builder over a Der(L) basis,
-and `vdecomp` reads V+ and V- off the two map spaces.  The inner
+integers from the scaled bracket table of `liealg` (`LieAlgebra._int_table`),
+so it is S times (up to sign) the Fraction row and has the same kernel.
+One builder, `_symmetry_rows`, makes every system: the symmetry rows
+b_ij^k +- b_ji^k = 0 of B(e_i, -) = sum_s x_is D_s over a family D_s.  Over
+the adjoint family S * ad_{e_s}, x_is is phi[s, i] of B(x, y) = [phi(x), y];
+a commuting f is the phi of a skew biderivation and a skew-commuting f that
+of a symmetric one, so the signs +1 and -1 give the two map spaces, and
+Der(L) is sign -1 with the bracket term -S f([e_i, e_j]) added to each row.
+`biderivations` runs the same builder over a Der(L) basis, and `vdecomp`
+reads V+ and V- off the two map spaces.  The inner
 derivations, the completeness report (trivial center and every derivation
 inner) and the adjoint preimages all read `LieAlgebra._ad_split`, one span
 that gives Z(L), ad(L) and ad^-1.  `is_complete` is the one place that
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .liealg import LieAlgebra, _adjoint_family, _per_algebra, killing_form, validate
+from .liealg import IntTable, LieAlgebra, _adjoint_family, _per_algebra, killing_form
+from .liealg import center as center_space, validate
 from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
-from .liealg import center as center_space
 
 
 class CenterNonzero(ValueError):
@@ -47,40 +49,8 @@ class NotInner(ValueError):
     """The given matrix is not the adjoint of any element."""
 
 
-def _derivation_rows(alg: LieAlgebra) -> Iterator[dict[int, int]]:
-    """Rows of f([e_i, e_j]) - [f(e_i), e_j] - [e_i, f(e_j)] = 0, times S.
-
-    One row per pair i <= j and output coordinate r, ordered by (i, j, r);
-    zero rows are dropped.  Entries are integers read off
-    `LieAlgebra._int_table`.
-    """
-    n = alg.dim
-    _, table = alg._int_table
-    ad = alg._int_ad
-    empty = ()
-    for i in range(n):
-        for j in range(i, n):
-            pair = table.get((i, j), empty)
-            for r in range(n):
-                row: dict[int, int] = {}
-                # f([e_i, e_j])_r = sum_t c_ij^t f[r, t]
-                for t, coeff in pair:
-                    row[r * n + t] = coeff
-                # -[f(e_i), e_j]_r = sum_t c_jt^r f[t, i]
-                for t, coeff in ad.get((j, r), empty):
-                    col = t * n + i
-                    row[col] = row.get(col, 0) + coeff
-                # -[e_i, f(e_j)]_r = -sum_t c_it^r f[t, j]
-                for t, coeff in ad.get((i, r), empty):
-                    col = t * n + j
-                    row[col] = row.get(col, 0) - coeff
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    yield row
-
-
 def _symmetry_rows(
-    family: list[dict[int, int]], n: int, sign: int
+    family: list[dict[int, int]], n: int, sign: int, bracket: IntTable = {}
 ) -> Iterator[dict[int, int]]:
     """Rows of b_ij^k + sign * b_ji^k = 0 for i <= j in the x_is of
     B(e_i, -) = sum_s x_is D_s, with D_s = ``family[s]`` = {k*n + j: D_s[k, j]}.
@@ -88,7 +58,11 @@ def _symmetry_rows(
     x_is sits at column s*n + i.  Rows are ordered by (i, j, k); zero rows
     are dropped.  Over `liealg._adjoint_family`, x_is is phi[s, i] of
     B(x, y) = [phi(x), y], so sign -1 (symmetric B) gives the
-    skew-commuting and sign +1 (skew B) the commuting maps phi.
+    skew-commuting and sign +1 (skew B) the commuting maps phi.  Given
+    ``bracket``, the pairs of `LieAlgebra._int_table`, each row also gets
+    -S c_ij^t at column k*n + t, the term -S * phi([e_i, e_j])_k; over the
+    adjoint family with sign -1 the row is then -S times the Leibniz rule
+    phi([x, y]) - [phi(x), y] - [x, phi(y)] = 0 of Der(L).
     """
     # at[j][k]: the pairs (s*n, D_s[k, j])
     at: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
@@ -98,11 +72,12 @@ def _symmetry_rows(
             at[j][k].append((s * n, v))
     for i in range(n):
         for j in range(i, n):
-            left, right = at[j], at[i]
+            left, right, pair = at[j], at[i], bracket.get((i, j), ())
             for k in range(n):
-                row: dict[int, int] = {}
+                row = {k * n + t: -c for t, c in pair}
                 for s, v in left[k]:
-                    row[s + i] = v
+                    col = s + i
+                    row[col] = row.get(col, 0) + v
                 for s, v in right[k]:
                     col = s + j
                     row[col] = row.get(col, 0) + sign * v
@@ -142,7 +117,8 @@ def derivation_space(alg: LieAlgebra) -> Subspace:
     if _semisimple(alg):
         return alg._ad_split[0]
     known = alg._ad_split[0] if validate(alg) is None else Subspace.zero(nn)
-    return kernel_beside(known, _derivation_rows(alg), nn)
+    rows = _symmetry_rows(_adjoint_family(alg), alg.dim, -1, alg._int_table[1])
+    return kernel_beside(known, rows, nn)
 
 
 def inner_derivation_space(alg: LieAlgebra) -> Subspace:

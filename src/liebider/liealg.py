@@ -12,10 +12,11 @@ One integer layout holds every bilinear map T on basis pairs:
 (`_scaled_table`), summed at (x, y) by `_bilinear`.  `LieAlgebra._int_table`
 holds the bracket so (D = S), `biderivations.Biderivation._int_values` a
 biderivation, and `LieAlgebra._int_ad` regroups the bracket as the rows of
-S * ad_{e_i}.  The bracket, the Killing form (over the entries (r, t) of ad
-whose transpose (t, r) is nonzero too), the systems of `derivations` and
-`vdecomp`, the Jacobi scan and the biderivation and phi/psi checks read
-them, and `_ad_split` solves ad once from them for Z(L), ad(L) and ad^-1.
+S * ad_{e_i}.  The bracket, the systems of `derivations` (one builder over
+`_adjoint_family`), the Jacobi scan and the biderivation and phi/psi checks
+read the tables; only the Killing form (over the keys (t, r) of `_int_ad`
+whose transpose (r, t) is nonzero too) and the (M, Q) system of `vdecomp`
+read `_int_ad`, and `_ad_split` solves ad once for Z(L), ad(L) and ad^-1.
 A row scaled by +-S has the same kernel as its Fraction row, so every result
 is exact.  `pair_terms` reads ``constants``, the oracles' Fraction reference.
 
@@ -474,16 +475,14 @@ class KillingForm(NamedTuple):
 def killing_form(alg: LieAlgebra) -> KillingForm:
     """The Killing form of ``alg``, shared by `info`, the V correspondence
     and the Der(L) = ad(L) certificate."""
-    n = alg.dim
-    # entries[(r, t)] = ((i, S c_it^r), ...): the nonzero (ad_{e_i})_rt
-    entries = _scaled_table(
-        ((r, t), i, c) for (i, r), terms in alg._int_ad.items() for t, c in terms
-    )[1]
-    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr in integers scaled by S^2; an
-    # entry (r, t) adds to it only when its transpose (t, r) is nonzero too
+    n, ad = alg.dim, alg._int_ad
+    # K_ij = sum_{r, t} (ad_i)_rt (ad_j)_tr in integers scaled by S^2.  By
+    # antisymmetry -S (ad_{e_i})_rt = S c_ti^r is the term at i of ad[(t, r)]
+    # and -S (ad_{e_j})_tr that at j of ad[(r, t)], so the signs cancel; a
+    # key (t, r) adds only when its transpose (r, t) is nonzero too
     grid = [[0] * n for _ in range(n)]
-    for (r, t), column in entries.items():
-        partner = entries.get((t, r))
+    for (t, r), column in ad.items():
+        partner = ad.get((r, t))
         if partner:
             for i, a in column:
                 row = grid[i]

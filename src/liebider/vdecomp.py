@@ -5,8 +5,8 @@ matrix Q and every i; V+ and V- are the members for which every product
 M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
 basis matrix come from the Zassenhaus split (`linalg.split_span`) of a
 single (M, Q) kernel, whose rows are read in integers off the scaled
-bracket table of `liealg` (`LieAlgebra._int_ad`), the table every other
-system and checker reads too.  Writing phi = M^T, the (a, b) entry of
+bracket table of `liealg`, regrouped by the rows of ad
+(`LieAlgebra._int_ad`).  Writing phi = M^T, the (a, b) entry of
 M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and V- are the
 transposes of the skew-commuting and the commuting maps of `derivations`,
 and they lie in V.  On complete algebras

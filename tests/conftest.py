@@ -18,22 +18,19 @@ settings.load_profile("default")
 
 @pytest.fixture
 def built_systems(monkeypatch):
-    """Every row system the solvers of `derivations` build, in order: "der"
-    for `_derivation_rows`, and the sign of each `_symmetry_rows` call."""
+    """Every row system the solvers of `derivations` build, in order: one
+    label per `_symmetry_rows` call, the one builder of every system, "der"
+    for the call that carries the bracket term (Der(L)) and the sign for
+    the others."""
     calls = []
     module = liebider.derivations
-    derivation_rows, symmetry_rows = module._derivation_rows, module._symmetry_rows
+    symmetry_rows = module._symmetry_rows
 
-    def counted_derivations(alg):
-        calls.append("der")
-        return derivation_rows(alg)
+    def counted(family, n, sign, *bracket):
+        calls.append("der" if bracket else sign)
+        return symmetry_rows(family, n, sign, *bracket)
 
-    def counted_symmetry(family, n, sign):
-        calls.append(sign)
-        return symmetry_rows(family, n, sign)
-
-    monkeypatch.setattr(module, "_derivation_rows", counted_derivations)
-    monkeypatch.setattr(module, "_symmetry_rows", counted_symmetry)
+    monkeypatch.setattr(module, "_symmetry_rows", counted)
     return calls
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from liebider.catalog import catalog
 import liebider.biderivations
 import liebider.liealg
+import liebider.linalg
+import liebider.vdecomp
 from liebider.biderivations import (
     Biderivation,
     FactorMismatch,
@@ -33,7 +35,6 @@ from liebider.biderivations import _lift, _primitive_derivations
 import liebider.derivations
 from liebider.derivations import (
     _adjoint_family,
-    _derivation_rows,
     commuting_map_space,
     derivation_space,
     is_complete,
@@ -696,12 +697,22 @@ def test_checkers_share_no_solver_code():
         return found
 
     solver_names = {
-        "bracket", "_derivation_rows", "_condition_one_rows", "_symmetry_rows",
+        "bracket", "_symmetry_rows", "_joint_intertwiner_kernel", "_int_ad",
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
         "kernel_beside", "_components", "_adjoint_family",
         "_primitive_derivations", "commuting_map_space",
         "skew_commuting_map_space", "_lift", "_bilinear",
     }
+    # a stale name would make the check vacuous: each is a module-level or
+    # class attribute of a solver module
+    defined = set()
+    for module in (liebider.linalg, liebider.liealg, liebider.derivations,
+                   liebider.biderivations, liebider.vdecomp):
+        for name, value in vars(module).items():
+            defined.add(name)
+            if inspect.isclass(value):
+                defined |= set(vars(value))
+    assert solver_names <= defined, solver_names - defined
     # `validate` is cached per algebra; its undecorated body scans.
     for checker in (biderivation_violation, liebider.liealg.validate.__wrapped__):
         found = reached(checker)
@@ -766,6 +777,13 @@ def test_tang_gate_on_dense_sl4():
 
 # the solver's rows in the x_is; `_symmetry_rows` above is the n^3 oracle's
 _solver_rows = liebider.derivations._symmetry_rows
+
+
+def _der_rows(alg):
+    """The Der(L) rows of `derivation_space`: `_solver_rows` of sign -1
+    over the adjoint family with the bracket term."""
+    return _solver_rows(_adjoint_family(alg), alg.dim, -1, alg._int_table[1])
+
 
 _CORRESPONDENCE_TABLES = dict(
     oracles.ORACLE_TABLES,
@@ -878,7 +896,7 @@ def test_early_stop_keeps_every_kernel(name):
     der = derivation_space(alg)
     adjoint = _adjoint_family(alg)
     for rows, space in (
-        (_derivation_rows(alg), der),
+        (_der_rows(alg), der),
         (_solver_rows(adjoint, n, 1), commuting_map_space(alg)),
         (_solver_rows(adjoint, n, -1), skew_commuting_map_space(alg)),
     ):
@@ -912,15 +930,12 @@ def test_known_parts_end_elimination_early(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(
-        liebider.derivations,
-        "_derivation_rows",
-        counting(_derivation_rows, lambda alg: "der"),
-    )
+    # `_symmetry_rows` builds every system; Der(L) is the call with the
+    # bracket term
     monkeypatch.setattr(
         liebider.derivations,
         "_symmetry_rows",
-        counting(_solver_rows, lambda family, n, sign: sign),
+        counting(_solver_rows, lambda family, n, sign, *bracket: "der" if bracket else sign),
     )
     derivation_space(oracles.borel_n(4))
     system, read, total = counts.pop()
@@ -961,7 +976,7 @@ def test_known_parts_only_under_jacobi():
                         broken += 1
                         der = derivation_space(table)
                         assert der == kernel_of_rows(
-                            _derivation_rows(table), n * n
+                            _der_rows(table), n * n
                         ), (name, (i, j, k))
                         skew = constrained_biderivation_space(table, "skew")
                         expected = _over_derivation_basis(table, der, "skew")

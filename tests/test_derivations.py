@@ -14,7 +14,6 @@ from liebider.derivations import (
     CenterNonzero,
     NotInner,
     _adjoint_family,
-    _derivation_rows,
     _symmetry_rows,
     ad_preimage,
     commuting_map_space,
@@ -37,6 +36,13 @@ from liebider.linalg import Matrix, kernel_beside, kernel_of_rows
 import oracles
 
 F = Fraction
+
+
+def _der_rows(alg):
+    """The Der(L) rows of `derivation_space`: the symmetry rows of sign -1
+    over the adjoint family with the bracket term."""
+    return _symmetry_rows(_adjoint_family(alg), alg.dim, -1, alg._int_table[1])
+
 
 # Frozen pre-build oracle values: (der, commuting, skew-commuting) dims.
 FROZEN_DIMS = {
@@ -188,7 +194,7 @@ def test_integer_rows_match_fraction_rows(name, monkeypatch):
     scale = alg._int_table[0]
     family = _adjoint_family(alg)
     for coeffs, built, space in (
-        ((1, -1, -1), _derivation_rows(alg), derivation_space),
+        ((-1, 1, 1), _der_rows(alg), derivation_space),
         ((0, 1, -1), _symmetry_rows(family, n, 1), commuting_map_space),
         ((0, 1, 1), _symmetry_rows(family, n, -1), skew_commuting_map_space),
     ):
@@ -231,7 +237,7 @@ def test_certified_derivations_match_elimination(name, built_systems):
     alg = _CERTIFY_TABLES[name]()
     nn = alg.dim * alg.dim
     assert validate(alg) is None
-    exact = kernel_beside(alg._ad_split[0], _derivation_rows(alg), nn)
+    exact = kernel_beside(alg._ad_split[0], _der_rows(alg), nn)
     certified = derivation_space(alg)
     assert certified == exact
     calls = built_systems
@@ -273,7 +279,7 @@ def test_broken_table_never_takes_the_certificate(built_systems):
             continue
         broken += 1
         del calls[:]
-        assert derivation_space(table) == kernel_of_rows(_derivation_rows(table), 9)
+        assert derivation_space(table) == kernel_of_rows(_der_rows(table), 9)
         assert calls == ["der"], key
         del calls[:]
         skew = skew_commuting_map_space(table)

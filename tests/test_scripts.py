@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/."""
 
 import hashlib
+import json
 import pathlib
 import runpy
 
@@ -132,3 +133,42 @@ def test_bench_pairs_claim_on_canned_results():
     # a metric where higher is better reads the same pairs the other way
     assert judge(pairs, "wall_s", "higher")["change_better_in"] == "0/10"
     assert judge(pairs, "wall_s", "higher")["claim_met"] is False
+
+
+def _canned_checkout(root, wall, sources):
+    """A checkout whose perfbench/run.py prints one canned result, with the
+    given files under src/."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('3 untraced rounds')\n"
+        f"print(json.dumps({{'metrics': {{'wall_s': {{'value': {wall}}}, "
+        "'peak_rss_mb': {'value': 30.0}}}))\n"
+    )
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
+    for name, text in sources.items():
+        path = root / "src" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_bench_pairs_runs_two_canned_checkouts(tmp_path):
+    """The whole script on two tiny checkouts: their runs, and the src/
+    line counts of each side (Python files only) with the delta."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _canned_checkout(parent, 2.0, {"pkg/a.py": "a = 1\nb = 2\nc = 3\n", "pkg/notes.txt": "x\n"})
+    _canned_checkout(change, 1.5, {"pkg/a.py": "a = 1\n", "pkg/sub/b.py": "b = 2\n"})
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--seed", "7", "--workloads", "solve:1",
+            "--out", str(out)]
+    assert bench["main"](argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["src_lines"] == {"parent": 3, "change": 2, "delta": -1}
+    summary = doc["workloads"]["solve"]["summary"]
+    assert summary["wall_s"]["ratio"] == 0.75
+    assert summary["wall_s"]["within_bound"] is True
+    assert [pair["seed"] for pair in doc["workloads"]["solve"]["pairs"]] == [7]
