@@ -6,7 +6,9 @@
         --title "what the change does" --claim solve:wall_s
 
 Each checkout runs its own ``perfbench/run.py --trace 0`` for the
-``run_seconds`` of the parent's ``BENCHMARK.json``, one run at a time.  A
+``run_seconds`` of the parent's ``BENCHMARK.json``, one run at a time,
+with ``PYTHONPYCACHEPREFIX`` set to a fresh empty directory: neither side
+reads bytecode cached in its checkout, whatever ``__pycache__`` it holds.  A
 workload given as NAME:N runs N pairs, a bare NAME ``--pairs``.  Every pair
 has its own seed, counting up from ``--seed`` over all the workloads; the
 parent runs first in even-numbered pairs (0, 2, ...) of each workload and
@@ -49,6 +51,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 
@@ -135,12 +138,19 @@ def judge_claim(pairs: list[dict], metric: str, better: str) -> dict:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its untraced rounds and its result line."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    """One benchmark run: its untraced rounds and its result line.
+
+    The run and its workers keep bytecode under ``PYTHONPYCACHEPREFIX``, a
+    fresh empty directory, so they never read a ``__pycache__`` of the
+    checkout: each side starts cold, as a fresh checkout does.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+        )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(
@@ -219,7 +229,8 @@ def main(argv=None) -> int:
             ", ".join(f"{count} pairs on {name}" for name, count in plan)
             + f", one seed per pair ({args.seed}-{last_seed}); the parent runs "
             "first in even-numbered pairs (0, 2, ...) and the change first in "
-            "odd ones; runs one at a time"
+            "odd ones; runs one at a time, each with PYTHONPYCACHEPREFIX set to a "
+            "fresh empty directory, so both sides compile their bytecode cold"
         ),
         "claim": claim,
         "workloads": {},

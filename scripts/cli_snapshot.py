@@ -73,6 +73,12 @@ SCALED_SL2 = lie_algebra(
 # phi-psi and check-bider run on a zero candidate.
 JACOBI_BROKEN = lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})
 
+# sl2 + sl2 without its ``factors``: one declared factor, while dim V- = 2.
+# Only vdecomp runs on it (UNFACTORED_COMMANDS).
+_SL22 = catalog("sl2_plus_sl2")
+UNFACTORED = lie_algebra(_SL22.dim, dict(_SL22.constants), _SL22.basis_names)
+UNFACTORED_COMMANDS = [["vdecomp"]]
+
 # The complete algebras above; phi-psi and check-bider run on lambda = 2.
 COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3", "sl2_scaled"}
 
@@ -189,10 +195,12 @@ def write_snapshot(outdir: pathlib.Path) -> int:
         ]
         tables.append(("sl2_scaled", "sl2_scaled", SCALED_SL2))
         tables.append(("jacobi_broken", "jacobi_broken", JACOBI_BROKEN))
+        tables.append(("sl2_plus_sl2_unfactored", "sl2_plus_sl2_unfactored", UNFACTORED))
         for name, stem, alg in tables:
             alg_file = pathlib.Path(tmp, f"{stem}.json")
             alg_file.write_text(serialize_document(algebra_to_document(alg, name)))
-            jobs = [(stem, cmd, [str(alg_file)]) for cmd in ALGEBRA_COMMANDS]
+            commands = UNFACTORED_COMMANDS if alg is UNFACTORED else ALGEBRA_COMMANDS
+            jobs = [(stem, cmd, [str(alg_file)]) for cmd in commands]
             cands = []
             if name in COMPLETE:
                 factors = alg.factors if alg.factors is not None else (alg.dim,)

@@ -60,16 +60,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, NamedTuple, Optional, Sequence
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .liealg import IntTable, LieAlgebra, _bilinear, _leibniz_residual, _scaled_table
 from .linalg import (
-    ZERO,
     Matrix,
     Scalar,
     Subspace,
     Vector,
-    _Reducer,
     as_vector,
     commutator,
     kernel_of_rows,
@@ -86,7 +84,7 @@ from .derivations import (
     skew_commuting_map_space,
 )
 from .liealg import center as center_space
-from .liealg import derived_subalgebra, structure_matrices
+from .liealg import _evaluate, derived_subalgebra, structure_matrices
 
 
 class NotComplete(ValueError):
@@ -156,13 +154,7 @@ class Biderivation(_BiderivationFields):
 
     def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """B(x, y); coordinate k equals x^T B_k y, summed over nonzero x_i, y_j."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("element length does not match the map dimension")
-        den, values = self._int_values
-        xs = [(i, xi) for i, xi in enumerate(as_vector(x)) if xi]
-        ys = [(j, yj) for j, yj in enumerate(as_vector(y)) if yj]
-        acc = _bilinear(values, xs, ys)
-        return tuple(acc[k] / den if k in acc else ZERO for k in range(self.dim))
+        return _evaluate(self._int_values, self.dim, x, y)
 
     @staticmethod
     def zero(n: int) -> "Biderivation":
@@ -222,26 +214,28 @@ def _lift(xs: list[Vector], family: list[dict[int, int]], n: int) -> Subspace:
 
     Coordinates follow b_ij^k = sum_s x_is D_s[k, j], with x_is at column
     s*n + i and D_s the sparse ``family[s]``.  Each x is scaled by the lcm
-    of its denominators, which leaves its span unchanged, so the
-    coordinates are summed as integers and go to elimination sparse.
+    of its denominators, which leaves its span unchanged, so each x gives
+    one sparse integer row, summed straight into `Subspace._span_rows`.
     """
     nn = n * n
     # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
     spread = [[(p // n * nn + p % n, v) for p, v in mat.items()] for mat in family]
-    red = _Reducer(n * nn)
-    for x in xs:
-        terms = [(col, v) for col, v in enumerate(x) if v]
-        den = math.lcm(*(v.denominator for _, v in terms))
-        flat: dict[int, int] = {}
-        get = flat.get
-        for col, v in terms:
-            s, i = divmod(col, n)
-            coeff, shift = v.numerator * (den // v.denominator), i * n
-            for pos, dv in spread[s]:
-                pos += shift
-                flat[pos] = get(pos, 0) + coeff * dv
-        red.add(flat)
-    return Subspace._from_reducer(red, n * nn)
+
+    def rows() -> Iterator[dict[int, int]]:
+        for x in xs:
+            terms = [(col, v) for col, v in enumerate(x) if v]
+            den = math.lcm(*(v.denominator for _, v in terms))
+            flat: dict[int, int] = {}
+            get = flat.get
+            for col, v in terms:
+                s, i = divmod(col, n)
+                coeff, shift = v.numerator * (den // v.denominator), i * n
+                for pos, dv in spread[s]:
+                    pos += shift
+                    flat[pos] = get(pos, 0) + coeff * dv
+            yield flat
+
+    return Subspace._span_rows(rows(), n * nn)
 
 
 def _checked(

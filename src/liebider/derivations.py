@@ -155,15 +155,10 @@ def commuting_map_space(alg: LieAlgebra) -> Subspace:
     are a certified part of the kernel (`kernel_beside`).  Solved once per
     algebra.
     """
-    nn = alg.dim * alg.dim
-    projections = []
-    for block in alg._components:
-        vec = [0] * nn
-        for a in block:
-            vec[a * alg.dim + a] = 1
-        projections.append(vec)
-    known = Subspace.span(projections, nn)
-    return kernel_beside(known, _symmetry_rows(_adjoint_family(alg), alg.dim, 1), nn)
+    n = alg.dim
+    projections = ({a * n + a: 1 for a in block} for block in alg._components)
+    known = Subspace._span_rows(projections, n * n)
+    return kernel_beside(known, _symmetry_rows(_adjoint_family(alg), n, 1), n * n)
 
 
 @_per_algebra

@@ -9,10 +9,11 @@ and direct sums.
 
 One integer layout holds every bilinear map T on basis pairs:
 (D, (i, j) -> ((k, D * T(e_i, e_j)_k), ...)), D the lcm of the denominators
-(`_scaled_table`), summed at (x, y) by `_bilinear`.  `LieAlgebra._int_table`
-holds the bracket so (D = S), `biderivations.Biderivation._int_values` a
-biderivation, and `LieAlgebra._int_ad` regroups the bracket as the rows of
-S * ad_{e_i}.  The bracket, the systems of `derivations` (one builder over
+(`_scaled_table`), summed at (x, y) by `_bilinear` (divided by D in
+`_evaluate`).  `LieAlgebra._int_table` holds the bracket so (D = S),
+`biderivations.Biderivation._int_values` a biderivation, and
+`LieAlgebra._int_ad` regroups the bracket as the rows of S * ad_{e_i}.
+The bracket, the systems of `derivations` (one builder over
 `_adjoint_family`), the Jacobi scan and the biderivation and phi/psi checks
 read the tables; only the Killing form (over the keys (t, r) of `_int_ad`
 whose transpose (r, t) is nonzero too) and the (M, Q) system of `vdecomp`
@@ -51,7 +52,6 @@ from .linalg import (
     as_vector,
     split_span,
     _frac,
-    _Reducer,
 )
 
 ConstantKey = tuple[int, int, int]  # (i, j, k) with i < j, zero-based
@@ -125,13 +125,11 @@ class LieAlgebra(_LieAlgebraFields):
     @cached_property
     def _ad_split(self) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
         """(ad(L), a u with ad_u equal to each of its basis rows, Z(L)):
-        `split_span` at n^2 of the span of the rows (S * ad_{e_i}, S * e_i),
-        each fed sparse to one `_Reducer`."""
+        `split_span` at n^2 of the canonical span (`Subspace._span_rows`) of
+        the sparse integer rows (S * ad_{e_i}, S * e_i)."""
         n, nn, scale = self.dim, self.dim * self.dim, self._int_table[0]
-        red = _Reducer(nn + n)
-        for i, ad in enumerate(_adjoint_family(self)):
-            red.add({**ad, nn + i: scale})
-        return split_span(Subspace._from_reducer(red, nn + n), nn)
+        rows = ({**ad, nn + i: scale} for i, ad in enumerate(_adjoint_family(self)))
+        return split_span(Subspace._span_rows(rows, nn + n), nn)
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
@@ -259,15 +257,21 @@ def lie_algebra(
 # Bracket and adjoint
 
 
-def bracket(alg: LieAlgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-    """[x, y] by bilinear extension; coordinate k equals x^T A_k y."""
-    if len(x) != alg.dim or len(y) != alg.dim:
-        raise ValueError("element length does not match algebra dimension")
-    scale, table = alg._int_table
+def _evaluate(scaled: tuple[int, IntTable], n: int, x: Sequence, y: Sequence) -> Vector:
+    """T(x, y) for the map (D, table) of `_scaled_table` on Q^n: `_bilinear`
+    over the nonzero coordinates of x and y, divided by D."""
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"element length does not match dimension {n}")
+    den, table = scaled
     xs = [(i, xi) for i, xi in enumerate(as_vector(x)) if xi]
     ys = [(j, yj) for j, yj in enumerate(as_vector(y)) if yj]
     acc = _bilinear(table, xs, ys)
-    return tuple(acc[k] / scale if k in acc else ZERO for k in range(alg.dim))
+    return tuple(acc[k] / den if k in acc else ZERO for k in range(n))
+
+
+def bracket(alg: LieAlgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+    """[x, y] by bilinear extension; coordinate k equals x^T A_k y."""
+    return _evaluate(alg._int_table, alg.dim, x, y)
 
 
 def adjoint_matrix(alg: LieAlgebra, x: Sequence[Scalar]) -> Matrix:
@@ -419,11 +423,10 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    """Span of all [e_i, e_j] over pairs i < j, one vector S [e_i, e_j] per
-    pair with a nonzero bracket, read off `LieAlgebra._int_table`."""
-    n = alg.dim
-    brackets = [dict(terms) for (i, j), terms in alg._int_table[1].items() if i < j]
-    return Subspace.span([[b.get(k, 0) for k in range(n)] for b in brackets], n)
+    """Span of all [e_i, e_j] over pairs i < j, one sparse row S [e_i, e_j]
+    per pair with a nonzero bracket, read off `LieAlgebra._int_table`."""
+    pairs = alg._int_table[1].items()
+    return Subspace._span_rows((dict(terms) for (i, j), terms in pairs if i < j), alg.dim)
 
 
 class LowerCentralSeries(NamedTuple):
@@ -447,12 +450,8 @@ def lower_central_series(alg: LieAlgebra) -> LowerCentralSeries:
     current = derived_subalgebra(alg)
     terms = [current]
     while current.dim > 0:
-        vectors = []
-        for i in range(n):
-            ei = alg.basis_element(i)
-            for v in current.basis:
-                vectors.append(bracket(alg, ei, v))
-        nxt = Subspace.span(vectors, n)
+        units = [alg.basis_element(i) for i in range(n)]
+        nxt = Subspace.span((bracket(alg, e, v) for e in units for v in current.basis), n)
         terms.append(nxt)
         if nxt == current:
             break

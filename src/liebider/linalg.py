@@ -5,8 +5,11 @@ sparse kernels.  Every subspace is stored by its unique reduced-echelon
 basis, so equal inputs produce bit-identical results and subspaces can be
 compared with plain ``==``; the subspace lattice offers membership, and
 sum and intersection from one Zassenhaus elimination (`split_span`).
-`Subspace.span` and `kernel_of_rows` are the only entry points to
-elimination.
+Every canonical subspace comes from `Subspace._span_rows` over sparse rows
+{column: value}; `Subspace.span` (dense vectors) and `kernel_of_rows` go
+through it, and no other module drives elimination.  A canonical basis row
+is 1 at its own pivot and 0 at the others, so `Subspace.coefficients_of`
+reads the coordinates of a vector at the pivots.
 
 Elimination stops as soon as the rank proves the answer.  `kernel_of_rows`
 stops reading rows once the rank reaches the number of columns, since the
@@ -48,6 +51,11 @@ def _frac(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _check_length(v: Sequence, n: int) -> None:
+    if len(v) != n:
+        raise AmbientMismatch(f"vector of length {len(v)} in ambient dimension {n}")
 
 
 def as_vector(values: Iterable[Scalar]) -> Vector:
@@ -195,7 +203,7 @@ class _Reducer:
       row is nonzero there.  A new pivot is back-substituted only into the
       rows it names, instead of a scan over every stored row.
 
-    Rows are rescaled so pivots equal 1 only on extraction.
+    Rows are rescaled so pivots equal 1 only by `Subspace._span_rows`.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -281,18 +289,6 @@ class _Reducer:
             rows[pc] = self._primitive(out)
         rows[piv] = work
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
-
-    def reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """Rows in pivot order, rescaled so each pivot entry is 1."""
-        out = []
-        for piv in sorted(self.rows):
-            row = self.rows[piv]
-            lead = row[piv]
-            out.append((piv, {c: Fraction(v, lead) for c, v in row.items()}))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Canonical subspaces
@@ -314,25 +310,29 @@ class Subspace(NamedTuple):
         return len(self.basis)
 
     @staticmethod
-    def _from_reducer(red: _Reducer, ambient_dim: int) -> "Subspace":
-        rows = []
-        for _piv, row in red.reduced_rows():
-            out = [ZERO] * ambient_dim
+    def _span_rows(rows: Iterable[dict[int, Scalar]], ambient_dim: int) -> "Subspace":
+        """Canonical span of sparse rows {column: value} in Q^ambient_dim:
+        the reduced rows in pivot order, each rescaled so its pivot is 1."""
+        red = _Reducer(ambient_dim)
+        for row in rows:
+            red.add(row)
+        pivots = tuple(sorted(red.rows))
+        basis = []
+        for piv in pivots:
+            row = red.rows[piv]
+            lead, out = row[piv], [ZERO] * ambient_dim
             for c, v in row.items():
-                out[c] = v
-            rows.append(tuple(out))
-        return Subspace(ambient_dim, tuple(rows), red.pivots())
+                out[c] = Fraction(v, lead)
+            basis.append(tuple(out))
+        return Subspace(ambient_dim, tuple(basis), pivots)
 
     @staticmethod
     def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> "Subspace":
-        red = _Reducer(ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-            red.add({c: _frac(x) for c, x in enumerate(v) if x})
-        return Subspace._from_reducer(red, ambient_dim)
+        def row(v: Sequence[Scalar]) -> dict[int, Scalar]:
+            _check_length(v, ambient_dim)
+            return {c: _frac(x) for c, x in enumerate(v) if x}
+
+        return Subspace._span_rows(map(row, vectors), ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -343,25 +343,20 @@ class Subspace(NamedTuple):
         return Subspace.span(Matrix.identity(ambient_dim).data, ambient_dim)
 
     def coefficients_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
-        """Coordinates of ``v`` in the canonical basis, or None if outside."""
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
+        """Coordinates of ``v`` in the canonical basis, its entries at the
+        pivots, or None if ``v`` differs from their combination (outside)."""
+        _check_length(v, self.ambient_dim)
         work = list(as_vector(v))
-        coeffs = []
-        for row_index, piv in enumerate(self.pivots):
-            a = work[piv]
-            coeffs.append(a)
+        coeffs = tuple(work[p] for p in self.pivots)
+        for a, piv, row in zip(coeffs, self.pivots, self.basis):
             if a:
-                basis_row = self.basis[row_index]
                 for c in range(piv, self.ambient_dim):
-                    b = basis_row[c]
+                    b = row[c]
                     if b:
                         work[c] -= a * b
         if any(work):
             return None
-        return tuple(coeffs)
+        return coeffs
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self.coefficients_of(v) is not None
@@ -426,15 +421,12 @@ def kernel_of_rows(
             red.add(row)
             if len(red.rows) == ncols:
                 break
-    out = _Reducer(ncols)
-    for free in range(ncols):
-        if free not in red.rows:
-            vec = {free: ONE}
-            for piv in red.users.get(free, ()):
-                row = red.rows[piv]
-                vec[piv] = Fraction(-row[free], row[piv])
-            out.add(vec)
-    return Subspace._from_reducer(out, ncols)
+    stored, users = red.rows, red.users
+    free_vectors = (
+        {f: ONE, **{p: Fraction(-stored[p][f], stored[p][p]) for p in users.get(f, ())}}
+        for f in range(ncols) if f not in stored
+    )
+    return Subspace._span_rows(free_vectors, ncols)
 
 
 def kernel_beside(

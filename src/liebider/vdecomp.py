@@ -111,10 +111,8 @@ def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     n = alg.dim
 
     def transposed(space: Subspace) -> MatrixSubspace:
-        vectors = [
-            [v[b * n + a] for a in range(n) for b in range(n)] for v in space.basis
-        ]
-        return MatrixSubspace(n, Subspace.span(vectors, n * n))
+        rows = ({c % n * n + c // n: x for c, x in enumerate(v) if x} for v in space.basis)
+        return MatrixSubspace(n, Subspace._span_rows(rows, n * n))
 
     return (
         transposed(skew_commuting_map_space(alg)),
@@ -128,7 +126,8 @@ class CorrespondenceReport(NamedTuple):
     ``transposed_phis_in_v`` records that phi^T of every canonical basis
     biderivation lies in V, and ``dims_equal`` that the two spaces have the
     same dimension.  On semisimple algebras the decomposition collapses:
-    V+ = 0 and dim V- equals the number of direct factors.
+    V+ = 0 and dim V- is at least the number of declared direct factors (the
+    projection onto each is a commuting map); over Q it can be larger.
     """
 
     bider_dim: int
@@ -201,7 +200,7 @@ def _correspondence(
     factor_count = len(alg.factors) if alg.factors is not None else min(alg.dim, 1)
     shape_ok: Optional[bool] = None
     if kf.semisimple:
-        shape_ok = vplus.dim == 0 and vminus.dim == factor_count
+        shape_ok = vplus.dim == 0 and vminus.dim >= factor_count
     ok = dims_equal and in_v and (shape_ok is not False)
     return CorrespondenceReport(
         space.dim,

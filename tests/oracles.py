@@ -33,6 +33,10 @@ and `bracket` versions of the inner derivations and of the phi/psi
 factorization check.  The tests require `==` between each package result
 and its `Fraction` oracle.
 
+`eliminated_coefficients` is the elimination loop that
+`Subspace.coefficients_of` replaced by reading the pivots: it reduces the
+vector by each canonical row in turn.
+
 `trace` and `is_zero` are the dense matrix helpers only tests use.
 `pair_scan_derived_subalgebra` is the scan of all n(n-1)/2 basis pairs
 through `LieAlgebra.pair_terms` that the package's grouping of
@@ -368,6 +372,21 @@ def fraction_ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
         raise NotInner("matrix is not the adjoint of any element")
     v = kernel.basis[0]
     return tuple(x / v[n] for x in v[:n])
+
+
+def eliminated_coefficients(space: Subspace, v: Vector) -> Optional[Vector]:
+    """Coordinates of ``v`` in the canonical basis of ``space`` by
+    elimination: subtract each basis row times the entry left at its pivot,
+    and return None when a nonzero residual remains."""
+    work = list(v)
+    coeffs = []
+    for row, piv in zip(space.basis, space.pivots):
+        a = work[piv]
+        coeffs.append(a)
+        work = [w - a * b for w, b in zip(work, row)]
+    if any(work):
+        return None
+    return tuple(coeffs)
 
 
 def dense_inner_derivation_space(alg: LieAlgebra) -> Subspace:

@@ -1,11 +1,13 @@
 """Exact linear algebra: examples plus algebraic invariants."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import liebider
 from liebider.linalg import (
     AmbientMismatch,
     Matrix,
@@ -119,6 +121,60 @@ def test_subspace_membership_and_coefficients():
     assert tuple(rebuilt) == (F(2), F(3), F(5))
     with pytest.raises(AmbientMismatch):
         s.contains((1, 0))
+
+
+@settings(max_examples=80)
+@given(
+    vector_lists(ambient=5),
+    st.lists(entries, min_size=4, max_size=4),
+    st.lists(entries, min_size=5, max_size=5),
+)
+def test_coefficients_at_pivots_match_elimination(vecs, combo, extra):
+    """Coordinates read at the pivots equal those of the elimination loop,
+    and are None exactly for a vector outside the subspace."""
+    s = Subspace.span(vecs, 5)
+    inside = tuple(
+        sum((c * row[t] for c, row in zip(combo, s.basis)), F(0)) for t in range(5)
+    )
+    probes = [inside, tuple(extra), tuple(a + b for a, b in zip(inside, extra))]
+    free = [c for c in range(5) if c not in s.pivots]
+    if free:  # zero at every pivot, nonzero at a free column: outside
+        probes.append(tuple(a + (c == free[0]) for c, a in enumerate(inside)))
+    for v in probes:
+        expected = oracles.eliminated_coefficients(s, v)
+        assert s.coefficients_of(v) == expected
+        assert (expected is None) == (Subspace.span([*s.basis, v], 5).dim > s.dim)
+    assert s.coefficients_of(inside) == tuple(combo[: s.dim])
+    if free:
+        assert s.coefficients_of(probes[-1]) is None
+
+
+@given(vector_lists())
+def test_span_rows_of_sparse_rows_equals_dense_span(vecs):
+    """The sparse door and the dense `Subspace.span` agree, with a zero row,
+    a repeated row, integer entries and generator inputs."""
+    dense = [*vecs, [F(0)] * 4, *vecs[:1], [2, 0, 0, -4]]
+    expected = Subspace.span(dense, 4)
+    rows = _sparse_rows(dense)
+    assert Subspace._span_rows(rows, 4) == expected
+    assert Subspace._span_rows(iter(rows), 4) == expected
+    assert Subspace.span((v for v in dense), 4) == expected
+    assert Subspace._span_rows([{}, {2: 3}, {2: F(1, 3)}], 4) == Subspace.span(
+        [(0, 0, 1, 0)], 4
+    )
+
+
+def test_span_of_a_generator_checks_each_length():
+    with pytest.raises(AmbientMismatch):
+        Subspace.span((v for v in [(1, 0, 0), (1, 0)]), 3)
+
+
+def test_only_linalg_names_the_elimination_engine():
+    """Every other module reaches elimination through `Subspace._span_rows`,
+    `Subspace.span` or `kernel_of_rows`, never through `_Reducer`."""
+    package = pathlib.Path(liebider.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "_Reducer" in p.read_text())
+    assert naming == ["linalg.py"]
 
 
 def test_subspace_combine_examples():

@@ -172,3 +172,32 @@ def test_bench_pairs_runs_two_canned_checkouts(tmp_path):
     assert summary["wall_s"]["ratio"] == 0.75
     assert summary["wall_s"]["within_bound"] is True
     assert [pair["seed"] for pair in doc["workloads"]["solve"]["pairs"]] == [7]
+
+
+def test_bench_pairs_runs_each_side_with_a_fresh_bytecode_cache(tmp_path):
+    """Each run gets its own empty PYTHONPYCACHEPREFIX, removed afterwards,
+    so a __pycache__ in one checkout cannot make that side start warm."""
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        _canned_checkout(root, 1.0, {"pkg/a.py": "a = 1\n"})
+        (root / "perfbench" / "run.py").write_text(
+            "import json, os\n"
+            "cache = os.environ.get('PYTHONPYCACHEPREFIX')\n"
+            "seen = os.listdir(cache) if cache and os.path.isdir(cache) else None\n"
+            "print('3 untraced rounds')\n"
+            "print(json.dumps({'cache': cache, 'seen': seen, 'metrics': {\n"
+            "    'wall_s': {'value': 1.0}, 'peak_rss_mb': {'value': 30.0}}}))\n"
+        )
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--seed", "1", "--workloads", "solve:2",
+            "--out", str(out)]
+    assert bench["main"](argv) == 0
+    doc = json.loads(out.read_text())
+    results = [pair[side]["result"] for pair in doc["workloads"]["solve"]["pairs"]
+               for side in ("parent", "change")]
+    caches = [result["cache"] for result in results]
+    assert [result["seen"] for result in results] == [[]] * 4
+    assert len(set(caches)) == 4
+    assert not any(pathlib.Path(cache).exists() for cache in caches)
+    assert "PYTHONPYCACHEPREFIX" in doc["method"]

@@ -1,5 +1,6 @@
 """V-space decomposition, witnesses, and the biderivation correspondence."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from liebider.biderivations import (
     extract_phi_psi,
     inner_biderivation,
 )
-from liebider.liealg import center, structure_matrices
+from liebider.liealg import center, lie_algebra, structure_matrices
 from liebider.linalg import Matrix, subspace_combine
 from liebider.vdecomp import (
     bider_V_correspondence,
@@ -169,6 +170,38 @@ def test_correspondence_on_complete_algebras():
     with pytest.raises(NotComplete):
         bider_V_correspondence(catalog("heisenberg3"))
     assert verify_direct_sum(catalog("heisenberg3")).correspondence is None
+
+
+def unfactored_sl2_plus_sl2():
+    """sl2 + sl2 without its ``factors``: one declared factor."""
+    alg = catalog("sl2_plus_sl2")
+    return lie_algebra(alg.dim, dict(alg.constants), alg.basis_names)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("sl2_plus_sl2_unfactored", unfactored_sl2_plus_sl2),
+        ("sl2_plus_sl2_dense", oracles.dense_basis_sl2_plus_sl2),
+        *sorted(oracles.RESTRICTED_TABLES.items()),
+    ],
+)
+def test_declared_factors_bound_vminus_from_below(name, build, tmp_path, capsys):
+    # Each input is semisimple with dim V- = 2 but declares one factor: the
+    # projection onto each declared factor is a commuting map, so dim V- is
+    # at least the factor count, and over Q it can be larger.
+    from liebider import cli
+    from liebider.documents import algebra_to_document, serialize_document
+
+    alg = build()
+    report = bider_V_correspondence(alg)
+    assert (report.factor_count, report.vminus_dim, report.vplus_dim) == (1, 2, 0)
+    assert report.semisimple and report.semisimple_shape_ok and report.ok
+    path = tmp_path / "alg.json"
+    path.write_text(serialize_document(algebra_to_document(alg, name)))
+    assert cli.run_command(["vdecomp", str(path), "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["vminus_dim"], results["correspondence"]["ok"]) == (2, True)
 
 
 @pytest.mark.parametrize("name, code", [("sl2_plus_sl2", 0), ("heisenberg3", 1)])
