@@ -33,7 +33,7 @@ import tempfile
 from fractions import Fraction
 from unittest import mock
 
-from liebider.biderivations import Biderivation, inner_biderivation
+from liebider.biderivations import Biderivation, biderivation_space, inner_biderivation
 from liebider.catalog import catalog
 from liebider.cli import run_command
 from liebider.documents import (
@@ -79,7 +79,9 @@ _SL22 = catalog("sl2_plus_sl2")
 UNFACTORED = lie_algebra(_SL22.dim, dict(_SL22.constants), _SL22.basis_names)
 UNFACTORED_COMMANDS = [["vdecomp"]]
 
-# The complete algebras above; phi-psi and check-bider run on lambda = 2.
+# The complete algebras above; phi-psi and check-bider run on lambda = 2, and
+# phi-psi also on every canonical basis element of BiDer(L) (file stem
+# ``<algebra>_basis<a>``), whose symmetric elements give psi = -phi.
 COMPLETE = {"sl2", "so3", "L22", "sl2_plus_sl2", "sl3", "sl2_scaled"}
 
 
@@ -208,14 +210,21 @@ def write_snapshot(outdir: pathlib.Path) -> int:
             elif alg is JACOBI_BROKEN:
                 cands.append((stem, Biderivation.from_flat([0] * alg.dim**3, alg.dim)))
             cands += [(f"{stem}_{suffix}", make(alg)) for suffix, make in REJECTED.get(name, ())]
-            for cand_stem, cand in cands:
+            cands = [(cand_stem, cand, BIDER_COMMANDS) for cand_stem, cand in cands]
+            if name in COMPLETE:
+                elements = biderivation_space(alg).basis_elements()
+                cands += [
+                    (f"{stem}_basis{a}", element, [["phi-psi"]])
+                    for a, element in enumerate(elements)
+                ]
+            for cand_stem, cand, cmds in cands:
                 bider_file = pathlib.Path(tmp, f"{cand_stem}.bider.json")
                 bider_file.write_text(
                     serialize_document(biderivation_to_document(cand))
                 )
                 jobs += [
                     (cand_stem, cmd, [str(alg_file), str(bider_file)])
-                    for cmd in BIDER_COMMANDS
+                    for cmd in cmds
                 ]
             for label_stem, cmd, files in jobs:
                 for fmt in ("text", "json"):

@@ -51,8 +51,12 @@ checker against the dense `Fraction` scan it replaced
 (`dense_biderivation_violation`).
 
 On complete algebras every biderivation factors as
-B(x, y) = [phi(x), y] = [x, psi(y)] for linear maps phi, psi recovered here
-by adjoint preimages and checked on every basis pair through `_bilinear`.
+B(x, y) = [phi(x), y] = [x, psi(y)].  B(e_i, -) = ad_{phi(e_i)}, so phi(e_i)
+combines the preimages of `LieAlgebra._ad_split` by the entries b_ij^k of B
+at the pivots (k, j) of ad(L), and psi(e_j) by -b_ij^k at (k, i)
+(`derivations._preimage_at_pivots`).  The factorization is then checked in
+integers on every basis pair (`_bilinear`), which also proves each partial
+map inner.
 """
 
 from __future__ import annotations
@@ -73,11 +77,9 @@ from .linalg import (
     kernel_of_rows,
 )
 from .derivations import (
-    CenterNonzero,
-    NotInner,
     _adjoint_family,
+    _preimage_at_pivots,
     _symmetry_rows,
-    ad_preimage,
     commuting_map_space,
     derivation_space,
     is_complete,
@@ -388,22 +390,14 @@ def row_column_derivations(
     n = alg.dim
     if not 0 <= index < n:
         raise ValueError(f"basis index {index} out of range for dim {n}")
-    row_map, column_map = _partial_maps(cand, index)
+    row_map = Matrix(n, n, tuple(cand.mats[k].data[index] for k in range(n)))
+    column_map = Matrix(n, n, tuple(cand.mats[k].column(index) for k in range(n)))
     der = derivation_space(alg)
     return RowColumnReport(
         row_map,
         column_map,
         der.contains(row_map.flatten()),
         der.contains(column_map.flatten()),
-    )
-
-
-def _partial_maps(cand: Biderivation, i: int) -> tuple[Matrix, Matrix]:
-    """Matrices of y -> B(e_i, y) and x -> B(x, e_i) (see RowColumnReport)."""
-    n = cand.dim
-    return (
-        Matrix(n, n, tuple(cand.mats[k].data[i] for k in range(n))),
-        Matrix(n, n, tuple(cand.mats[k].column(i) for k in range(n))),
     )
 
 
@@ -418,9 +412,10 @@ def extract_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
     """Recover phi and psi for a biderivation of a complete algebra.
 
     On a complete algebra every partial map of a biderivation is an inner
-    derivation; phi's column i is the adjoint preimage of B(e_i, -) and
-    psi's column i is minus the preimage of B(-, e_i).  The factorization
-    is verified on all basis pairs before returning.
+    derivation: B(e_i, -) = ad_{phi(e_i)} and B(-, e_j) = -ad_{psi(e_j)}.
+    Column i of phi and of psi is read off B at the pivots of ad(L) (see
+    the module docstring).  The factorization is verified on all basis
+    pairs before returning.
     """
     report = is_complete(alg)
     if not report.complete:
@@ -437,21 +432,17 @@ def extract_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
 
 def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
     """`extract_phi_psi` for a caller that has established its premises."""
-    n = alg.dim
-    phi_cols, psi_cols = [], []
-    try:
-        for i in range(n):
-            row_map, column_map = _partial_maps(cand, i)
-            phi_cols.append(ad_preimage(alg, row_map))
-            psi_cols.append(tuple(-v for v in ad_preimage(alg, column_map)))
-    except (NotInner, CenterNonzero) as exc:
-        raise InternalInconsistency(
-            "partial map of a biderivation is not inner on a complete algebra"
-        ) from exc
+    n, b = alg.dim, cand.mats
+    # B(e_i, -) = ad_{phi(e_i)} holds b_ij^k = b[k][i][j] at (k, j), and
+    # -B(-, e_j) = ad_{psi(e_j)} holds -b_ij^k at (k, i): read at the pivots
+    pivots = [divmod(p, n) for p in alg._ad_split[0].pivots]
+    phi_cols = [_preimage_at_pivots(alg, [b[k][i][j] for k, j in pivots]) for i in range(n)]
+    psi_cols = [_preimage_at_pivots(alg, [-b[k][i][j] for k, i in pivots]) for j in range(n)]
     phi, psi = (Matrix(n, n, tuple(zip(*cols))) for cols in (phi_cols, psi_cols))
     # D S P B(e_i, e_j) = D S P [phi(e_i), e_j] = D S P [e_i, psi(e_j)] on
     # every basis pair, in integers over the table: `_scaled_table` holds
-    # P phi(e_i) at (0, i) and P psi(e_j) at (1, j), P their lcm denominator
+    # P phi(e_i) at (0, i) and P psi(e_j) at (1, j), P their lcm denominator.
+    # So B(e_i, -) = ad_{phi(e_i)}: a partial map that is not inner fails here
     scale, table = alg._int_table
     den, values = cand._int_values
     big, maps = _scaled_table(

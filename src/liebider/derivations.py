@@ -15,11 +15,13 @@ a commuting f is the phi of a skew biderivation and a skew-commuting f that
 of a symmetric one, so the signs +1 and -1 give the two map spaces, and
 Der(L) is sign -1 with the bracket term -S f([e_i, e_j]) added to each row.
 `biderivations` runs the same builder over a Der(L) basis, and `vdecomp`
-reads V+ and V- off the two map spaces.  The inner
-derivations, the completeness report (trivial center and every derivation
-inner) and the adjoint preimages all read `LieAlgebra._ad_split`, one span
-that gives Z(L), ad(L) and ad^-1.  `is_complete` is the one place that
-decides completeness; `biderivations` and `vdecomp` read its verdict.
+reads V+ and V- off the two map spaces.  The inner derivations, the
+completeness report (trivial center and every derivation inner) and the
+adjoint preimages all read `LieAlgebra._ad_split`, one span that gives Z(L),
+ad(L) and ad^-1; `ad_preimage` and the phi/psi factorization read a target
+at the pivots of ad(L) (`_preimage_at_pivots`).  `is_complete` is the one
+place that decides completeness; `biderivations` and `vdecomp` read its
+verdict.
 Two systems start from a certified part of their kernel and stop once the
 rank proves it is all (`linalg.kernel_beside`): Der(L) from ad(L) when the
 Jacobi identity holds, and the commuting maps from the projections onto
@@ -34,11 +36,11 @@ algebra (`liealg._per_algebra`).
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .liealg import IntTable, LieAlgebra, _adjoint_family, _per_algebra, killing_form
 from .liealg import center as center_space, validate
-from .linalg import ZERO, Matrix, Subspace, Vector, kernel_beside, kernel_of_rows
+from .linalg import ZERO, Matrix, Scalar, Subspace, Vector, kernel_beside, kernel_of_rows
 
 
 class CenterNonzero(ValueError):
@@ -179,24 +181,30 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
     return kernel_of_rows(_symmetry_rows(_adjoint_family(alg), alg.dim, -1), nn)
 
 
+def _preimage_at_pivots(alg: LieAlgebra, coords: Sequence[Scalar]) -> Vector:
+    """sum_a coords[a] u_a, u_a the preimage `LieAlgebra._ad_split` pairs with
+    row a of the canonical basis of ad(L).  That row is 1 at its pivot and 0
+    at the other pivots, so ad_u is a matrix of ad(L) when ``coords`` are
+    its entries at the pivots."""
+    terms = [(a, pre) for a, pre in zip(coords, alg._ad_split[1]) if a]
+    return tuple(sum((a * pre[t] for a, pre in terms), ZERO) for t in range(alg.dim))
+
+
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:
     """Unique u with ad_u = target, when the center is zero.
 
-    u combines the preimages that `LieAlgebra._ad_split` pairs with the
-    basis of ad(L) by the coordinates of ``target`` in that basis.  Raises
+    Its entries at the pivots of ad(L) (`Subspace.coefficients_of`, which
+    also checks that it lies in ad(L)) go to `_preimage_at_pivots`.  Raises
     CenterNonzero when uniqueness fails a priori, and NotInner when
     ``target`` is not an adjoint matrix at all.
     """
     n = alg.dim
     if target.nrows != n or target.ncols != n:
         raise ValueError("target matrix shape does not match algebra dimension")
-    inner, preimages, centre = alg._ad_split
+    inner, _, centre = alg._ad_split
     if centre.dim:
         raise CenterNonzero("adjoint preimage requires a trivial center")
     coords = inner.coefficients_of(target.flatten())
     if coords is None:
         raise NotInner("matrix is not the adjoint of any element")
-    return tuple(
-        sum((a * pre[t] for a, pre in zip(coords, preimages) if a), ZERO)
-        for t in range(n)
-    )
+    return _preimage_at_pivots(alg, coords)

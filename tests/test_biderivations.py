@@ -31,7 +31,7 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
-from liebider.biderivations import _lift, _primitive_derivations
+from liebider.biderivations import _factor_phi_psi, _lift, _primitive_derivations
 import liebider.derivations
 from liebider.derivations import (
     _adjoint_family,
@@ -293,24 +293,73 @@ def test_factorization_check_matches_dense_oracle(name):
 def test_corrupted_preimage_raises(monkeypatch, side, pair):
     alg = oracles.scaled_sl2()
     cand = inner_biderivation(alg, [3])
-    real = liebider.biderivations.ad_preimage
+    real = liebider.biderivations._preimage_at_pivots
     calls = []
 
-    def corrupted(alg, target):
-        # preimages alternate: phi column i, then psi column i
-        u = real(alg, target)
-        if len(calls) % 2 == side:
+    def corrupted(alg, coords):
+        # the reader gives phi(e_0), ..., phi(e_{n-1}), then psi(e_0), ...
+        u = real(alg, coords)
+        if len(calls) // alg.dim == side:
             u = (u[0] + 1,) + u[1:]
         calls.append(u)
         return u
 
-    monkeypatch.setattr(liebider.biderivations, "ad_preimage", corrupted)
+    monkeypatch.setattr(liebider.biderivations, "_preimage_at_pivots", corrupted)
     with pytest.raises(InternalInconsistency, match=rf"basis pair \({pair[0]}, {pair[1]}\)"):
         extract_phi_psi(alg, cand)
-    phi = Matrix.from_rows([[calls[2 * i][r] for i in range(3)] for r in range(3)])
-    psi = Matrix.from_rows([[-calls[2 * i + 1][r] for i in range(3)] for r in range(3)])
+    phi, psi = (
+        Matrix.from_rows([[calls[3 * s + i][r] for i in range(3)] for r in range(3)])
+        for s in (0, 1)
+    )
     corrupted_pair = liebider.biderivations.PhiPsiPair(phi, psi)
     assert oracles.dense_phi_psi_failure(alg, cand, corrupted_pair) == pair
+
+
+def test_partial_map_that_is_not_inner_raises():
+    # B(e_0, e_j) = e_j: the partial map B(e_0, -) is the identity, which is
+    # not inner on sl2 (every ad_x has trace 0), so no phi(e_0) exists.
+    alg = catalog("sl2")
+    n = alg.dim
+    cand = Biderivation.from_flat(
+        [int(i == 0 and j == k) for k in range(n) for i in range(n) for j in range(n)], n
+    )
+    with pytest.raises(InternalInconsistency):
+        _factor_phi_psi(alg, cand)
+
+
+# Complete inputs of every kind: simple, semisimple, restricted scalars,
+# Borel (complete, not semisimple), dense and scaled bases.
+_PHI_PSI_TABLES = {
+    **{name: make for name, make in oracles.ORACLE_TABLES.items()
+       if is_complete(make()).complete},
+    **oracles.RESTRICTED_TABLES,
+    **{f"borel({n})": (lambda n=n: oracles.borel_n(n)) for n in (4, 5)},
+    **{f"sl({n})": (lambda n=n: oracles.sl_n(n)) for n in (4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PHI_PSI_TABLES))
+def test_phi_psi_gates_on_complete_algebras(name):
+    # B(x, y) = [phi(x), y] = [x, psi(y)] with Z(L) = 0: a symmetric B has
+    # psi = -phi and a skew B psi = phi, and phi, psi are linear in B.
+    alg = _PHI_PSI_TABLES[name]()
+    n = alg.dim
+    for mode, sign in (("symmetric", -1), ("skew", 1)):
+        for element in constrained_biderivation_space(alg, mode).basis_elements():
+            pair = extract_phi_psi(alg, element)
+            assert pair.psi == sign * pair.phi, (name, mode)
+    elements = biderivation_space(alg).basis_elements()
+    rng = random.Random(name)
+    weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in elements]
+    combined = Biderivation(tuple(
+        sum((w * e.mats[k] for w, e in zip(weights, elements)), Matrix.zeros(n, n))
+        for k in range(n)
+    ))
+    pairs = [extract_phi_psi(alg, e) for e in elements]
+    pair = extract_phi_psi(alg, combined)
+    for got, part in ((pair.phi, 0), (pair.psi, 1)):
+        expected = sum((w * p[part] for w, p in zip(weights, pairs)), Matrix.zeros(n, n))
+        assert got == expected, (name, part)
 
 
 def test_extract_phi_psi_errors():
