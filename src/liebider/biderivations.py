@@ -30,14 +30,12 @@ and x_is = phi[s, i].  B is symmetric exactly when phi is skew-commuting
 (phi^T in V+) and skew exactly when phi is commuting (phi^T in V-), and by
 the Jacobi identity every such phi gives a biderivation.  So the kernels
 are `derivations.skew_commuting_map_space` and `commuting_map_space`,
-solved once per algebra.  On any other input the family is the canonical
-basis of Der(L) (`_primitive_derivations`).
-The kernels in the x_is are mapped back into Q^(n^3) in integers (`_lift`:
-each kernel vector is scaled by the lcm of its denominators and its
-coordinates are summed sparse, straight into elimination) and
-canonicalised.  `Biderivation.from_flat` slices each canonical row into
-its coordinate matrices, which the CLI prints; the checks read B's nonzero
-values once, in the integer layout of the bracket table
+solved once per algebra.  On any other input the family consists of the
+integer rows of Der(L) (`Subspace.rows`).  The integer kernel rows in the
+x_is are summed sparse into Q^(n^3), straight into elimination (`_lift`),
+and canonicalised.  `Biderivation.from_flat` slices each row of the dense
+RREF view into its coordinate matrices, which the CLI prints; the checks
+read B's nonzero values once, in the integer layout of the bracket table
 (`Biderivation._int_values`).  Every basis element is re-checked by
 `biderivation_violation`, and in a mode `classify_symmetry` must return
 that mode.  The checker shares no assembly code with the solver: it sums
@@ -61,14 +59,14 @@ map inner.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .liealg import IntTable, LieAlgebra, _bilinear, _leibniz_residual, _scaled_table
 from .linalg import (
     Matrix,
+    Row,
     Scalar,
     Subspace,
     Vector,
@@ -199,39 +197,23 @@ class BiderivationSpace(_BiderivationSpaceFields):
 # Constraint assembly
 
 
-def _primitive_derivations(der: Subspace) -> list[dict[int, int]]:
-    """Canonical basis D_1, ..., D_d of Der(L), each kept sparse as
-    {k*n + j: D_s[k, j]} and scaled by the lcm D of its denominators.  The
-    pivot entry 1 becomes D, and each prime power of D is the full
-    denominator of some entry, so the integer vector is primitive."""
-    out = []
-    for vec in der.basis:
-        den = math.lcm(*(v.denominator for v in vec))
-        out.append({p: v.numerator * den // v.denominator for p, v in enumerate(vec) if v})
-    return out
-
-
-def _lift(xs: list[Vector], family: list[dict[int, int]], n: int) -> Subspace:
-    """Canonical span in Q^(n^3) of the vectors ``xs`` in the x_is.
+def _lift(xs: Iterable[Row], family: list[dict[int, int]], n: int) -> Subspace:
+    """Canonical span in Q^(n^3) of the sparse rows ``xs`` in the x_is.
 
     Coordinates follow b_ij^k = sum_s x_is D_s[k, j], with x_is at column
-    s*n + i and D_s the sparse ``family[s]``.  Each x is scaled by the lcm
-    of its denominators, which leaves its span unchanged, so each x gives
-    one sparse integer row, summed straight into `Subspace._span_rows`.
+    s*n + i and D_s the sparse ``family[s]``.  Each x gives one sparse row
+    (of integers when x is a kernel row), summed into `Subspace._span_rows`.
     """
     nn = n * n
     # spread[s]: (position of b_0j^k, D_s[k, j]); row i adds i*n
     spread = [[(p // n * nn + p % n, v) for p, v in mat.items()] for mat in family]
 
-    def rows() -> Iterator[dict[int, int]]:
+    def rows() -> Iterator[dict[int, Scalar]]:
         for x in xs:
-            terms = [(col, v) for col, v in enumerate(x) if v]
-            den = math.lcm(*(v.denominator for _, v in terms))
-            flat: dict[int, int] = {}
+            flat: dict[int, Scalar] = {}
             get = flat.get
-            for col, v in terms:
-                s, i = divmod(col, n)
-                coeff, shift = v.numerator * (den // v.denominator), i * n
+            for col, coeff in x:
+                s, shift = col // n, col % n * n
                 for pos, dv in spread[s]:
                     pos += shift
                     flat[pos] = get(pos, 0) + coeff * dv
@@ -289,21 +271,21 @@ def _biderivations_over(
 
     On a complete algebra (`is_complete`) the family is `_adjoint_family`
     and each kernel is a map space of the correspondence.  Otherwise the
-    family is the canonical basis of Der(L) and each kernel is solved from
-    its symmetry rows.  The kernel vectors x_is of
+    family is the canonical rows of Der(L) and each kernel is solved from
+    its symmetry rows.  The kernel rows x_is of
     B(e_i, -) = sum_s x_is D_s are lifted into Q^(n^3), where `_checked`
     re-verifies them.
     """
     n = alg.dim
     if is_complete(alg).complete:
         family = _adjoint_family(alg)
-        xs = [phi for sign in _SIGNS[mode] for phi in _MAP_SPACES[sign](alg).basis]
+        xs = [phi for sign in _SIGNS[mode] for phi in _MAP_SPACES[sign](alg).rows]
     else:
-        family = _primitive_derivations(derivation_space(alg))
+        family = list(map(dict, derivation_space(alg).rows))
         xs = []
         for sign in _SIGNS[mode]:
             rows = _symmetry_rows(family, n, sign)
-            xs.extend(kernel_of_rows(rows, n * len(family)).basis)
+            xs.extend(kernel_of_rows(rows, n * len(family)).rows)
     return _checked(alg, _lift(xs, family, n), mode)
 
 

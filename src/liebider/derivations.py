@@ -182,12 +182,16 @@ def skew_commuting_map_space(alg: LieAlgebra) -> Subspace:
 
 
 def _preimage_at_pivots(alg: LieAlgebra, coords: Sequence[Scalar]) -> Vector:
-    """sum_a coords[a] u_a, u_a the preimage `LieAlgebra._ad_split` pairs with
-    row a of the canonical basis of ad(L).  That row is 1 at its pivot and 0
-    at the other pivots, so ad_u is a matrix of ad(L) when ``coords`` are
-    its entries at the pivots."""
-    terms = [(a, pre) for a, pre in zip(coords, alg._ad_split[1]) if a]
-    return tuple(sum((a * pre[t] for a, pre in terms), ZERO) for t in range(alg.dim))
+    """sum_a coords[a] u_a, u_a the sparse preimage `LieAlgebra._ad_split`
+    pairs with row a of the RREF basis of ad(L).  That row is 1 at its pivot
+    and 0 at the other pivots, so ad_u is a matrix of ad(L) when ``coords``
+    are its entries at the pivots.  Only nonzero products are summed."""
+    acc: dict[int, Scalar] = {}
+    for a, pre in zip(coords, alg._ad_split[1]):
+        if a:
+            for t, u in pre:
+                acc[t] = acc.get(t, ZERO) + a * u
+    return tuple(acc.get(t, ZERO) for t in range(alg.dim))
 
 
 def ad_preimage(alg: LieAlgebra, target: Matrix) -> Vector:

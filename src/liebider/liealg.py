@@ -46,6 +46,7 @@ from .linalg import (
     ZERO,
     ONE,
     Matrix,
+    Row,
     Scalar,
     Subspace,
     Vector,
@@ -123,8 +124,8 @@ class LieAlgebra(_LieAlgebraFields):
         )[1]
 
     @cached_property
-    def _ad_split(self) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
-        """(ad(L), a u with ad_u equal to each of its basis rows, Z(L)):
+    def _ad_split(self) -> tuple[Subspace, tuple[Row, ...], Subspace]:
+        """(ad(L), a sparse u with ad_u equal to each RREF row of it, Z(L)):
         `split_span` at n^2 of the canonical span (`Subspace._span_rows`) of
         the sparse integer rows (S * ad_{e_i}, S * e_i)."""
         n, nn, scale = self.dim, self.dim * self.dim, self._int_table[0]
@@ -449,9 +450,11 @@ def lower_central_series(alg: LieAlgebra) -> LowerCentralSeries:
         return LowerCentralSeries((Subspace.zero(0),), True, 0)
     current = derived_subalgebra(alg)
     terms = [current]
+    table = alg._int_table[1]
     while current.dim > 0:
-        units = [alg.basis_element(i) for i in range(n)]
-        nxt = Subspace.span((bracket(alg, e, v) for e in units for v in current.basis), n)
+        # S [e_i, v] for each canonical row v of the current term
+        brackets = (_bilinear(table, ((i, 1),), v) for i in range(n) for v in current.rows)
+        nxt = Subspace._span_rows(brackets, n)
         terms.append(nxt)
         if nxt == current:
             break

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with `fractions.Fraction` entries, canonical subspaces and
-sparse kernels.  Every subspace is stored by its unique reduced-echelon
-basis, so equal inputs produce bit-identical results and subspaces can be
-compared with plain ``==``; the subspace lattice offers membership, and
-sum and intersection from one Zassenhaus elimination (`split_span`).
-Every canonical subspace comes from `Subspace._span_rows` over sparse rows
+sparse kernels.  A `Subspace` keeps the rows that elimination leaves: one
+sparse integer row ((column, value), ...) per pivot, columns ascending,
+primitive, with a positive lead at its pivot and zero at the other pivots.
+Divided by their leads they are the unique reduced-echelon basis (the
+dense view `Subspace.basis`, read only at the API and document edge), so
+the rows are unique too and ``==`` decides subspace equality.  Every
+canonical subspace comes from `Subspace._span_rows` over sparse rows
 {column: value}; `Subspace.span` (dense vectors) and `kernel_of_rows` go
-through it, and no other module drives elimination.  A canonical basis row
-is 1 at its own pivot and 0 at the others, so `Subspace.coefficients_of`
-reads the coordinates of a vector at the pivots.
+through it, and no other module drives elimination.
+`Subspace.coefficients_of` reads the coordinates of a vector at the
+pivots and checks it over the nonzero row entries; sum and intersection
+come from one Zassenhaus elimination (`split_span`, which divides each
+projected row by the gcd of its entries, so the projection stays canonical).
 
 Elimination stops as soon as the rank proves the answer.  `kernel_of_rows`
 stops reading rows once the rank reaches the number of columns, since the
@@ -22,7 +26,7 @@ the rows after the stop are never assembled.
 
 Elimination (`_Reducer`) runs on sparse integer rows: denominators are
 cleared on entry, rows are kept primitive (content 1) with a positive
-lead, and pivots are rescaled to 1 only when results are extracted.  The
+lead, and pivots are rescaled to 1 only in the `basis` view.  The
 stored rows stay fully reduced: each is zero in every other pivot column.
 So a new row clears all the pivots it meets in one integer accumulation,
 and a column index (`_Reducer.users`) sends a new pivot only to the stored
@@ -203,7 +207,7 @@ class _Reducer:
       row is nonzero there.  A new pivot is back-substituted only into the
       rows it names, instead of a scan over every stored row.
 
-    Rows are rescaled so pivots equal 1 only by `Subspace._span_rows`.
+    `Subspace._span_rows` keeps these rows, sorted, as the subspace.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -293,38 +297,48 @@ class _Reducer:
 # ---------------------------------------------------------------------------
 # Canonical subspaces
 
+Row = tuple[tuple[int, Scalar], ...]  # ((column, value), ...), columns ascending
+
+
+def _dense(row: Row, n: int, den: int = 1) -> Vector:
+    """The vector of Q^n with the entries of ``row`` divided by ``den``."""
+    out = [ZERO] * n
+    for c, v in row:
+        out[c] = Fraction(v, den)
+    return tuple(out)
+
 
 class Subspace(NamedTuple):
-    """A linear subspace of Q^n stored by its canonical RREF basis.
+    """A linear subspace of Q^n stored by its canonical integer rows.
 
-    Two subspaces are equal as sets of vectors exactly when they are equal
-    as values, so ``==`` decides subspace equality.
+    ``rows`` holds the reducer's sparse rows in pivot order (see the module
+    docstring).  Each is the one primitive multiple with a positive lead of
+    a row of the unique RREF basis, so ``==`` decides subspace equality.
+    `basis` is that RREF basis, a dense view for the API and document edge.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[Row, ...]
     pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis, each row divided by its lead: 1 at its pivot."""
+        return tuple(_dense(row, self.ambient_dim, row[0][1]) for row in self.rows)
 
     @staticmethod
     def _span_rows(rows: Iterable[dict[int, Scalar]], ambient_dim: int) -> "Subspace":
         """Canonical span of sparse rows {column: value} in Q^ambient_dim:
-        the reduced rows in pivot order, each rescaled so its pivot is 1."""
+        the reduced rows in pivot order, each sorted by column."""
         red = _Reducer(ambient_dim)
         for row in rows:
             red.add(row)
-        pivots = tuple(sorted(red.rows))
-        basis = []
-        for piv in pivots:
-            row = red.rows[piv]
-            lead, out = row[piv], [ZERO] * ambient_dim
-            for c, v in row.items():
-                out[c] = Fraction(v, lead)
-            basis.append(tuple(out))
-        return Subspace(ambient_dim, tuple(basis), pivots)
+        canon = tuple(sorted(tuple(sorted(row.items())) for row in red.rows.values()))
+        return Subspace(ambient_dim, canon, tuple(row[0][0] for row in canon))
 
     @staticmethod
     def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> "Subspace":
@@ -343,50 +357,49 @@ class Subspace(NamedTuple):
         return Subspace.span(Matrix.identity(ambient_dim).data, ambient_dim)
 
     def coefficients_of(self, v: Sequence[Scalar]) -> Optional[Vector]:
-        """Coordinates of ``v`` in the canonical basis, its entries at the
-        pivots, or None if ``v`` differs from their combination (outside)."""
+        """Coordinates of ``v`` in the RREF basis, its entries at the pivots,
+        or None if ``v`` differs from their combination (outside).  The
+        residual is summed over the nonzero entries of ``v`` and the rows."""
         _check_length(v, self.ambient_dim)
-        work = list(as_vector(v))
-        coeffs = tuple(work[p] for p in self.pivots)
-        for a, piv, row in zip(coeffs, self.pivots, self.basis):
+        coeffs = tuple(_frac(v[p]) for p in self.pivots)
+        work = {c: x for c, x in enumerate(v) if x}
+        for a, row in zip(coeffs, self.rows):
             if a:
-                for c in range(piv, self.ambient_dim):
-                    b = row[c]
-                    if b:
-                        work[c] -= a * b
-        if any(work):
-            return None
-        return coeffs
+                a /= row[0][1]
+                for c, x in row:
+                    work[c] = work.get(c, 0) - a * x
+        return None if any(work.values()) else coeffs
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self.coefficients_of(v) is not None
 
 
-def split_span(
-    joint: Subspace, n: int
-) -> tuple[Subspace, tuple[Vector, ...], Subspace]:
+def split_span(joint: Subspace, n: int) -> tuple[Subspace, tuple[Row, ...], Subspace]:
     """Zassenhaus split of a canonical subspace at column ``n``.
 
-    The basis rows with a pivot in the first ``n`` columns restrict there
-    to the canonical basis of the projection onto them; the other rows are
-    zero there.  Returns the projection, the tail (from column ``n`` on) of
-    each of its rows, and the canonical span of the other rows' tails.
+    The rows with a pivot in the first ``n`` columns restrict there to the
+    canonical rows of the projection onto them, each divided by its content
+    (the row (2, 0 | 1) has head (2, 0)); the other rows are zero there.
+    Returns the projection, the sparse tail (from column ``n`` on) of the
+    joint RREF row over each RREF row of it, and the span of the other tails.
     """
     k = sum(1 for piv in joint.pivots if piv < n)
-    head, tails = joint.basis[:k], tuple(v[n:] for v in joint.basis)
-    lower = tuple(p - n for p in joint.pivots[k:])
-    return (
-        Subspace(n, tuple(v[:n] for v in head), joint.pivots[:k]),
-        tails[:k],
-        Subspace(joint.ambient_dim - n, tails[k:], lower),
-    )
+    heads, tails = [], []
+    for row in joint.rows[:k]:
+        head = [(c, v) for c, v in row if c < n]
+        g = math.gcd(*(v for _, v in head))
+        heads.append(tuple((c, v // g) for c, v in head))
+        tails.append(tuple((c - n, Fraction(v, row[0][1])) for c, v in row[len(head):]))
+    lower = tuple(tuple((c - n, v) for c, v in row) for row in joint.rows[k:])
+    return (Subspace(n, tuple(heads), joint.pivots[:k]), tuple(tails),
+            Subspace(joint.ambient_dim - n, lower, tuple(r[0][0] for r in lower)))
 
 
 def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspace]:
     """Return ``(sum, intersection)`` of two subspaces (Zassenhaus).
 
     `split_span` at n of the span of the rows (u, u), for u in the left
-    basis, and (v, 0), for v in the right basis, gives the sum as the
+    rows, and (v, 0), for v in the right rows, gives the sum as the
     projection and the intersection as the rows that vanish on the first
     half.
     """
@@ -395,10 +408,8 @@ def subspace_combine(left: Subspace, right: Subspace) -> tuple[Subspace, Subspac
             f"ambient dimensions differ: {left.ambient_dim} vs {right.ambient_dim}"
         )
     n = left.ambient_dim
-    zero = (ZERO,) * n
-    joint = Subspace.span(
-        [u + u for u in left.basis] + [v + zero for v in right.basis], 2 * n
-    )
+    doubled = ({**dict(u), **{c + n: v for c, v in u}} for u in left.rows)
+    joint = Subspace._span_rows(chain(doubled, map(dict, right.rows)), 2 * n)
     total, _, inter = split_span(joint, n)
     return total, inter
 
@@ -450,6 +461,4 @@ def kernel_beside(
     rest = kernel_of_rows(chain(({p: 1} for p in known.pivots), rows), ncols)
     if not rest.dim:
         return known
-    if not known.dim:
-        return rest
-    return Subspace.span(known.basis + rest.basis, ncols)
+    return Subspace._span_rows(map(dict, known.rows + rest.rows), ncols)

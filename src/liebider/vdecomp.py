@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .liealg import LieAlgebra, _per_algebra, killing_form
-from .linalg import Matrix, Subspace, kernel_of_rows, split_span, subspace_combine
+from .linalg import Matrix, Subspace, _dense, kernel_of_rows, split_span, subspace_combine
 from .derivations import commuting_map_space, is_complete, skew_commuting_map_space
 from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
 
@@ -95,7 +95,7 @@ def compute_V(alg: LieAlgebra) -> VSpace:
     """
     n = alg.dim
     space, tails, _ = split_span(_joint_intertwiner_kernel(alg), n * n)
-    witnesses = tuple(Matrix.from_flat(v, n, n) for v in tails)
+    witnesses = tuple(Matrix.from_flat(_dense(t, n * n), n, n) for t in tails)
     return VSpace(MatrixSubspace(n, space), witnesses)
 
 
@@ -111,7 +111,7 @@ def compute_Vpm(alg: LieAlgebra) -> tuple[MatrixSubspace, MatrixSubspace]:
     n = alg.dim
 
     def transposed(space: Subspace) -> MatrixSubspace:
-        rows = ({c % n * n + c // n: x for c, x in enumerate(v) if x} for v in space.basis)
+        rows = ({c % n * n + c // n: x for c, x in row} for row in space.rows)
         return MatrixSubspace(n, Subspace._span_rows(rows, n * n))
 
     return (

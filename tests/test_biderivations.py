@@ -31,7 +31,7 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
-from liebider.biderivations import _factor_phi_psi, _lift, _primitive_derivations
+from liebider.biderivations import _factor_phi_psi, _lift
 import liebider.derivations
 from liebider.derivations import (
     _adjoint_family,
@@ -749,7 +749,7 @@ def test_checkers_share_no_solver_code():
         "bracket", "_symmetry_rows", "_joint_intertwiner_kernel", "_int_ad",
         "kernel_of_rows", "_Reducer", "split_span", "_ad_split",
         "kernel_beside", "_components", "_adjoint_family",
-        "_primitive_derivations", "commuting_map_space",
+        "commuting_map_space",
         "skew_commuting_map_space", "_lift", "_bilinear",
     }
     # a stale name would make the check vacuous: each is a module-level or
@@ -847,11 +847,11 @@ def _over_derivation_basis(alg, der, mode):
     canonical basis of ``der``, the path of every input that is not
     complete."""
     n = alg.dim
-    family = _primitive_derivations(der)
+    family = list(map(dict, der.rows))
     xs = [
         x
         for sign in {None: (-1, 1), "symmetric": (-1,), "skew": (1,)}[mode]
-        for x in kernel_of_rows(_solver_rows(family, n, sign), n * len(family)).basis
+        for x in kernel_of_rows(_solver_rows(family, n, sign), n * len(family)).rows
     ]
     return _lift(xs, family, n)
 
@@ -924,7 +924,7 @@ def _read_every_row(rows, ncols):
     ker A (+) span(e_spare), whose canonical basis ends with e_spare."""
     wide = kernel_of_rows(rows, ncols + 1)
     assert wide.pivots[-1:] == (ncols,)
-    return Subspace(ncols, tuple(v[:-1] for v in wide.basis[:-1]), wide.pivots[:-1])
+    return Subspace(ncols, wide.rows[:-1], wide.pivots[:-1])
 
 
 
@@ -950,11 +950,11 @@ def test_early_stop_keeps_every_kernel(name):
         (_solver_rows(adjoint, n, -1), skew_commuting_map_space(alg)),
     ):
         assert space == _read_every_row(rows, n * n)
-    family = _primitive_derivations(der)
+    family = list(map(dict, der.rows))
     d = len(family)
     for mode, sign in (("symmetric", -1), ("skew", 1)):
-        xs = _read_every_row(_solver_rows(family, n, sign), n * d).basis
-        expected = _lift(list(xs), family, n)
+        xs = _read_every_row(_solver_rows(family, n, sign), n * d).rows
+        expected = _lift(xs, family, n)
         assert constrained_biderivation_space(alg, mode).space == expected, mode
 
 
@@ -1038,28 +1038,30 @@ _LIFT_TABLES = dict(oracles.ORACLE_TABLES, sl4=lambda: oracles.sl_n(4))
 
 @pytest.mark.parametrize("name", sorted(_LIFT_TABLES))
 def test_integer_lift_matches_fraction_lift(name):
-    # Each mode's kernel vectors, and three seeded rational combinations of
-    # them with denominators up to 7, so that the lcm scaling of the
-    # integer lift is not 1.
+    # Each mode's kernel rows (integers) against the dense RREF basis, and
+    # three seeded rational combinations of that basis with denominators up
+    # to 7, passed as sparse `Fraction` rows, so that the lift must clear
+    # their denominators.
     alg = _LIFT_TABLES[name]()
     n = alg.dim
-    family = _primitive_derivations(derivation_space(alg))
+    family = list(map(dict, derivation_space(alg).rows))
     d = len(family)
     kernels = {
-        sign: kernel_of_rows(_solver_rows(family, n, sign), n * d).basis
-        for sign in (-1, 1)
+        sign: kernel_of_rows(_solver_rows(family, n, sign), n * d) for sign in (-1, 1)
     }
     rng = random.Random(f"lift {name}")
     for mode, signs in (("all", (-1, 1)), ("symmetric", (-1,)), ("skew", (1,))):
-        xs = [x for sign in signs for x in kernels[sign]]
-        assert _lift(xs, family, n) == oracles.fraction_lift(xs, family, n), mode
+        rows = [x for sign in signs for x in kernels[sign].rows]
+        xs = [x for sign in signs for x in kernels[sign].basis]
+        assert _lift(rows, family, n) == oracles.fraction_lift(xs, family, n), mode
         mixed = []
         for _ in range(3 if xs else 0):
             coeffs = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in xs]
             mixed.append(
                 tuple(sum(c * x[col] for c, x in zip(coeffs, xs)) for col in range(n * d))
             )
-        assert _lift(mixed, family, n) == oracles.fraction_lift(mixed, family, n), mode
+        sparse = [tuple((col, v) for col, v in enumerate(x) if v) for x in mixed]
+        assert _lift(sparse, family, n) == oracles.fraction_lift(mixed, family, n), mode
 
 
 def _abelian2_map(*positions):

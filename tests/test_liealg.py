@@ -256,6 +256,32 @@ def test_lower_central_series_examples():
     assert two.nilpotent and two.nilpotency_class == 2
 
 
+def _filiform(n):
+    """[e_0, e_i] = e_{i+1} / (i + 1) for 0 < i < n - 1: nilpotent of class
+    n - 1, so the series takes n - 2 rounds of brackets after [L, L]."""
+    return lie_algebra(n, {(0, i, i + 1): F(1, i + 1) for i in range(1, n - 1)})
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(oracles.ORACLE_TABLES) + sorted(oracles.RESTRICTED_TABLES)
+    + ["borel(4)", "filiform(6)", "twostep(5,2)"],
+)
+def test_lower_central_series_matches_dense_brackets(name):
+    # each term after [L, L] is the span of the dense brackets [e_i, v]
+    # over the RREF basis of the term before it
+    tables = {**oracles.ORACLE_TABLES, **oracles.RESTRICTED_TABLES,
+              "borel(4)": lambda: oracles.borel_n(4), "filiform(6)": lambda: _filiform(6)}
+    alg = tables[name]() if name in tables else catalog(name)
+    n, terms = alg.dim, lower_central_series(alg).terms
+    assert terms[0] == derived_subalgebra(alg)
+    for before, term in zip(terms, terms[1:]):
+        brackets = [bracket(alg, alg.basis_element(i), v) for i in range(n) for v in before.basis]
+        assert term == Subspace.span(brackets, n)
+    if name == "filiform(6)":
+        assert [t.dim for t in terms] == [4, 3, 2, 1, 0]
+
+
 def test_killing_form_examples():
     kf = killing_form(sl2())
     assert kf.matrix == Matrix.from_rows([[0, 4, 0], [4, 0, 0], [0, 0, 8]])

@@ -1,5 +1,6 @@
 """Exact linear algebra: examples plus algebraic invariants."""
 
+import math
 import pathlib
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from liebider.linalg import (
     AmbientMismatch,
     Matrix,
     Subspace,
+    _dense,
     kernel_beside,
     kernel_of_rows,
     split_span,
@@ -83,6 +85,24 @@ def _sparse_rows(m):
     return [{c: v for c, v in enumerate(row) if v} for row in m]
 
 
+def _assert_canonical_rows(space):
+    """The stored rows of a canonical subspace: nonzero ints in ascending
+    columns, content 1, a positive lead at the row's own pivot and zero at
+    every other pivot; the RREF view is 1 at its own pivot and 0 at the
+    others."""
+    assert list(space.pivots) == sorted(set(space.pivots))
+    assert len(space.rows) == len(space.pivots) == space.dim
+    for row, piv in zip(space.rows, space.pivots):
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= c < space.ambient_dim for c in cols)
+        assert all(type(v) is int and v for _, v in row)
+        assert row[0][0] == piv and row[0][1] > 0
+        assert math.gcd(*(v for _, v in row)) == 1
+        assert not set(cols) & set(space.pivots) - {piv}
+    for v, piv in zip(space.basis, space.pivots):
+        assert all(v[p] == (p == piv) for p in space.pivots)
+
+
 def test_rref_examples():
     # Subspace.span keeps the nonzero rows of the reduced row-echelon form
     s = Subspace.span(Matrix.zeros(2, 2), 2)
@@ -112,6 +132,7 @@ def test_subspace_membership_and_coefficients():
     assert s.dim == 2
     assert s.contains((1, 1, 2))
     assert not s.contains((1, 1, 3))
+    assert not s.contains((1, 1, 0))  # zero where the combination is 2
     coeffs = s.coefficients_of((2, 3, 5))
     assert coeffs is not None
     rebuilt = [F(0)] * 3
@@ -140,13 +161,18 @@ def test_coefficients_at_pivots_match_elimination(vecs, combo, extra):
     free = [c for c in range(5) if c not in s.pivots]
     if free:  # zero at every pivot, nonzero at a free column: outside
         probes.append(tuple(a + (c == free[0]) for c, a in enumerate(inside)))
+    cleared = [c for c in free if inside[c]]
+    if cleared:  # a member with a free entry set to 0: outside
+        probes.append(tuple(F(0) if c == cleared[0] else a for c, a in enumerate(inside)))
     for v in probes:
         expected = oracles.eliminated_coefficients(s, v)
         assert s.coefficients_of(v) == expected
         assert (expected is None) == (Subspace.span([*s.basis, v], 5).dim > s.dim)
     assert s.coefficients_of(inside) == tuple(combo[: s.dim])
     if free:
-        assert s.coefficients_of(probes[-1]) is None
+        assert s.coefficients_of(probes[3]) is None
+    if cleared:
+        assert s.coefficients_of(probes[4]) is None
 
 
 @given(vector_lists())
@@ -156,6 +182,7 @@ def test_span_rows_of_sparse_rows_equals_dense_span(vecs):
     dense = [*vecs, [F(0)] * 4, *vecs[:1], [2, 0, 0, -4]]
     expected = Subspace.span(dense, 4)
     rows = _sparse_rows(dense)
+    _assert_canonical_rows(expected)
     assert Subspace._span_rows(rows, 4) == expected
     assert Subspace._span_rows(iter(rows), 4) == expected
     assert Subspace.span((v for v in dense), 4) == expected
@@ -206,7 +233,9 @@ def test_rank_nullity(m):
 
 @given(matrices())
 def test_kernel_vectors_are_annihilated(m):
-    for v in kernel_of_rows(_sparse_rows(m), m.ncols).basis:
+    kernel = kernel_of_rows(_sparse_rows(m), m.ncols)
+    _assert_canonical_rows(kernel)
+    for v in kernel.basis:
         assert all(x == 0 for x in m.apply(v))
 
 
@@ -249,6 +278,8 @@ def test_combine_dimension_formula(lvecs, rvecs):
     s = Subspace.span(lvecs, 4)
     t = Subspace.span(rvecs, 4)
     total, inter = subspace_combine(s, t)
+    _assert_canonical_rows(total)
+    _assert_canonical_rows(inter)
     assert total.dim + inter.dim == s.dim + t.dim
     for v in s.basis + t.basis:
         assert total.contains(v)
@@ -264,14 +295,28 @@ def test_split_span_projects_and_pairs_tails(vecs, n):
     joint = Subspace.span(vecs, 5)
     head, tails, lower = split_span(joint, n)
     assert head == Subspace.span([v[:n] for v in vecs], n)
-    # each projection row keeps its own tail, and the other rows are the
-    # members of the span that vanish on the first n columns
+    _assert_canonical_rows(head)
+    _assert_canonical_rows(lower)
+    # each RREF row of the projection keeps its own sparse tail (nonzero
+    # values in ascending columns), and the other rows are the members of
+    # the span that vanish on the first n columns
+    assert len(tails) == head.dim
     for h, t in zip(head.basis, tails):
-        assert joint.contains(h + t)
+        cols = [c for c, _ in t]
+        assert cols == sorted(set(cols)) and all(v for _, v in t)
+        assert joint.contains(h + _dense(t, 5 - n))
     for v in lower.basis:
         assert joint.contains((F(0),) * n + v)
     assert head.dim + lower.dim == joint.dim
     assert lower == Subspace.span(lower.basis, 5 - n)
+
+
+def test_split_span_divides_each_head_by_its_content():
+    # the canonical row (2, 0 | 1) has head (2, 0): the projection stores
+    # (1, 0), and the tail 1/2 pairs with the RREF row (1, 0 | 1/2)
+    head, tails, lower = split_span(Subspace.span([(2, 0, 1)], 3), 2)
+    assert head.rows == (((0, 1),),) and head == Subspace.span([(1, 0)], 2)
+    assert tails == (((0, F(1, 2)),),) and lower == Subspace.zero(1)
 
 
 @given(vector_lists(), st.randoms(use_true_random=False))

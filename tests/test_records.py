@@ -42,9 +42,8 @@ RECORDS = {
     ),
     "Subspace": (
         lambda: Subspace.span([[2, 1, 0], [4, 2, 0]], 3),
-        "basis",
-        "Subspace(ambient_dim=3, basis=((Fraction(1, 1), Fraction(1, 2), "
-        "Fraction(0, 1)),), pivots=(0,))",
+        "rows",
+        "Subspace(ambient_dim=3, rows=(((0, 2), (1, 1)),), pivots=(0,))",
     ),
     "LieAlgebra": (_sl2_with_tables, "dim", None),
     "Biderivation": (
