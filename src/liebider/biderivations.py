@@ -1,4 +1,4 @@
-"""Biderivations of a Lie algebra, encoded as tuples of matrices.
+"""Biderivations of a Lie algebra, each kept as one canonical sparse row.
 
 A bilinear map B: L x L -> L is a biderivation when both partial maps are
 derivations:
@@ -6,10 +6,11 @@ derivations:
     (1)  B([x, y], z) = [x, B(y, z)] + [B(x, z), y]
     (2)  B(x, [y, z]) = [B(x, y), z] + [y, B(x, z)]
 
-B is stored as its coordinate matrices F(B) = (B_1, ..., B_n) with
-(B_k)_ij = beta_k(e_i, e_j), the k-th coordinate of B(e_i, e_j).  The
-coefficients b_ij^k are flattened with k outermost: b_ij^k sits at position
-k*n^2 + i*n + j.
+B is given by its coefficients b_ij^k = beta_k(e_i, e_j), the k-th
+coordinate of B(e_i, e_j), at position k*n^2 + i*n + j (k outermost).
+`Biderivation` keeps the nonzero ones as one sparse integer row over the
+lcm of their denominators; the coordinate matrices F(B) = (B_1, ..., B_n),
+(B_k)_ij = b_ij^k, are its dense view `Biderivation.mats`.
 
 Condition (2) says that every left partial map B(e_i, -) is a derivation.
 The solver therefore writes B(e_i, -) = sum_s x_is D_s over a family of
@@ -33,9 +34,9 @@ are `derivations.skew_commuting_map_space` and `commuting_map_space`,
 solved once per algebra.  On any other input the family consists of the
 integer rows of Der(L) (`Subspace.rows`).  The integer kernel rows in the
 x_is are summed sparse into Q^(n^3), straight into elimination (`_lift`),
-and canonicalised.  `Biderivation.from_flat` slices each row of the dense
-RREF view into its coordinate matrices, which the CLI prints; the checks
-read B's nonzero values once, in the integer layout of the bracket table
+and canonicalised.  Each canonical row is a basis element as it stands
+(its lead is the lcm of the denominators of its RREF row); the checks read
+it regrouped by basis pair, in the integer layout of the bracket table
 (`Biderivation._int_values`).  Every basis element is re-checked by
 `biderivation_violation`, and in a mode `classify_symmetry` must return
 that mode.  The checker shares no assembly code with the solver: it sums
@@ -59,6 +60,7 @@ map inner.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
@@ -70,6 +72,7 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
+    _dense,
     as_vector,
     commutator,
     kernel_of_rows,
@@ -115,42 +118,43 @@ class InternalInconsistency(RuntimeError):
 
 
 class _BiderivationFields(NamedTuple):
-    mats: tuple[Matrix, ...]
+    dim: int
+    den: int
+    row: Row
 
 
 class Biderivation(_BiderivationFields):
-    """Coordinate matrices (B_1, ..., B_n) of a bilinear map L x L -> L;
-    its fields sit in a NamedTuple base, as for `LieAlgebra`."""
+    """A bilinear map L x L -> L as its canonical sparse integer row
+    ((k*n^2 + i*n + j, den * b_ij^k), ...) over the nonzero b_ij^k, ``den``
+    the lcm of their denominators, so ``==`` decides equality of maps.  The
+    fields sit in a NamedTuple base, as for `LieAlgebra`."""
 
-    @property
-    def dim(self) -> int:
-        return len(self.mats)
+    @cached_property
+    def mats(self) -> tuple[Matrix, ...]:
+        """The coordinate matrices (B_1, ..., B_n), a dense view for the edge."""
+        n, nn, flat = self.dim, self.dim * self.dim, self.flatten()
+        return tuple(Matrix.from_flat(flat[k * nn : k * nn + nn], n, n) for k in range(n))
 
     @cached_property
     def _int_values(self) -> tuple[int, IntTable]:
-        """(D, (i, j) -> ((k, D * b_ij^k), ...)) as `LieAlgebra._int_table`:
-        the one scan of ``mats`` for nonzero entries."""
-        return _scaled_table(
-            ((i, j), k, v)
-            for k, mat in enumerate(self.mats)
-            for i, row in enumerate(mat.data)
-            for j, v in enumerate(row)
-            if v
-        )
+        """(den, (i, j) -> ((k, den * b_ij^k), ...)) as `LieAlgebra._int_table`,
+        regrouped from ``row``."""
+        n, nn = self.dim, self.dim * self.dim
+        entries = ((divmod(p % nn, n), p // nn, v) for p, v in self.row)
+        return self.den, _scaled_table(entries)[1]
 
     @staticmethod
     def from_flat(values: Sequence[Scalar], n: int) -> "Biderivation":
         if len(values) != n * n * n:
             raise ValueError("flat length does not match n^3")
-        mats = tuple(
-            Matrix.from_flat(values[k * n * n : (k + 1) * n * n], n, n)
-            for k in range(n)
-        )
-        return Biderivation(mats)
+        flat = as_vector(values)
+        den = math.lcm(*(v.denominator for v in flat))
+        return Biderivation(n, den, tuple((p, v.numerator * den // v.denominator)
+                                          for p, v in enumerate(flat) if v))
 
     def flatten(self) -> Vector:
         """k-outermost flattening: b_ij^k at position k*n^2 + i*n + j."""
-        return tuple(v for mat in self.mats for v in mat.flatten())
+        return _dense(self.row, self.dim ** 3, self.den)
 
     def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """B(x, y); coordinate k equals x^T B_k y, summed over nonzero x_i, y_j."""
@@ -158,7 +162,7 @@ class Biderivation(_BiderivationFields):
 
     @staticmethod
     def zero(n: int) -> "Biderivation":
-        return Biderivation(tuple(Matrix.zeros(n, n) for _ in range(n)))
+        return Biderivation(n, 1, ())
 
 
 class BiderViolation(NamedTuple):
@@ -184,12 +188,12 @@ class BiderivationSpace(_BiderivationSpaceFields):
 
     @cached_property
     def _elements(self) -> tuple[Biderivation, ...]:
-        return tuple(
-            Biderivation.from_flat(v, self.algebra_dim) for v in self.space.basis
-        )
+        # a primitive row over its lead L has lcm of denominators exactly L
+        n = self.algebra_dim
+        return tuple(Biderivation(n, row[0][1], row) for row in self.space.rows)
 
     def basis_elements(self) -> tuple[Biderivation, ...]:
-        """The canonical basis as coordinate matrices, built once per space."""
+        """The canonical basis, one element per row of ``space``, built once."""
         return self._elements
 
 
@@ -339,15 +343,10 @@ def inner_biderivation(
     """
     factors = alg.factors if alg.factors is not None else (alg.dim,)
     if len(scalars) != len(factors):
-        raise FactorMismatch(
-            f"{len(scalars)} scalars for {len(factors)} direct factors"
-        )
-    lams = as_vector(scalars)
-    mats = structure_matrices(alg)
-    scaled = tuple(
-        lams[alg.block_of(k)] * mats[k] for k in range(alg.dim)
-    )
-    return Biderivation(scaled)
+        raise FactorMismatch(f"{len(scalars)} scalars for {len(factors)} direct factors")
+    lams, mats = as_vector(scalars), structure_matrices(alg)
+    flat = [lams[alg.block_of(k)] * v for k, m in enumerate(mats) for v in m.flatten()]
+    return Biderivation.from_flat(flat, alg.dim)
 
 
 class RowColumnReport(NamedTuple):
@@ -370,10 +369,16 @@ def row_column_derivations(
     the B_k.  For a genuine biderivation both maps are derivations.
     """
     n = alg.dim
+    if cand.dim != n:
+        raise ValueError("biderivation dimension does not match the algebra")
     if not 0 <= index < n:
         raise ValueError(f"basis index {index} out of range for dim {n}")
-    row_map = Matrix(n, n, tuple(cand.mats[k].data[index] for k in range(n)))
-    column_map = Matrix(n, n, tuple(cand.mats[k].column(index) for k in range(n)))
+    den, values = cand._int_values
+    # column t of row_map is B(e_index, e_t), of column_map B(e_t, e_index)
+    row_map, column_map = (
+        Matrix(n, n, tuple(zip(*(_dense(values.get(pair, ()), n, den) for pair in pairs))))
+        for pairs in ([(index, t) for t in range(n)], [(t, index) for t in range(n)])
+    )
     der = derivation_space(alg)
     return RowColumnReport(
         row_map,
@@ -414,12 +419,14 @@ def extract_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
 
 def _factor_phi_psi(alg: LieAlgebra, cand: Biderivation) -> PhiPsiPair:
     """`extract_phi_psi` for a caller that has established its premises."""
-    n, b = alg.dim, cand.mats
-    # B(e_i, -) = ad_{phi(e_i)} holds b_ij^k = b[k][i][j] at (k, j), and
-    # -B(-, e_j) = ad_{psi(e_j)} holds -b_ij^k at (k, i): read at the pivots
+    n, den, b = alg.dim, cand.den, dict(cand.row)
+    # B(e_i, -) = ad_{phi(e_i)} holds b_ij^k at (k, j), and -B(-, e_j) =
+    # ad_{psi(e_j)} holds -b_ij^k at (k, i): read at the pivots off the row
     pivots = [divmod(p, n) for p in alg._ad_split[0].pivots]
-    phi_cols = [_preimage_at_pivots(alg, [b[k][i][j] for k, j in pivots]) for i in range(n)]
-    psi_cols = [_preimage_at_pivots(alg, [-b[k][i][j] for k, i in pivots]) for j in range(n)]
+    phi_cols = [_preimage_at_pivots(alg, [Fraction(b.get((k * n + i) * n + j, 0), den)
+                                          for k, j in pivots]) for i in range(n)]
+    psi_cols = [_preimage_at_pivots(alg, [Fraction(-b.get((k * n + i) * n + j, 0), den)
+                                          for k, i in pivots]) for j in range(n)]
     phi, psi = (Matrix(n, n, tuple(zip(*cols))) for cols in (phi_cols, psi_cols))
     # D S P B(e_i, e_j) = D S P [phi(e_i), e_j] = D S P [e_i, psi(e_j)] on
     # every basis pair, in integers over the table: `_scaled_table` holds
@@ -450,9 +457,10 @@ def symmetric_skew_split(cand: Biderivation) -> tuple[Biderivation, Biderivation
     B_minus(x, y) = B(x, y) - B(y, x); coordinatewise B_k +- B_k^T.  The
     original map is recovered as (B_plus + B_minus) / 2.
     """
-    plus = tuple(m + m.transpose() for m in cand.mats)
-    minus = tuple(m - m.transpose() for m in cand.mats)
-    return Biderivation(plus), Biderivation(minus)
+    n, nn, flat = cand.dim, cand.dim * cand.dim, cand.flatten()
+    swapped = [flat[p - p % nn + p % n * n + p % nn // n] for p in range(n * nn)]  # b_ji^k
+    return (Biderivation.from_flat([b + c for b, c in zip(flat, swapped)], n),
+            Biderivation.from_flat([b - c for b, c in zip(flat, swapped)], n))
 
 
 def classify_symmetry(cand: Biderivation) -> str:
@@ -521,15 +529,15 @@ def bider_bracket_closure(alg: LieAlgebra) -> ClosureReport:
     constants: dict[tuple[int, int, int], Fraction] = {}
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            comm = Biderivation(
-                tuple(
-                    commutator(ma, mb)
-                    for ma, mb in zip(basis[a].mats, basis[b].mats)
-                )
+            comm = tuple(
+                v
+                for ma, mb in zip(basis[a].mats, basis[b].mats)
+                for v in commutator(ma, mb).flatten()
             )
-            coeffs = space.space.coefficients_of(comm.flatten())
+            coeffs = space.space.coefficients_of(comm)
             if coeffs is None:
-                return ClosureReport(False, space.dim, None, (a, b, comm))
+                witness = Biderivation.from_flat(comm, alg.dim)
+                return ClosureReport(False, space.dim, None, (a, b, witness))
             for c, coeff in enumerate(coeffs):
                 if coeff:
                     constants[(a, b, c)] = coeff
@@ -563,28 +571,22 @@ def two_step_properties(alg: LieAlgebra, cand: Biderivation) -> TwoStepReport:
     derived = derived_subalgebra(alg)
     centre = center_space(alg)
     if derived.dim == 0 or not all(centre.contains(v) for v in derived.basis):
-        raise NotTwoStep(
-            "two-step analysis requires 0 != [L, L] contained in the center"
-        )
+        raise NotTwoStep("two-step analysis requires 0 != [L, L] contained in the center")
     violation = biderivation_violation(alg, cand)
     if violation is not None:
         raise NotBiderivation(violation)
-    n = alg.dim
+    n, central = alg.dim, derived.basis
     basis = [alg.basis_element(t) for t in range(n)]
-    central = derived.basis
     failures: list[tuple[str, tuple[int, int]]] = []
-    checks = 0
     for i in range(n):
         for z_idx, z in enumerate(central):
-            checks += 1
             if not derived.contains(cand.evaluate(basis[i], z)):
                 failures.append(("right-central", (i, z_idx)))
-            checks += 1
             if not derived.contains(cand.evaluate(z, basis[i])):
                 failures.append(("left-central", (z_idx, i)))
     for a, za in enumerate(central):
         for b, zb in enumerate(central):
-            checks += 1
             if any(cand.evaluate(za, zb)):
                 failures.append(("central-pair", (a, b)))
+    checks = (2 * n + len(central)) * len(central)
     return TwoStepReport(not failures, checks, tuple(failures))

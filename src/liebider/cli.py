@@ -42,6 +42,7 @@ from .documents import (
     TooManyDigits,
     _bracket_entries,
     algebra_to_document,
+    biderivation_strs,
     biderivation_to_document,
     matrix_strs,
     serialize_document,
@@ -221,7 +222,7 @@ def _cmd_biderivations(alg: LieAlgebra, args: argparse.Namespace) -> tuple[dict,
         space = biderivation_space(alg)
     else:
         space = constrained_biderivation_space(alg, args.mode)
-    basis = [[matrix_strs(m) for m in b.mats] for b in space.basis_elements()]
+    basis = [biderivation_strs(b) for b in space.basis_elements()]
     return {"dim": space.dim, "mode": args.mode, "basis": basis}, 0
 
 

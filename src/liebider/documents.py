@@ -95,6 +95,15 @@ def matrix_strs(mat: Matrix) -> list[list[str]]:
     return [[rational_str(v) for v in row] for row in mat.data]
 
 
+def biderivation_strs(cand: Biderivation) -> list[list[list[str]]]:
+    """(B_1, ..., B_n) as strings, read off the row: "0" where it holds nothing."""
+    n, nn = cand.dim, cand.dim * cand.dim
+    flat = ["0"] * n * nn
+    for p, v in cand.row:
+        flat[p] = rational_str(Fraction(v, cand.den))
+    return [[flat[r : r + n] for r in range(k, k + nn, n)] for k in range(0, n * nn, nn)]
+
+
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -288,35 +297,22 @@ def parse_biderivation(text: str, alg: LieAlgebra) -> Biderivation:
     mats = doc.get("mats")
     _expect(isinstance(mats, list), "mats", "must be a list of matrices")
     if dim != alg.dim:
-        raise DimMismatch(
-            f"document dim {dim} does not match algebra dim {alg.dim}"
-        )
+        raise DimMismatch(f"document dim {dim} does not match algebra dim {alg.dim}")
     if len(mats) != alg.dim:
-        raise DimMismatch(
-            f"{len(mats)} matrices for a dim-{alg.dim} algebra"
-        )
-    parsed = []
+        raise DimMismatch(f"{len(mats)} matrices for a dim-{alg.dim} algebra")
+    flat = []
     for k, mat in enumerate(mats):
         path = f"mats[{k}]"
         _expect(isinstance(mat, list), path, "must be a list of rows")
         if len(mat) != dim:
             raise DimMismatch(f"{path} has {len(mat)} rows, expected {dim}")
-        rows = []
         for r, row in enumerate(mat):
             _expect(isinstance(row, list), f"{path}[{r}]", "must be a list")
             if len(row) != dim:
-                raise DimMismatch(
-                    f"{path}[{r}] has {len(row)} entries, expected {dim}"
-                )
-            rows.append(
-                [parse_rational(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)]
-            )
-        parsed.append(Matrix.from_rows(rows))
-    return Biderivation(tuple(parsed))
+                raise DimMismatch(f"{path}[{r}] has {len(row)} entries, expected {dim}")
+            flat.extend(parse_rational(v, f"{path}[{r}][{c}]") for c, v in enumerate(row))
+    return Biderivation.from_flat(flat, dim)
 
 
 def biderivation_to_document(cand: Biderivation) -> dict:
-    return {
-        "dim": cand.dim,
-        "mats": [matrix_strs(m) for m in cand.mats],
-    }
+    return {"dim": cand.dim, "mats": biderivation_strs(cand)}

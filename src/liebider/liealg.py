@@ -11,8 +11,8 @@ One integer layout holds every bilinear map T on basis pairs:
 (D, (i, j) -> ((k, D * T(e_i, e_j)_k), ...)), D the lcm of the denominators
 (`_scaled_table`), summed at (x, y) by `_bilinear` (divided by D in
 `_evaluate`).  `LieAlgebra._int_table` holds the bracket so (D = S),
-`biderivations.Biderivation._int_values` a biderivation, and
-`LieAlgebra._int_ad` regroups the bracket as the rows of S * ad_{e_i}.
+`biderivations.Biderivation._int_values` a biderivation (its row by pair),
+and `LieAlgebra._int_ad` regroups the bracket as the rows of S * ad_{e_i}.
 The bracket, the systems of `derivations` (one builder over
 `_adjoint_family`), the Jacobi scan and the biderivation and phi/psi checks
 read the tables; only the Killing form (over the keys (t, r) of `_int_ad`

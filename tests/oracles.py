@@ -33,6 +33,13 @@ and `bracket` versions of the inner derivations and of the phi/psi
 factorization check.  The tests require `==` between each package result
 and its `Fraction` oracle.
 
+`bider` builds a candidate from coordinate matrices, through
+`Biderivation.from_flat`.  `dense_elements` and `scanned_int_values` are
+the dense path that the package's canonical rows replaced: each basis
+element sliced from the dense RREF view into matrices, and the integer
+layout of a biderivation by a scan of all n^3 entries.  The tests require
+`==` between each element and its dense reference.
+
 `eliminated_coefficients` is the elimination loop that
 `Subspace.coefficients_of` replaced by reading the pivots: it reduces the
 vector by each canonical row in turn.
@@ -54,22 +61,35 @@ constants are not integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import sympy as sp
 
-from liebider.biderivations import Biderivation, BiderViolation, PhiPsiPair
+from liebider.biderivations import (
+    Biderivation,
+    BiderivationSpace,
+    BiderViolation,
+    PhiPsiPair,
+)
 from liebider.catalog import _sl_constants, catalog
 from liebider.derivations import CenterNonzero, NotInner
 from liebider.liealg import (
+    IntTable,
     JacobiViolation,
     LieAlgebra,
     adjoint_matrix,
     bracket,
     direct_sum,
     lie_algebra,
+    _scaled_table,
 )
 from liebider.linalg import ZERO, Matrix, Subspace, Vector, kernel_of_rows
+
+
+def bider(mats: Sequence[Matrix]) -> Biderivation:
+    """The map with coordinate matrices ``mats``, through
+    `Biderivation.from_flat`, the one door from dense values."""
+    return Biderivation.from_flat([v for m in mats for v in m.flatten()], len(mats))
 
 
 def _constant_fn(alg: LieAlgebra):
@@ -387,6 +407,27 @@ def eliminated_coefficients(space: Subspace, v: Vector) -> Optional[Vector]:
     if any(work):
         return None
     return tuple(coeffs)
+
+
+def dense_elements(space: BiderivationSpace) -> tuple[tuple[Vector, tuple[Matrix, ...]], ...]:
+    """Each vector of the dense RREF view `Subspace.basis` with its
+    coordinate matrices, sliced by `Matrix.from_flat`."""
+    n = space.algebra_dim
+    return tuple(
+        (v, tuple(Matrix.from_flat(v[k * n * n : (k + 1) * n * n], n, n) for k in range(n)))
+        for v in space.space.basis
+    )
+
+
+def scanned_int_values(mats: Sequence[Matrix]) -> tuple[int, IntTable]:
+    """`Biderivation._int_values` by a scan of all n^3 entries of ``mats``."""
+    return _scaled_table(
+        ((i, j), k, v)
+        for k, mat in enumerate(mats)
+        for i, row in enumerate(mat.data)
+        for j, v in enumerate(row)
+        if v
+    )
 
 
 def dense_inner_derivation_space(alg: LieAlgebra) -> Subspace:

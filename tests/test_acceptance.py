@@ -31,6 +31,8 @@ from liebider.liealg import bracket, direct_sum, structure_matrices
 from liebider.linalg import ONE, ZERO, Matrix
 from liebider.vdecomp import compute_V, compute_Vpm, verify_direct_sum
 
+import oracles
+
 COMPLETE_NAMES = ["sl2", "sl3", "so3", "sl2_plus_sl2", "L22"]
 
 # Concrete instantiations of the parameterized catalog families with dim <= 6.
@@ -142,7 +144,7 @@ def test_criterion_03_completeness_gate():
 def test_criterion_04_non_example_violation():
     with criterion(4, "the classic L22 matrix pair fails condition (1)"):
         alg = catalog("L22")
-        cand = Biderivation(
+        cand = oracles.bider(
             (
                 Matrix.from_rows([[ZERO, ZERO], [ZERO, ONE]]),
                 Matrix.from_rows([[ONE, ZERO], [ZERO, ZERO]]),

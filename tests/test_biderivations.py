@@ -1,8 +1,11 @@
 """Biderivation spaces, membership checks, and structural operations."""
 
+import ast
 import inspect
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +34,7 @@ from liebider.biderivations import (
     symmetric_skew_split,
     two_step_properties,
 )
-from liebider.biderivations import _factor_phi_psi, _lift
+from liebider.biderivations import _biderivations_over, _factor_phi_psi, _lift
 import liebider.derivations
 from liebider.derivations import (
     _adjoint_family,
@@ -163,7 +166,7 @@ def test_simple_basis_is_structure_tuple_multiple():
 
 def test_classic_pair_is_not_a_biderivation():
     alg = catalog("L22")
-    cand = Biderivation(
+    cand = oracles.bider(
         (Matrix.from_rows([[0, 0], [0, 1]]), Matrix.from_rows([[1, 0], [0, 0]]))
     )
     violation = biderivation_violation(alg, cand)
@@ -218,6 +221,54 @@ def test_evaluate_is_bilinear_table():
         cand.evaluate((F(1),) * 4, y)
 
 
+_ELEMENT_TABLES = {
+    **oracles.ORACLE_TABLES,
+    **oracles.RESTRICTED_TABLES,
+    **{name: (lambda name=name: catalog(name))
+       for name in (*FROZEN_BIDER_DIMS, "abelian(4)", "twostep(6,2)")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENT_TABLES))
+def test_basis_elements_match_the_dense_path(name):
+    # Each element holds a canonical row of the space; its views equal the
+    # dense path: `from_flat` of the RREF vector, its matrices sliced by
+    # `Matrix.from_flat`, and the integer layout scanned from them (key
+    # order too).
+    alg = _ELEMENT_TABLES[name]()
+    for mode in (None, "symmetric", "skew"):
+        space = _biderivations_over(alg, mode)
+        elements = space.basis_elements()
+        assert len(elements) == space.dim
+        for element, (vector, mats) in zip(elements, oracles.dense_elements(space)):
+            dense = Biderivation.from_flat(vector, alg.dim)
+            assert element == dense and hash(element) == hash(dense), (name, mode)
+            assert element.flatten() == vector
+            assert element.mats == mats
+            den, values = oracles.scanned_int_values(mats)
+            assert element._int_values[0] == den
+            assert list(element._int_values[1].items()) == list(values.items())
+
+
+_flat_entries = st.one_of(
+    st.just(0), st.integers(-4, 4), st.fractions(-8, 8, max_denominator=6)
+)
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_flat_entries, min_size=n ** 3, max_size=n ** 3))
+))
+def test_from_flat_round_trip(case):
+    n, values = case
+    cand = Biderivation.from_flat(values, n)
+    assert cand.flatten() == tuple(map(F, values))
+    again = Biderivation.from_flat(cand.flatten(), n)
+    assert again == cand and hash(again) == hash(cand)
+    assert [p for p, _ in cand.row] == [p for p, v in enumerate(values) if v]
+    assert all(isinstance(v, int) and v for _, v in cand.row)
+    assert cand.den == math.lcm(*(F(v).denominator for v in values))
+
+
 def test_row_column_derivations_on_inner():
     alg = catalog("sl2")
     inner = inner_biderivation(alg, [1])
@@ -232,7 +283,7 @@ def test_row_column_derivations_on_inner():
 
 def test_row_column_derivations_on_classic_pair():
     alg = catalog("L22")
-    cand = Biderivation(
+    cand = oracles.bider(
         (Matrix.from_rows([[0, 0], [0, 1]]), Matrix.from_rows([[1, 0], [0, 0]]))
     )
     r0 = row_column_derivations(alg, cand, 0)
@@ -241,6 +292,14 @@ def test_row_column_derivations_on_classic_pair():
     assert r1.row_is_derivation and r1.column_is_derivation
     with pytest.raises(ValueError):
         row_column_derivations(alg, cand, 2)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_row_column_derivations_rejects_another_dimension(n):
+    # sl3 has dimension 8: a smaller map has no entry at index 7, a larger
+    # one has entries past it
+    with pytest.raises(ValueError, match="dimension does not match the algebra"):
+        row_column_derivations(catalog("sl3"), Biderivation.zero(n), 0)
 
 
 def test_extract_phi_psi_on_inner_maps():
@@ -351,7 +410,7 @@ def test_phi_psi_gates_on_complete_algebras(name):
     elements = biderivation_space(alg).basis_elements()
     rng = random.Random(name)
     weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in elements]
-    combined = Biderivation(tuple(
+    combined = oracles.bider(tuple(
         sum((w * e.mats[k] for w, e in zip(weights, elements)), Matrix.zeros(n, n))
         for k in range(n)
     ))
@@ -366,7 +425,7 @@ def test_extract_phi_psi_errors():
     with pytest.raises(NotComplete):
         extract_phi_psi(catalog("heisenberg3"), Biderivation.zero(3))
     alg = catalog("L22")
-    cand = Biderivation(
+    cand = oracles.bider(
         (Matrix.from_rows([[0, 0], [0, 1]]), Matrix.from_rows([[1, 0], [0, 0]]))
     )
     with pytest.raises(NotBiderivation) as info:
@@ -380,7 +439,7 @@ def test_symmetric_skew_split_arithmetic():
     plus, minus = symmetric_skew_split(inner)
     assert all(oracles.is_zero(m) for m in plus.mats)  # structure matrices are skew
     assert minus.mats == tuple(2 * m for m in inner.mats)
-    cand = Biderivation(
+    cand = oracles.bider(
         (Matrix.from_rows([[1, 2], [5, 8]]), Matrix.zeros(2, 2))
     )
     plus, minus = symmetric_skew_split(cand)
@@ -407,13 +466,13 @@ def test_split_parts_stay_biderivations():
 
 def test_classify_symmetry_names_each_case():
     alg = catalog("abelian(2)")
-    symmetric = Biderivation(
+    symmetric = oracles.bider(
         (Matrix.from_rows([[1, 2], [2, 0]]), Matrix.from_rows([[0, 0], [0, 3]]))
     )
-    skew = Biderivation(
+    skew = oracles.bider(
         (Matrix.from_rows([[0, 2], [-2, 0]]), Matrix.zeros(2, 2))
     )
-    mixed = Biderivation(
+    mixed = oracles.bider(
         (Matrix.from_rows([[0, 1], [0, 0]]), Matrix.zeros(2, 2))
     )
     # every bilinear map of an abelian algebra is a biderivation
@@ -485,7 +544,7 @@ def test_closure_constants_reproduce_commutators():
         assert a < b and coeff != 0
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            comm_flat = Biderivation(
+            comm_flat = oracles.bider(
                 tuple(
                     ma * mb - mb * ma
                     for ma, mb in zip(basis[a].mats, basis[b].mats)
@@ -510,7 +569,7 @@ def test_two_step_properties_h3_and_errors():
     with pytest.raises(NotTwoStep):
         two_step_properties(direct_sum(alg, catalog("sl2")), Biderivation.zero(6))
     # a non-biderivation candidate is rejected up front
-    bad = Biderivation(
+    bad = oracles.bider(
         (
             Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
             Matrix.zeros(3, 3),
@@ -616,7 +675,7 @@ def test_checker_matches_dense_oracle_on_condition_two(name):
             for k in range(n) for i in range(n) for j in range(n)
         ]
         cand = Biderivation.from_flat(flat, n)
-        swapped = Biderivation(tuple(m.transpose() for m in cand.mats))
+        swapped = oracles.bider(tuple(m.transpose() for m in cand.mats))
         violation = _assert_scans_agree(alg, cand)
         assert violation is None or violation.condition == 1
         violation = _assert_scans_agree(alg, swapped)
@@ -631,7 +690,7 @@ def test_scans_match_dense_oracles_on_perturbed_tables(name):
     alg = oracles.ORACLE_TABLES[name]()
     n = alg.dim
     assert validate(alg) is None and oracles.dense_jacobi_violation(alg) is None
-    inner = Biderivation(structure_matrices(alg))
+    inner = oracles.bider(structure_matrices(alg))
     rng = random.Random(name)
     broken = 0
     for _ in range(6):
@@ -693,7 +752,7 @@ def test_condition_one_is_reported_before_an_earlier_condition_two_failure(
 ):
     alg = catalog(name)
     cand = _with_entries(alg.dim, entries)
-    swapped = Biderivation(tuple(m.transpose() for m in cand.mats))
+    swapped = oracles.bider(tuple(m.transpose() for m in cand.mats))
     # condition (2) of B at (i, j, k) is condition (1) of B^t at (j, k, i)
     i, j, k = first_two
     assert any(oracles.dense_leibniz_residual(alg, swapped, j, k, i))
@@ -719,6 +778,34 @@ def test_the_first_failing_triple_is_reported_whatever_product_reaches_it(entrie
     assert any(oracles.dense_leibniz_residual(alg, cand, 0, 1, 0))
     violation = _assert_scans_agree(alg, cand)
     assert (violation.condition, violation.triple) == (1, (0, 1, 0))
+
+
+# The functions that read the dense views `Subspace.basis` and
+# `Biderivation.mats`, each of them to print or return a dense value (the
+# closure takes its commutators of dense matrices).
+_DENSE_EDGE = {
+    "cli._cmd_derivations",
+    "vdecomp.MatrixSubspace.basis_matrices",
+    "biderivations.two_step_properties",
+    "biderivations.bider_bracket_closure",
+}
+
+
+def test_dense_views_are_read_only_at_the_edge():
+    readers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("basis", "mats"):
+                readers.add(".".join((module, *scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(liebider.linalg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert readers == _DENSE_EDGE
 
 
 def test_checkers_share_no_solver_code():
@@ -785,7 +872,7 @@ def test_swap_keeps_biderivations(make):
     alg = make()
     space = biderivation_space(alg)
     for element in space.basis_elements():
-        swapped = Biderivation(tuple(m.transpose() for m in element.mats))
+        swapped = oracles.bider(tuple(m.transpose() for m in element.mats))
         assert biderivation_violation(alg, swapped) is None
     sym = constrained_biderivation_space(alg, "symmetric")
     skew = constrained_biderivation_space(alg, "skew")
@@ -808,7 +895,7 @@ def test_tang_gate_on_sl_n(n):
             [[F(1, 2) if (i, j) == (2, 7) else 0 for j in range(alg.dim)]
              for i in range(alg.dim)]
         )
-        changed = Biderivation(tuple(mats))
+        changed = oracles.bider(tuple(mats))
         violation = _assert_scans_agree(alg, changed)
         assert violation is not None
 

@@ -203,25 +203,38 @@ def test_phi_psi_requires_complete(run, tmp_path):
 
 @pytest.mark.parametrize("name", ["L22", "sl2_plus_sl2"])
 def test_biderivations_command_slices_each_element_once(name, run, tmp_path, monkeypatch):
-    # The checker and the renderer read one tuple of basis elements.
-    from liebider.biderivations import Biderivation
+    # The checker and the renderer read one tuple of basis elements, each
+    # holding a canonical row of the space itself, and no one reads the
+    # dense `Subspace.basis` view.
+    from liebider.biderivations import BiderivationSpace
+    from liebider.linalg import Subspace
 
-    calls = []
-    from_flat = Biderivation.from_flat
-
-    def counted(values, n):
-        calls.append(n)
-        return from_flat(values, n)
-
-    monkeypatch.setattr(Biderivation, "from_flat", staticmethod(counted))
     _, out, _ = run("catalog", name)
     path = tmp_path / "alg.json"
     path.write_text(out)
+    reads, dense_reads = [], []
+    basis_elements, dense_basis = BiderivationSpace.basis_elements, Subspace.basis.fget
+
+    def recorded(space):
+        reads.append((space, basis_elements(space)))
+        return reads[-1][1]
+
+    def counted(space):
+        dense_reads.append(space)
+        return dense_basis(space)
+
+    monkeypatch.setattr(BiderivationSpace, "basis_elements", recorded)
+    monkeypatch.setattr(Subspace, "basis", property(counted))
     code, out, _ = run("biderivations", str(path), "--json")
     assert code == 0
     dim = json.loads(out)["results"]["dim"]
     assert dim > 0
-    assert len(calls) == dim
+    assert len(reads) == 2  # the checker, then the renderer
+    (space, elements), (again, same) = reads
+    assert again is space and same is elements
+    assert len(elements) == dim
+    assert all(e.row is row for e, row in zip(elements, space.space.rows))
+    assert dense_reads == []
 
 
 def test_vdecomp_command(run, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebider.catalog import catalog
-from liebider.biderivations import Biderivation
 from liebider.documents import (
     DimMismatch,
     DocumentIndexError,
@@ -217,7 +216,7 @@ def test_parse_biderivation_and_dim_mismatch():
 
 
 def test_biderivation_document_round_trip():
-    cand = Biderivation(
+    cand = oracles.bider(
         (
             Matrix.from_rows([[F(1, 2), 0], [3, -1]]),
             Matrix.from_rows([[0, F(-2, 3)], [0, 0]]),

@@ -174,7 +174,7 @@ def test_leibniz_residual_returns_the_failing_reached_triples(case):
     # (B, (D, D * B), outer): B at both outer positions of the checker, and
     # the Jacobi scan's B, the bracket itself, summed on o < u < w alone
     scans = [(cand, cand._int_values, 0), (cand, cand._int_values, 2),
-             (Biderivation(structure_matrices(alg)), alg._int_table, 0)]
+             (oracles.bider(structure_matrices(alg)), alg._int_table, 0)]
     for bmap, (den, values), outer in scans:
         triples_all = list(product(range(n), repeat=3))
         dense = {t: oracles.dense_leibniz_residual(alg, bmap, *t) for t in triples_all}

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from liebider.biderivations import (
+    Biderivation,
     bider_bracket_closure,
     biderivation_space,
     inner_biderivation,
@@ -28,7 +29,7 @@ def _sl2_with_tables():
 
 def _inner_with_values():
     cand = inner_biderivation(catalog("sl2"), [Fraction(2, 3)])
-    cand._int_values  # cached in the instance __dict__
+    cand._int_values, cand.mats  # cached in the instance __dict__
     return cand
 
 
@@ -47,9 +48,14 @@ RECORDS = {
     ),
     "LieAlgebra": (_sl2_with_tables, "dim", None),
     "Biderivation": (
-        lambda: inner_biderivation(catalog("sl2"), [Fraction(2, 3)]), "mats", None
+        lambda: Biderivation.from_flat([0, Fraction(1, 2), 0, 0, 0, 0, -1, 0], 2),
+        "row",
+        "Biderivation(dim=2, den=2, row=((1, 1), (6, -2)))",
     ),
-    "BiderivationCached": (_inner_with_values, "mats", None),
+    "BiderivationInner": (
+        lambda: inner_biderivation(catalog("sl2"), [Fraction(2, 3)]), "row", None
+    ),
+    "BiderivationCached": (_inner_with_values, "row", None),
     "BiderivationSpace": (lambda: biderivation_space(catalog("L22")), "space", None),
     "JacobiViolation": (
         lambda: validate(lie_algebra(3, {(0, 1, 2): 1, (0, 2, 0): 1, (1, 2, 1): 1})),
