@@ -43,7 +43,9 @@ that mode.  The checker shares no assembly code with the solver: it sums
 both conditions in integers, over the nonzero products of the bracket table
 (scaled by the lcm S of its denominators) and of `_int_values` alone.
 Condition (2) of B is condition (1) of the swap B^t, so one residual
-(`liealg._leibniz_residual`, which the Jacobi scan shares) serves both.
+(`liealg._leibniz_residual`, which the Jacobi scan shares) serves both; when
+B^t = +-B (`classify_symmetry`), it is +-condition (1) of B itself, and the
+one scan of (1) decides both.
 The tests compare every mode against the direct system of 2*n^4 rows in the
 n^3 unknowns b_ij^k (`constraint_rows` in ``tests/oracles.py``), and the
 checker against the dense `Fraction` scan it replaced
@@ -309,15 +311,19 @@ def biderivation_violation(
     `liealg._leibniz_residual`, summed over the nonzero products of the
     table (as S * c_ij^k) and of B (as D * b_ij^k, `Biderivation._int_values`)
     one slice of i at a time: condition (2) of B at (i, j, k) is condition
-    (1) of the swap B^t at (j, k, i), summed with i outermost.  Only the
-    failing residual is divided back into Fractions.
+    (1) of the swap B^t at (j, k, i), summed with i outermost.  When
+    B^t = +-B (`classify_symmetry`), as for every solver basis element on a
+    semisimple input, that is +-condition (1) of B, so only (1) is scanned.
+    Only the failing residual is divided back into Fractions.
     """
     n = alg.dim
     if cand.dim != n:
         raise ValueError("biderivation dimension does not match the algebra")
     (scale, table), (den, values) = alg._int_table, cand._int_values
-    swapped = {(j, i): terms for (i, j), terms in values.items()}
-    for condition, vals, outer in ((1, values, 0), (2, swapped, 2)):
+    scans = [(1, values, 0)]
+    if classify_symmetry(cand) == "mixed":
+        scans.append((2, {(j, i): terms for (i, j), terms in values.items()}, 2))
+    for condition, vals, outer in scans:
         for triple, acc in _leibniz_residual(table, vals, n, outer):
             residual = tuple(Fraction(acc.get(r, 0), scale * den) for r in range(n))
             return BiderViolation(condition, triple, residual)

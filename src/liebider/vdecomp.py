@@ -2,14 +2,16 @@
 
 V is the space of matrices M such that M A_i = A_i Q holds for a single
 matrix Q and every i; V+ and V- are the members for which every product
-M A_i is symmetric (respectively skew-symmetric).  V and one witness Q per
-basis matrix come from the Zassenhaus split (`linalg.split_span`) of a
-single (M, Q) kernel, whose rows are read in integers off the scaled
-bracket table of `liealg`, regrouped by the rows of ad
-(`LieAlgebra._int_ad`).  Writing phi = M^T, the (a, b) entry of
-M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and V- are the
-transposes of the skew-commuting and the commuting maps of `derivations`,
-and they lie in V.  On complete algebras
+M A_i is symmetric (respectively skew-symmetric).  Writing phi = M^T, the
+(a, b) entry of M A_i is the i-th coordinate of [phi(e_a), e_b], so V+ and
+V- are the transposes of the skew-commuting and the commuting maps of
+`derivations`, and they lie in V: each A_i is skew-symmetric, so Q = -M^T
+resp. Q = M^T is a witness.  V and one witness Q per basis matrix come
+from the Zassenhaus split (`linalg.split_span`) of a single (M, Q) kernel,
+whose rows are read in integers off the scaled bracket table of `liealg`,
+regrouped by the rows of ad (`LieAlgebra._int_ad`), beside its known part
+(M, -+M^T) for M in V+ resp. V-: a map space that came out too small
+leaves the rest of V to elimination.  On complete algebras
 V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
 the biderivation space: the coordinate matrices of a biderivation with
 factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .liealg import LieAlgebra, _per_algebra, killing_form
-from .linalg import Matrix, Subspace, _dense, kernel_of_rows, split_span, subspace_combine
+from .linalg import Matrix, Subspace, _dense, kernel_beside, split_span, subspace_combine
 from .derivations import commuting_map_space, is_complete, skew_commuting_map_space
 from .biderivations import NotComplete, _factor_phi_psi, biderivation_space
 
@@ -53,7 +55,10 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
 
     Unknowns: M_ab at a*n + b, Q_ab at n^2 + a*n + b.  Rows are ordered by
     (i, a, b) for the (a, b) entry of the i-th matrix equation, scaled by
-    -S and read off `LieAlgebra._int_ad`.
+    -S and read off `LieAlgebra._int_ad`.  Each A_i is skew on any
+    antisymmetric table, so the pairs (M, -M^T), M in V+, and (M, M^T),
+    M in V-, are a certified known part (`linalg.kernel_beside`): the rows
+    stop once they prove it is all, as on a complete algebra.
     """
     n = alg.dim
     nn = n * n
@@ -71,7 +76,13 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
                         row[nn + t * n + b] = c
                     yield row
 
-    return kernel_of_rows(rows(), 2 * nn)
+    # M_ab at c = a*n + b and Q_ba = -+M_ab at nn + b*n + a
+    known = Subspace._span_rows(
+        (dict(row) | {nn + c % n * n + c // n: sign * x for c, x in row}
+         for sign, part in zip((-1, 1), compute_Vpm(alg)) for row in part.space.rows),
+        2 * nn,
+    )
+    return kernel_beside(known, rows(), 2 * nn)
 
 
 class VSpace(NamedTuple):

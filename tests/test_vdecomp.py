@@ -13,8 +13,8 @@ from liebider.biderivations import (
     extract_phi_psi,
     inner_biderivation,
 )
-from liebider.liealg import center, lie_algebra, structure_matrices
-from liebider.linalg import Matrix, subspace_combine
+from liebider.liealg import center, lie_algebra, structure_matrices, validate
+from liebider.linalg import Matrix, kernel_of_rows, subspace_combine
 from liebider.vdecomp import (
     bider_V_correspondence,
     compute_V,
@@ -23,6 +23,7 @@ from liebider.vdecomp import (
 )
 
 import oracles
+from test_metamorphic import INPUTS
 
 F = Fraction
 
@@ -378,3 +379,79 @@ def test_eliminations_do_not_grow_with_the_algebra(monkeypatch):
     for run in (extract, verify_direct_sum):
         counts = {name: eliminations(run, name) for name in names}
         assert len(set(counts.values())) == 1, (run.__name__, counts)
+
+
+def _broken_sl3():
+    """sl3 with its first constant doubled: antisymmetric, but the Jacobi
+    identity fails."""
+    constants = dict(catalog("sl3").constants)
+    constants[next(iter(constants))] *= 2
+    return lie_algebra(8, constants)
+
+
+_KNOWN_PART_TABLES = {
+    **oracles.ORACLE_TABLES,
+    **oracles.RESTRICTED_TABLES,
+    **{f"metamorphic:{name}": make for name, make in INPUTS.items()},
+    "broken_sl3": _broken_sl3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KNOWN_PART_TABLES))
+def test_joint_kernel_beside_its_known_part_is_the_whole_kernel(name):
+    # (M, -+M^T) for M in V+ / V- is certified on any antisymmetric table,
+    # Jacobi or not; the kernel found beside it equals the test-side kernel
+    # of the Fraction rows with no known part.
+    from liebider.vdecomp import _joint_intertwiner_kernel
+
+    alg = _KNOWN_PART_TABLES[name]()
+    nn = alg.dim * alg.dim
+    if name == "broken_sl3":
+        assert validate(alg) is not None
+    reference = kernel_of_rows(oracles.fraction_intertwiner_rows(alg), 2 * nn)
+    assert _joint_intertwiner_kernel(alg) == reference
+
+
+def test_a_short_map_space_leaves_v_whole(monkeypatch):
+    # A commuting-map space that lost its last row gives a smaller V-, and
+    # so a smaller known part: elimination finds the rest of V, and the
+    # paper's check V+ + V- = V reads false.
+    from liebider import vdecomp
+
+    whole = verify_direct_sum(catalog("sl2_plus_sl2"))
+    v = compute_V(catalog("sl2_plus_sl2"))
+    original = vdecomp.commuting_map_space
+
+    def short(alg):
+        space = original(alg)
+        return space._replace(rows=space.rows[:-1], pivots=space.pivots[:-1])
+
+    monkeypatch.setattr(vdecomp, "commuting_map_space", short)
+    alg = catalog("sl2_plus_sl2")
+    report = verify_direct_sum(alg)
+    assert compute_V(alg) == v
+    assert (report.v_dim, report.vminus_dim) == (whole.v_dim, whole.vminus_dim - 1)
+    assert whole.sum_equals_v and not report.sum_equals_v
+
+
+def test_joint_rows_stop_before_the_last_row(monkeypatch):
+    # On sl(6) (n = 35, n^3 = 42,875 rows) the known part V+ (+) V- is the
+    # whole kernel, and elimination proves it before the last row is built.
+    from liebider import vdecomp
+
+    read = []
+    beside = vdecomp.kernel_beside
+
+    def counting(known, rows, ncols):
+        def counted():
+            for row in rows:
+                read.append(1)
+                yield row
+
+        return beside(known, counted(), ncols)
+
+    monkeypatch.setattr(vdecomp, "kernel_beside", counting)
+    alg = oracles.sl_n(6)
+    v = compute_V(alg)
+    n = alg.dim
+    assert v.dim == 1 and 0 < len(read) < n ** 3
