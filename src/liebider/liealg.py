@@ -393,8 +393,7 @@ def _leibniz_residual(
                             break
                         base, coef = u * nn + w * n, sign * xv
                         for r, yv in yterms:
-                            key = base + r
-                            acc[key] = get(key, 0) + coef * yv
+                            acc[base + r] = get(base + r, 0) + coef * yv
                 continue
             pm, qm = (nn, n) if first else (n, nn)
             for p, xterms in x.get(o, ()):
@@ -409,8 +408,7 @@ def _leibniz_residual(
                         if q < qhi:
                             base = p * pm + q * qm
                             for r, yv in yterms:
-                                key = base + r
-                                acc[key] = get(key, 0) + coef * yv
+                                acc[base + r] = get(base + r, 0) + coef * yv
         if any(acc.values()):
             for m in sorted({key // n for key, v in acc.items() if v}):
                 yield (o, *divmod(m, n)), {r: v for r in range(n) if (v := get(m * n + r))}

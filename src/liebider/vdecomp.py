@@ -10,11 +10,13 @@ resp. Q = M^T is a witness.  V and one witness Q per basis matrix come
 from the Zassenhaus split (`linalg.split_span`) of a single (M, Q) kernel,
 whose rows are read in integers off the scaled bracket table of `liealg`,
 regrouped by the rows of ad (`LieAlgebra._int_ad`), beside its known part
-(M, -+M^T) for M in V+ resp. V-: a map space that came out too small
-leaves the rest of V to elimination.  On complete algebras
-V = V+ (+) V- is a direct sum, and the correspondence M = phi^T links V to
-the biderivation space: the coordinate matrices of a biderivation with
-factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
+(M, -+M^T) for M in V+ resp. V-.  Each pair of the known part is checked
+against the equations first, so V does not rest on the map spaces: a map
+space that came out too small leaves the rest of V to elimination, one that
+held a non-member loses it, and V+ + V- = V reads false either way.  On
+complete algebras V = V+ (+) V- is a direct sum, and the correspondence
+M = phi^T links V to the biderivation space: the coordinate matrices of a
+biderivation with factorization B(x, y) = [phi(x), y] are B_k = phi^T A_k.
 `verify_direct_sum` checks both with V, V+, V- and completeness; each of
 them, and its report, is computed once per algebra (`liealg._per_algebra`).
 
@@ -55,10 +57,12 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
 
     Unknowns: M_ab at a*n + b, Q_ab at n^2 + a*n + b.  Rows are ordered by
     (i, a, b) for the (a, b) entry of the i-th matrix equation, scaled by
-    -S and read off `LieAlgebra._int_ad`.  Each A_i is skew on any
-    antisymmetric table, so the pairs (M, -M^T), M in V+, and (M, M^T),
-    M in V-, are a certified known part (`linalg.kernel_beside`): the rows
-    stop once they prove it is all, as on a complete algebra.
+    -S and read off `LieAlgebra._int_ad`.  Each A_i is skew, so the pairs
+    (M, -M^T), M in V+, and (M, M^T), M in V-, lie in the kernel.  Each
+    pair is checked against the equations, summed over its nonzero products
+    with `_int_ad`, and those that solve them are the known part of
+    `linalg.kernel_beside`: the rows stop once they prove it is all, as on
+    a complete algebra.
     """
     n = alg.dim
     nn = n * n
@@ -76,12 +80,22 @@ def _joint_intertwiner_kernel(alg: LieAlgebra) -> Subspace:
                         row[nn + t * n + b] = c
                     yield row
 
+    def solves(pair: dict[int, int]) -> bool:
+        # S (M A_i - A_i Q)_ab at (i, a, b): M_pq adds M_pq S c_qu^i at
+        # (i, p, u), and Q_pq adds Q_pq S c_pu^i at (i, u, q)
+        acc: dict[tuple[int, int, int], int] = {}
+        for col, x in pair.items():
+            p, q = divmod(col % nn, n)
+            for i in range(n):
+                for u, c in ad.get((q if col < nn else p, i), empty):
+                    key = (i, p, u) if col < nn else (i, u, q)
+                    acc[key] = acc.get(key, 0) + c * x
+        return not any(acc.values())
+
     # M_ab at c = a*n + b and Q_ba = -+M_ab at nn + b*n + a
-    known = Subspace._span_rows(
-        (dict(row) | {nn + c % n * n + c // n: sign * x for c, x in row}
-         for sign, part in zip((-1, 1), compute_Vpm(alg)) for row in part.space.rows),
-        2 * nn,
-    )
+    pairs = (dict(row) | {nn + c % n * n + c // n: sign * x for c, x in row}
+             for sign, part in zip((-1, 1), compute_Vpm(alg)) for row in part.space.rows)
+    known = Subspace._span_rows(filter(solves, pairs), 2 * nn)
     return kernel_beside(known, rows(), 2 * nn)
 
 

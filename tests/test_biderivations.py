@@ -637,8 +637,24 @@ def _random_map(n, rng):
 
 
 def _assert_scans_agree(alg, cand):
-    violation = biderivation_violation(alg, cand)
+    # B^t = +-B makes condition (2) of B condition (1) of +-B, so a symmetric
+    # or skew candidate is scanned for (1) alone (outer 0); a mixed one is
+    # scanned for (2) too (outer 2) unless (1) fails first.
+    outers = []
+    residual = liebider.biderivations._leibniz_residual
+
+    def recording(table, values, n, outer=0):
+        outers.append(outer)
+        return residual(table, values, n, outer)
+
+    liebider.biderivations._leibniz_residual = recording
+    try:
+        violation = biderivation_violation(alg, cand)
+    finally:
+        liebider.biderivations._leibniz_residual = residual
     assert violation == oracles.dense_biderivation_violation(alg, cand)
+    one_scan = classify_symmetry(cand) != "mixed" or (violation and violation.condition == 1)
+    assert outers == ([0] if one_scan else [0, 2])
     return violation
 
 
@@ -655,8 +671,15 @@ def test_checker_matches_dense_oracle(name):
         changed = _perturbed(element, rng)
         violation = _assert_scans_agree(alg, changed)
         assert (violation is None) == space.space.contains(changed.flatten())
+    failing_parts = set()
     for _ in range(4):
-        _assert_scans_agree(alg, _random_map(n, rng))
+        random_map = _random_map(n, rng)
+        _assert_scans_agree(alg, random_map)
+        for part in symmetric_skew_split(random_map):
+            if _assert_scans_agree(alg, part) is not None:
+                failing_parts.add(classify_symmetry(part))
+    # the symmetric and skew parts that fail are reported from the one scan
+    assert failing_parts == (set() if name == "abelian(3)" else {"symmetric", "skew"})
 
 
 @pytest.mark.parametrize("name", sorted(oracles.ORACLE_TABLES))
@@ -781,22 +804,6 @@ def test_the_first_failing_triple_is_reported_whatever_product_reaches_it(entrie
     assert (violation.condition, violation.triple) == (1, (0, 1, 0))
 
 
-def _scanned_outers(alg, cand):
-    """(violation, the ``outer`` of every `_leibniz_residual` scan it ran)."""
-    outers = []
-    residual = liebider.biderivations._leibniz_residual
-
-    def recording(table, values, n, outer=0):
-        outers.append(outer)
-        return residual(table, values, n, outer)
-
-    liebider.biderivations._leibniz_residual = recording
-    try:
-        return biderivation_violation(alg, cand), outers
-    finally:
-        liebider.biderivations._leibniz_residual = residual
-
-
 @functools.cache
 def _mode_bases(name):
     alg = oracles.ORACLE_TABLES[name]()
@@ -805,72 +812,25 @@ def _mode_bases(name):
 
 
 @given(st.sampled_from(sorted(oracles.ORACLE_TABLES)),
-       st.sampled_from(["symmetric", "skew", "mixed"]), st.integers(0, 10 ** 6))
+       st.sampled_from(["symmetric", "skew"]), st.integers(0, 10 ** 6))
 def test_one_scan_for_symmetric_and_skew_candidates(name, kind, seed):
-    # B^t = +-B makes condition (2) of B condition (1) of +-B, so a symmetric
-    # or skew candidate is scanned for (1) alone, and the verdict, the
-    # condition and the triple still match the dense scan of both.  Each
-    # kind mixes biderivations of its mode with a random part that usually
-    # breaks (1); a mixed candidate whose left partial maps are the swap of
-    # derivations satisfies (1) and can fail only (2).
+    # A combination of the biderivations of one mode, half the time plus a
+    # random part of the same symmetry that usually breaks (1), is scanned
+    # once, and the verdict, condition and triple match the dense scan.
     alg, bases = _mode_bases(name)
     n, rng = alg.dim, random.Random(seed)
     flat = [F(0)] * n ** 3
-    if kind == "mixed":
-        ders = derivation_space(alg).basis
-        for i in range(n):
-            for der in ders:
-                c = F(rng.randint(-2, 2), rng.randint(1, 3))
-                for k in range(n):
-                    for j in range(n):
-                        flat[k * n * n + j * n + i] += c * der[k * n + j]
-    else:
-        for element in bases[kind]:
-            c = F(rng.randint(-2, 2), rng.randint(1, 3))
-            flat = [a + c * b for a, b in zip(flat, element.flatten())]
+    for element in bases[kind]:
+        c = F(rng.randint(-2, 2), rng.randint(1, 3))
+        flat = [a + c * b for a, b in zip(flat, element.flatten())]
     if rng.random() < 0.5:
-        noise = _random_map(n, rng)
-        plus, minus = symmetric_skew_split(noise)
-        noise = {"symmetric": plus, "skew": minus, "mixed": noise}[kind]
+        plus, minus = symmetric_skew_split(_random_map(n, rng))
+        noise = plus if kind == "symmetric" else minus
         flat = [a + b for a, b in zip(flat, noise.flatten())]
     cand = Biderivation.from_flat(flat, n)
-    violation, outers = _scanned_outers(alg, cand)
-    assert violation == oracles.dense_biderivation_violation(alg, cand)
-    if classify_symmetry(cand) == "mixed":
-        assert outers == ([0] if violation and violation.condition == 1 else [0, 2])
-    else:
-        assert outers == [0]
-        assert classify_symmetry(cand) in (kind, "zero")
-        assert violation is None or violation.condition == 1
-
-
-@pytest.mark.parametrize(
-    "name, kind, condition",
-    [("sl2", "skew", 1), ("L22", "symmetric", 1), ("sl2", "mixed", 2),
-     ("sl3", "mixed", 2)],
-)
-def test_one_scan_keeps_the_reported_condition(name, kind, condition):
-    # A skew or symmetric map that fails (1) is reported from the one scan.
-    # B(x, y) = y_0 [e_0, x] has the right partial maps y_0 ad_{e_0}, which
-    # are derivations, so it satisfies (1); its left partial maps have rank
-    # one and fail (2), which is still reported as condition (2).
-    alg = catalog(name)
-    n = alg.dim
-    if kind == "mixed":
-        e0 = alg.basis_element(0)
-        flat = [F(0)] * n ** 3
-        for i in range(n):
-            for k, c in enumerate(bracket(alg, e0, alg.basis_element(i))):
-                flat[k * n * n + i * n] = c
-        cand = Biderivation.from_flat(flat, n)
-    else:
-        plus, minus = symmetric_skew_split(_with_entries(n, {0: 1, n + 1: 2, n * n + 1: 3}))
-        cand = plus if kind == "symmetric" else minus
-    assert classify_symmetry(cand) == kind
-    violation, outers = _scanned_outers(alg, cand)
-    assert violation is not None and violation.condition == condition
-    assert violation == oracles.dense_biderivation_violation(alg, cand)
-    assert outers == ([0, 2] if kind == "mixed" else [0])
+    assert classify_symmetry(cand) in (kind, "zero")
+    violation = _assert_scans_agree(alg, cand)
+    assert violation is None or violation.condition == 1
 
 
 # The functions that read the dense views `Subspace.basis` and

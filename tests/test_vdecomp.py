@@ -14,7 +14,7 @@ from liebider.biderivations import (
     inner_biderivation,
 )
 from liebider.liealg import center, lie_algebra, structure_matrices, validate
-from liebider.linalg import Matrix, kernel_of_rows, subspace_combine
+from liebider.linalg import Matrix, Subspace, kernel_of_rows, subspace_combine
 from liebider.vdecomp import (
     bider_V_correspondence,
     compute_V,
@@ -399,9 +399,9 @@ _KNOWN_PART_TABLES = {
 
 @pytest.mark.parametrize("name", sorted(_KNOWN_PART_TABLES))
 def test_joint_kernel_beside_its_known_part_is_the_whole_kernel(name):
-    # (M, -+M^T) for M in V+ / V- is certified on any antisymmetric table,
-    # Jacobi or not; the kernel found beside it equals the test-side kernel
-    # of the Fraction rows with no known part.
+    # (M, -+M^T) for M in V+ / V- solves the equations on any antisymmetric
+    # table, Jacobi or not; the kernel found beside it equals the test-side
+    # kernel of the Fraction rows with no known part.
     from liebider.vdecomp import _joint_intertwiner_kernel
 
     alg = _KNOWN_PART_TABLES[name]()
@@ -412,25 +412,30 @@ def test_joint_kernel_beside_its_known_part_is_the_whole_kernel(name):
     assert _joint_intertwiner_kernel(alg) == reference
 
 
-def test_a_short_map_space_leaves_v_whole(monkeypatch):
-    # A commuting-map space that lost its last row gives a smaller V-, and
-    # so a smaller known part: elimination finds the rest of V, and the
-    # paper's check V+ + V- = V reads false.
+@pytest.mark.parametrize("change, vminus_step", [("short", -1), ("long", 1)])
+def test_a_wrong_map_space_leaves_v_whole(monkeypatch, change, vminus_step):
+    # A commuting-map space that lost its last row gives a smaller known
+    # part, and elimination finds the rest of V; one that holds the
+    # non-member E_01 gives a known pair that fails the equations and is
+    # left out.  V is unchanged either way, and the paper's check
+    # V+ + V- = V reads false.
     from liebider import vdecomp
 
     whole = verify_direct_sum(catalog("sl2_plus_sl2"))
     v = compute_V(catalog("sl2_plus_sl2"))
     original = vdecomp.commuting_map_space
 
-    def short(alg):
+    def wrong(alg):
         space = original(alg)
-        return space._replace(rows=space.rows[:-1], pivots=space.pivots[:-1])
+        if change == "short":
+            return space._replace(rows=space.rows[:-1], pivots=space.pivots[:-1])
+        return Subspace._span_rows([*map(dict, space.rows), {1: 1}], space.ambient_dim)
 
-    monkeypatch.setattr(vdecomp, "commuting_map_space", short)
+    monkeypatch.setattr(vdecomp, "commuting_map_space", wrong)
     alg = catalog("sl2_plus_sl2")
     report = verify_direct_sum(alg)
     assert compute_V(alg) == v
-    assert (report.v_dim, report.vminus_dim) == (whole.v_dim, whole.vminus_dim - 1)
+    assert (report.v_dim, report.vminus_dim) == (whole.v_dim, whole.vminus_dim + vminus_step)
     assert whole.sum_equals_v and not report.sum_equals_v
 
 
